@@ -94,6 +94,10 @@ def _entry(name: str) -> catalog.CatalogEntry:
         return catalog.get(name)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
+    except OSError as exc:
+        raise UsageError(f"cannot load catalog entry {name}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"catalog entry {name} is not valid JSON: {exc}") from exc
 
 
 def _parse_binding(pairs: list[str], allowed: frozenset[str]) -> ParamBinding:
@@ -145,17 +149,12 @@ def _form_idx(idx) -> str:
     return f"R_{{{i},{j},{k},{l}}}"
 
 
-def _form_idx_up(idx) -> str:
-    i, j, k, s = idx
-    return f"R_{{{i},{j},{k}}}^{{{s}}}"
-
-
 # -- commands -------------------------------------------------------------
 
 
 def cmd_list(args) -> int:
-    for name, typ in catalog.list_entries():
-        print(f"{name}  type {typ}")
+    for name in catalog.NAMES:
+        print(f"{name}  type {_entry(name).algebra_type}")
     return 0
 
 

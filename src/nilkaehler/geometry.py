@@ -8,7 +8,7 @@ e_i), and the metric is g_ij = sum_s omega_is J_j^s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -70,17 +70,16 @@ class Connection:
 
 @dataclass(frozen=True)
 class Curvature:
-    """up[i][j][k][s] = R_ijk^s; the remaining fields are filled lazily.
+    """The curvature of a metric, every field filled by ``curvature``.
 
-    ``down``, ``ricci`` and ``norm`` stay None until produced by
-    ``lower_curvature`` / ``full_curvature``; the module-level functions
-    compute them from ``up`` on demand either way.
+    up[i][j][k][s] = R_ijk^s, down[i][j][k][l] = R_ijkl, ricci[j][k] =
+    Ric_jk and norm = g(R, R).
     """
 
     up: Up4
-    down: Up4 | None = None
-    ricci: linalg.Matrix | None = None
-    norm: Scalar | None = None
+    down: Up4
+    ricci: linalg.Matrix
+    norm: Scalar
 
     @property
     def dim(self) -> int:
@@ -90,8 +89,6 @@ class Curvature:
         return self.up[i][j][k][s]
 
     def down_component(self, i: int, j: int, k: int, l: int) -> Scalar:
-        if self.down is None:
-            raise ValueError("down components not computed; lower the curvature first")
         return self.down[i][j][k][l]
 
     def is_flat(self) -> bool:
@@ -205,8 +202,12 @@ def covariant_derivative(conn: Connection, x: Vector, y: Vector) -> Vector:
     return Vector(tuple(out))
 
 
-def curvature(alg: LieAlgebra, conn: Connection) -> Curvature:
-    """R_ijk^s = Gamma_ip^s Gamma_jk^p - Gamma_jp^s Gamma_ik^p - C_ij^p Gamma_pk^s."""
+def curvature(alg: LieAlgebra, conn: Connection, metric: Metric) -> Curvature:
+    """The complete Curvature of ``metric``, whose Levi-Civita connection is ``conn``.
+
+    R_ijk^s = Gamma_ip^s Gamma_jk^p - Gamma_jp^s Gamma_ik^p - C_ij^p Gamma_pk^s,
+    then lower_curvature, ricci and curvature_norm.
+    """
     n = conn.dim
     gamma = conn.gamma
     nz = conn.nonzero()
@@ -229,7 +230,11 @@ def curvature(alg: LieAlgebra, conn: Connection) -> Curvature:
     for (a, b, p, c) in _structure_terms(alg):
         for (k, s, val) in by_first.get(p, ()):
             up[a][b][k][s] = up[a][b][k][s] - c * val
-    return Curvature(up=_freeze4(up))
+    up = _freeze4(up)
+    down = lower_curvature(up, metric)
+    return Curvature(
+        up=up, down=down, ricci=ricci(up), norm=curvature_norm(down, metric)
+    )
 
 
 def apply_curvature(curv: Curvature, x: Vector, y: Vector, z: Vector) -> Vector:
@@ -253,36 +258,34 @@ def apply_curvature(curv: Curvature, x: Vector, y: Vector, z: Vector) -> Vector:
     return Vector(tuple(out))
 
 
-def lower_curvature(curv: Curvature, metric: Metric) -> Curvature:
-    """Fill the lowered components R_ijkl = R_ijk^s g_sl."""
-    n = curv.dim
+def lower_curvature(up: Up4, metric: Metric) -> Up4:
+    """R_ijkl = R_ijk^s g_sl."""
+    n = len(up)
     g = metric.g
     down = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for s in range(n):
-                    v = curv.up[i][j][k][s]
+                    v = up[i][j][k][s]
                     if v.is_zero():
                         continue
                     for l in range(n):
                         if not g[s][l].is_zero():
                             down[i][j][k][l] = down[i][j][k][l] + v * g[s][l]
-    return replace(curv, down=_freeze4(down))
+    return _freeze4(down)
 
 
-def ricci(curv: Curvature) -> linalg.Matrix:
+def ricci(up: Up4) -> linalg.Matrix:
     """Ric_jk = sum_i R_ijk^i."""
-    if curv.ricci is not None:
-        return curv.ricci
-    n = curv.dim
+    n = len(up)
     out = []
     for j in range(n):
         row = []
         for k in range(n):
             total = ZERO
             for i in range(n):
-                v = curv.up[i][j][k][i]
+                v = up[i][j][k][i]
                 if not v.is_zero():
                     total = total + v
             row.append(total)
@@ -290,20 +293,17 @@ def ricci(curv: Curvature) -> linalg.Matrix:
     return tuple(out)
 
 
-def curvature_norm(curv: Curvature, metric: Metric) -> Scalar:
+def curvature_norm(down: Up4, metric: Metric) -> Scalar:
     """g(R, R) = R_ijkl R_pqrs g^ip g^jq g^kr g^ls."""
-    if curv.norm is not None:
-        return curv.norm
-    filled = curv if curv.down is not None else lower_curvature(curv, metric)
-    n = curv.dim
+    n = len(down)
     g_inv = metric.g_inv
     nz = [
-        (i, j, k, l, filled.down[i][j][k][l])
+        (i, j, k, l, down[i][j][k][l])
         for i in range(n)
         for j in range(n)
         for k in range(n)
         for l in range(n)
-        if not filled.down[i][j][k][l].is_zero()
+        if not down[i][j][k][l].is_zero()
     ]
     total = ZERO
     for (i, j, k, l, v1) in nz:
@@ -325,13 +325,10 @@ def curvature_norm(curv: Curvature, metric: Metric) -> Scalar:
 
 
 def full_curvature(alg: LieAlgebra, w: TwoForm, J: Endomorphism) -> tuple[Metric, Connection, Curvature]:
-    """associated_metric -> christoffel -> curvature with every field filled."""
+    """associated_metric -> christoffel -> curvature."""
     metric = associated_metric(w, J)
     conn = christoffel(alg, metric)
-    curv = curvature(alg, conn)
-    curv = lower_curvature(curv, metric)
-    curv = replace(curv, ricci=ricci(curv), norm=curvature_norm(curv, metric))
-    return metric, conn, curv
+    return metric, conn, curvature(alg, conn, metric)
 
 
 # -- invariant checks ---------------------------------------------------------
@@ -379,8 +376,6 @@ def first_bianchi_holds(curv: Curvature) -> bool:
 
 def pair_symmetric(curv: Curvature) -> bool:
     """R_ijkl = R_klij on the lowered tensor."""
-    if curv.down is None:
-        raise ValueError("down components not computed; lower the curvature first")
     n = curv.dim
     d = curv.down
     for i in range(n):
@@ -393,15 +388,15 @@ def pair_symmetric(curv: Curvature) -> bool:
 
 
 def signature(metric: Metric | linalg.Matrix, binding: ParamBinding | Mapping | None = None) -> tuple[int, int]:
-    """Sylvester signature (positives, negatives) at an exact rational binding."""
+    """Sylvester signature (positives, negatives) at an exact rational binding.
+
+    Exact over Q(sqrt 2): entries may contain the reserved ``s``.  Every
+    parameter must be bound; a free one raises ValueError.
+    """
     rows = metric.g if isinstance(metric, Metric) else linalg.as_matrix(metric)
-    if binding is not None and len(binding) > 0:
-        b = ParamBinding.coerce(binding)
-        if not b.exact:
-            raise ValueError("signature needs exact rational parameter values")
-        rows = tuple(tuple(x.substitute(b) for x in row) for row in rows)
-    frac = [[x.as_fraction() for x in row] for row in rows]
-    return linalg.symmetric_signature(frac)
+    if binding:
+        rows = tuple(tuple(x.substitute(binding) for x in row) for row in rows)
+    return linalg.symmetric_signature(rows)
 
 
 # -- adapted-splitting checks -------------------------------------------------
@@ -521,9 +516,7 @@ def type246_structure_check(
     b_pairing = linalg.as_matrix([[w.apply(x, y) for y in b_vecs] for x in b_vecs])
     hypotheses.append(("omega_nondegenerate_on_b", not linalg.det(b_pairing).is_zero()))
 
-    metric = associated_metric(w, J)
-    conn = christoffel(alg, metric)
-    curv = curvature(alg, conn)
+    _, conn, curv = full_curvature(alg, w, J)
 
     bz_span = _span_rows(bz_vecs)
     z_span = _span_rows(z_vecs)
@@ -612,8 +605,6 @@ def nonzero_up_components(curv: Curvature) -> list[tuple[tuple[int, int, int, in
 
 def nonzero_down_components(curv: Curvature) -> list[tuple[tuple[int, int, int, int], Scalar]]:
     """Nonzero R_ijkl, reduced to i < j and (when the mirror agrees) k < l."""
-    if curv.down is None:
-        raise ValueError("down components not computed; lower the curvature first")
     n = curv.dim
     d = curv.down
     out = []
@@ -632,19 +623,16 @@ def nonzero_down_components(curv: Curvature) -> list[tuple[tuple[int, int, int, 
 
 def curvature_report(metric: Metric, curv: Curvature) -> dict:
     """JSON-ready curvature summary (indices printed 1-based)."""
-    filled = curv if curv.down is not None else lower_curvature(curv, metric)
-    ric = ricci(filled)
-    norm = curvature_norm(filled, metric)
     return {
         "nonzero_up": [
             {"idx": [t + 1 for t in idx], "value": str(v)}
-            for idx, v in nonzero_up_components(filled)
+            for idx, v in nonzero_up_components(curv)
         ],
         "nonzero_down": [
             {"idx": [t + 1 for t in idx], "value": str(v)}
-            for idx, v in nonzero_down_components(filled)
+            for idx, v in nonzero_down_components(curv)
         ],
-        "ricci_zero": linalg.is_zero_matrix(ric),
-        "norm": str(norm),
+        "ricci_zero": linalg.is_zero_matrix(curv.ricci),
+        "norm": str(curv.norm),
         "side_conditions": [str(c) for c in metric.side_conditions],
     }

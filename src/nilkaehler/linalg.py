@@ -9,7 +9,6 @@ appear only when genuinely forced by symbolic entries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
@@ -46,10 +45,6 @@ def transpose(m: Matrix) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c: ScalarLike, m: Matrix) -> Matrix:
@@ -220,53 +215,62 @@ def row_space_basis(rows: Iterable[Row]) -> tuple[list[Row], SideConditions]:
 
 
 def in_row_span(basis: Sequence[Row], v: Row) -> bool:
-    """Membership of v in span(basis); basis need not be reduced."""
+    """Membership of v in span(basis); basis need not be reduced.
+
+    The basis is reduced once; v is then cleared against the pivot rows and
+    lies in the span exactly when nothing is left.
+    """
     if all(x.is_zero() for x in v):
         return True
     if not basis:
         return False
-    stacked = tuple(tuple(row) for row in basis)
-    r0, _ = rank(stacked)
-    r1, _ = rank(stacked + (tuple(v),))
-    return r0 == r1
+    reduced, pivots, _ = rref(tuple(tuple(row) for row in basis))
+    rest = list(v)
+    for row, col in zip(reduced, pivots):
+        f = rest[col]
+        if not f.is_zero():
+            rest = [x - f * y for x, y in zip(rest, row)]
+    return all(x.is_zero() for x in rest)
 
 
-def symmetric_signature(m: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
+def symmetric_signature(m: Iterable[Iterable[ScalarLike]]) -> tuple[int, int]:
     """Sylvester signature (positives, negatives) of an exact symmetric matrix.
 
-    Symmetric Gaussian elimination: each step takes the Schur complement of
-    the trailing block with respect to a nonzero diagonal pivot.  A zero
+    Entries are constants of Q(sqrt 2): ints, Fractions or Scalars without
+    free parameters, whose signs ``Scalar.sign`` decides exactly.  Symmetric
+    Gaussian elimination: each step takes the Schur complement of the
+    trailing block with respect to a nonzero diagonal pivot.  A zero
     diagonal with a nonzero entry in its row is repaired by a congruence
     transform (add or subtract the partner row and column; one of the two
     signs always produces a nonzero diagonal).
     """
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
+    rows = [list(row) for row in as_matrix(m)]
+    n = len(rows)
     for i in range(n):
         for j in range(i):
             if rows[i][j] != rows[j][i]:
                 raise ValueError("matrix is not symmetric")
     pos = neg = 0
     for k in range(n):
-        if rows[k][k] == 0:
-            j = next((c for c in range(k + 1, n) if rows[k][c] != 0), None)
+        if rows[k][k].is_zero():
+            j = next((c for c in range(k + 1, n) if not rows[k][c].is_zero()), None)
             if j is None:
                 raise ValueError("matrix is singular")
             for t in (1, -1):
-                if t * 2 * rows[k][j] + rows[j][j] != 0:
+                if not (2 * t * rows[k][j] + rows[j][j]).is_zero():
                     for c in range(k, n):
                         rows[k][c] += t * rows[j][c]
                     for r in range(k, n):
                         rows[r][k] += t * rows[r][j]
                     break
         d = rows[k][k]
-        if d > 0:
+        if d.sign() > 0:
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
             f = rows[i][k] / d
-            if f:
+            if not f.is_zero():
                 for c in range(k + 1, n):
                     rows[i][c] -= f * rows[k][c]
     return pos, neg

@@ -192,17 +192,27 @@ class Scalar:
         dt = self._den.terms()
         return Fraction(int(nt[0][1]) if nt else 0, int(dt[0][1]))
 
-    @property
-    def numerator_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return [(m, int(c)) for m, c in self._num.terms()]
+    def sign(self) -> int:
+        """-1, 0 or 1 for a constant a + b*sqrt(2); parameters raise ValueError.
 
-    @property
-    def denominator_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return [(m, int(c)) for m, c in self._den.terms()]
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return self._num.ring._scalar_names
+        A constant's denominator is a positive integer (denominators are
+        rationalized and carry a positive leading coefficient), so the sign
+        is the numerator's.  For rational a, b of opposite signs it is the
+        sign of the term with the larger square, a^2 against 2 b^2; these
+        never tie because sqrt(2) is irrational.
+        """
+        if self.free_params():
+            raise ValueError(f"sign of a parametric value: {self}")
+        a = b = 0
+        for monom, coeff in self._num.terms():
+            if any(monom):
+                b = int(coeff)
+            else:
+                a = int(coeff)
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if a * a > 2 * b * b else sb
 
     # -- arithmetic ----------------------------------------------------
 
@@ -275,8 +285,6 @@ class Scalar:
     def substitute(self, binding: "ParamBinding | Mapping") -> "Scalar":
         """Exact substitution of rational values; unbound parameters stay."""
         binding = ParamBinding.coerce(binding)
-        if not binding.exact:
-            raise TypeError("substitute needs exact rational values, not floats")
         relevant = {
             n: binding[n] for n in self._num.ring._scalar_names if n in binding
         }
@@ -410,21 +418,22 @@ def _eval_poly(p, values: dict[str, float]) -> float:
 
 
 class ParamBinding(Mapping):
-    """Parameter values: exact rationals, or floats for the numeric path."""
+    """Parameter values, held as exact rationals; floats are rejected."""
 
     __slots__ = ("_values",)
 
-    def __init__(self, values: Mapping[str, Fraction | float | int | str]):
-        norm: dict[str, Fraction | float] = {}
+    def __init__(self, values: Mapping[str, Fraction | int | str]):
+        norm: dict[str, Fraction] = {}
         for name, value in values.items():
             if name == SQRT2_NAME:
                 raise ValueError(f"{SQRT2_NAME!r} is reserved for sqrt(2)")
             if not name.isidentifier():
                 raise ValueError(f"not a valid parameter name: {name!r}")
             if isinstance(value, float):
-                norm[name] = value
-            else:
-                norm[name] = Fraction(value)
+                raise TypeError(
+                    f"{name}={value!r}: parameter values must be exact rational,"
+                    " not float")
+            norm[name] = Fraction(value)
         self._values = norm
 
     @classmethod
@@ -432,10 +441,6 @@ class ParamBinding(Mapping):
         if isinstance(value, ParamBinding):
             return value
         return cls(value)
-
-    @property
-    def exact(self) -> bool:
-        return all(not isinstance(v, float) for v in self._values.values())
 
     def __getitem__(self, name: str):
         return self._values[name]
@@ -640,38 +645,3 @@ class _Parser:
 def parse_expr(text: str) -> Scalar:
     """Parse an expression string into a canonical Scalar."""
     return _Parser(text).parse()
-
-
-# -- operation aliases -----------------------------------------------------
-
-
-def add(a: ScalarLike, b: ScalarLike) -> Scalar:
-    return as_scalar(a) + as_scalar(b)
-
-
-def sub(a: ScalarLike, b: ScalarLike) -> Scalar:
-    return as_scalar(a) - as_scalar(b)
-
-
-def mul(a: ScalarLike, b: ScalarLike) -> Scalar:
-    return as_scalar(a) * as_scalar(b)
-
-
-def div(a: ScalarLike, b: ScalarLike) -> Scalar:
-    return as_scalar(a) / as_scalar(b)
-
-
-def neg(a: ScalarLike) -> Scalar:
-    return -as_scalar(a)
-
-
-def pow_int(a: ScalarLike, exponent: int) -> Scalar:
-    return as_scalar(a) ** exponent
-
-
-def substitute(a: ScalarLike, binding: ParamBinding | Mapping) -> Scalar:
-    return as_scalar(a).substitute(binding)
-
-
-def is_zero(a: ScalarLike) -> bool:
-    return as_scalar(a).is_zero()

@@ -16,7 +16,7 @@ import numpy as np
 
 from nilkaehler import catalog, geometry, liealg, linalg, solver, tensors
 from nilkaehler.liealg import LieAlgebra, Vector
-from nilkaehler.scalar import ONE, SQRT2_NAME, ParamBinding, as_scalar, parse_expr
+from nilkaehler.scalar import ONE, ParamBinding, parse_expr
 from nilkaehler.tensors import TwoForm
 
 
@@ -178,8 +178,8 @@ def test_2_ricci_flat_with_mutation_control(curvatures):
     rows[5][2] = rows[5][2] + ONE
     perturbed = geometry.metric_from_matrix(rows)
     conn = geometry.christoffel(entry.algebra, perturbed)
-    ric = geometry.ricci(geometry.curvature(entry.algebra, conn))
-    if linalg.is_zero_matrix(ric):
+    curv = geometry.curvature(entry.algebra, conn, perturbed)
+    if linalg.is_zero_matrix(curv.ricci):
         failures.append("mutation control: perturbed metric stayed Ricci-flat")
 
     assert not failures, _line("2 ricci flatness", failures)
@@ -402,89 +402,14 @@ def test_8_numerical_probe():
     _line("8 numerical probe", failures)
 
 
-# -- exact sign work for metrics containing sqrt(2) ---------------------------
-
-
-def _constant_parts(poly_terms, names):
-    """(rational part, sqrt2 coefficient) of a parameter-free polynomial."""
-    a = b = Fraction(0)
-    for monom, coeff in poly_terms:
-        stray = [names[i] for i, e in enumerate(monom) if e and names[i] != SQRT2_NAME]
-        assert not stray, f"not a constant: {stray}"
-        power = sum(e for i, e in enumerate(monom) if names[i] == SQRT2_NAME)
-        if power == 0:
-            a += coeff
-        else:
-            assert power == 1  # s^2 is reduced to 2 by the scalar kernel
-            b += coeff
-    return a, b
-
-
-def _sqrt2_sign(x):
-    """Exact sign of a constant Scalar of the form a + b*sqrt(2)."""
-
-    def sgn(a, b):
-        if a >= 0 and b >= 0:
-            return 1 if (a or b) else 0
-        if a <= 0 and b <= 0:
-            return -1
-        dominant = 1 if a * a - 2 * b * b > 0 else -1
-        return dominant * (1 if a > 0 else -1)
-
-    na, nb = _constant_parts(x.numerator_terms, x.param_names)
-    da, db = _constant_parts(x.denominator_terms, x.param_names)
-    return sgn(na, nb) * sgn(da, db)
-
-
-def _witness_indefinite(rows):
-    """Find v, w with v.g.v > 0 > w.g.w among small integer vectors."""
-    candidates = []
-    for i in range(6):
-        vec = [0] * 6
-        vec[i] = 1
-        candidates.append(vec)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            for sj in (1, -1):
-                vec = [0] * 6
-                vec[i], vec[j] = 1, sj
-                candidates.append(vec)
-    saw_pos = saw_neg = False
-    for vec in candidates:
-        q = as_scalar(0)
-        for i, vi in enumerate(vec):
-            if not vi:
-                continue
-            for j, vj in enumerate(vec):
-                if not vj:
-                    continue
-                q = q + as_scalar(vi * vj) * rows[i][j]
-        sign = _sqrt2_sign(q)
-        saw_pos = saw_pos or sign > 0
-        saw_neg = saw_neg or sign < 0
-        if saw_pos and saw_neg:
-            return True
-    return False
-
-
 def test_9_indefinite_signature(curvatures):
     failures = []
     for name in catalog.NAMES:
         entry = catalog.get(name)
         for s in entry.structures:
             metric, _, _ = curvatures[name, s.id]
-            b = s.binding()
-            try:
-                p, q = geometry.signature(metric, b)
-                indefinite = p > 0 and q > 0
-            except ValueError:
-                # sqrt(2) entries (g12 third family): exact witness vectors
-                rows = [
-                    [metric.g[i][j].substitute(b) for j in range(6)]
-                    for i in range(6)
-                ]
-                indefinite = _witness_indefinite(rows)
-            if not indefinite:
+            p, q = geometry.signature(metric, s.binding())
+            if not (p > 0 and q > 0):
                 failures.append(f"{name} {s.id} metric not indefinite")
     assert not failures, _line("9 indefinite signature", failures)
     _line("9 indefinite signature", failures)

@@ -87,6 +87,23 @@ class TestVerify:
         assert cli_status == lib_status
 
 
+    @pytest.mark.parametrize(
+        "g10_text,fragment",
+        [(None, "cannot load catalog entry g10"), ('{"name": ', "not valid JSON")],
+    )
+    def test_catalog_load_failure_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, g10_text, fragment
+    ):
+        if g10_text is None:
+            tmp_path = tmp_path / "missing"
+        else:
+            (tmp_path / "g10.json").write_text(g10_text)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
+        rc, _, err = invoke(capsys, "verify", "g10")
+        assert rc == 2
+        assert fragment in err
+
+
 class TestCurvature:
     def test_g24_canonical_binding(self, capsys):
         rc, out, _ = invoke(

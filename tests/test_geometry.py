@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from nilkaehler import linalg
+from nilkaehler import catalog, linalg
 from nilkaehler.geometry import (
     associated_metric,
     apply_curvature,
@@ -170,7 +170,7 @@ class TestChristoffel:
 class TestCurvature:
     def test_g21_family_up_components(self):
         m = associated_metric(W2_G21, J21_FAMILY)
-        curv = curvature(G21, christoffel(G21, m))
+        curv = curvature(G21, christoffel(G21, m), m)
         expected = {
             (0, 1, 0, 5): "psi11^2+1",
             (0, 1, 1, 5): "psi12*psi11",
@@ -186,7 +186,7 @@ class TestCurvature:
 
     def test_g21_lowered_single_component(self):
         m = associated_metric(W2_G21, J21_FAMILY)
-        curv = lower_curvature(curvature(G21, christoffel(G21, m)), m)
+        curv = curvature(G21, christoffel(G21, m), m)
         got = {idx: v for idx, v in nonzero_down_components(curv)}
         assert set(got) == {(0, 1, 0, 1)}
         assert got[(0, 1, 0, 1)] == sc("-psi12")
@@ -194,19 +194,19 @@ class TestCurvature:
 
     def test_g21_ricci_and_norm_vanish(self):
         m = associated_metric(W2_G21, J21_FAMILY)
-        curv = curvature(G21, christoffel(G21, m))
-        assert linalg.is_zero_matrix(ricci(curv))
-        assert curvature_norm(curv, m).is_zero()
+        curv = curvature(G21, christoffel(G21, m), m)
+        assert linalg.is_zero_matrix(curv.ricci)
+        assert curv.norm.is_zero()
 
     def test_g21_bianchi_and_pair_symmetry(self):
         m = associated_metric(W2_G21, J21_FAMILY)
-        curv = lower_curvature(curvature(G21, christoffel(G21, m)), m)
+        curv = curvature(G21, christoffel(G21, m), m)
         assert first_bianchi_holds(curv)
         assert pair_symmetric(curv)
 
     def test_abelian_flat(self):
         m = associated_metric(W_STD, J_STD)
-        curv = curvature(ABELIAN, christoffel(ABELIAN, m))
+        curv = curvature(ABELIAN, christoffel(ABELIAN, m), m)
         assert curv.is_flat()
 
     def test_g16_j0_components(self):
@@ -225,8 +225,7 @@ class TestCurvature:
         # no compatible pair produces a definite metric on a nonabelian
         # nilpotent algebra, so this must escape the Ricci-flat family
         m = metric_from_matrix(linalg.identity(6))
-        curv = curvature(G21, christoffel(G21, m))
-        ric = ricci(curv)
+        ric = curvature(G21, christoffel(G21, m), m).ricci
         assert not linalg.is_zero_matrix(ric)
         assert ric[0][0] == as_scalar(-1)
         assert ric[2][2] == as_scalar("-1/2")
@@ -234,9 +233,9 @@ class TestCurvature:
 
     def test_full_curvature_fills_everything(self):
         m, conn, curv = full_curvature(G21, W2_G21, J21_FAMILY)
-        assert curv.down is not None
-        assert curv.ricci is not None
-        assert curv.norm is not None
+        assert curv.down == lower_curvature(curv.up, m)
+        assert curv.ricci == ricci(curv.up)
+        assert curv.norm == curvature_norm(curv.down, m)
         assert curv.norm.is_zero()
 
     def test_apply_curvature_matches_components(self):
@@ -270,8 +269,16 @@ class TestSignature:
 
     def test_float_binding_rejected(self):
         m = associated_metric(W2_G21, J21_FAMILY)
-        with pytest.raises(ValueError, match="rational"):
+        with pytest.raises(TypeError, match="exact rational"):
             signature(m, {"psi11": 0.5, "psi12": -1})
+
+    def test_g12_j3_sqrt2_metric(self):
+        entry = catalog.get("g12")
+        fam = entry.structure("J3")
+        m = associated_metric(entry.form(fam.form_id).form, fam.J)
+        bound = [x.substitute(fam.binding()) for row in m.g for x in row]
+        assert not all(x.is_constant() for x in bound)  # sqrt(2) remains
+        assert signature(m, fam.binding()) == (4, 2)
 
     def test_unbound_parameters_rejected(self):
         m = associated_metric(W2_G21, J21_FAMILY)

@@ -167,20 +167,19 @@ def test_signature_errors():
 @given(
     st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4),
     int_matrix(4),
+    int_matrix(4),
 )
 @settings(max_examples=40, deadline=None)
-def test_signature_is_congruence_invariant(signs, b):
-    """signature(B^T D B) = signature(D) for nonsingular B (Sylvester)."""
-    bm = [[Fraction(v) for v in row] for row in b]
-    det = linalg.det(frac_matrix(b))
-    assume(not det.is_zero())
-    n = len(signs)
-    prod = [
-        [
-            sum(bm[k][i] * signs[k] * bm[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+def test_signature_is_congruence_invariant(signs, a, c):
+    """signature(B^T D B) = signature(D) for nonsingular B = A + sqrt(2) C (Sylvester)."""
+    s = Scalar.sqrt2()
+    b = linalg.as_matrix(
+        [[p + q * s for p, q in zip(ra, rc)] for ra, rc in zip(a, c)]
+    )
+    assume(not linalg.det(b).is_zero())
+    d = linalg.as_matrix(
+        [[sign if i == j else 0 for j in range(4)] for i, sign in enumerate(signs)]
+    )
+    prod = linalg.mat_mul(linalg.transpose(b), linalg.mat_mul(d, b))
     expected = (signs.count(1), signs.count(-1))
     assert linalg.symmetric_signature(prod) == expected
