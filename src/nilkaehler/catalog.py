@@ -142,36 +142,44 @@ def _expectations(dirpath: str) -> Mapping[tuple[str, str], Expectation]:
 @lru_cache(maxsize=None)
 def _load(dirpath: str, name: str) -> CatalogEntry:
     with open(os.path.join(dirpath, f"{name}.json")) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
     expectations = _expectations(dirpath)
-    forms = tuple(
-        FormEntry(
-            id=f["id"],
-            form=TwoForm.from_json_dict(f["form"]),
-            admits_J=f["admits_J"],
-            side_conditions=tuple(f.get("side_conditions", ())),
+    try:
+        forms = tuple(
+            FormEntry(
+                id=f["id"],
+                form=TwoForm.from_json_dict(f["form"]),
+                admits_J=f["admits_J"],
+                side_conditions=tuple(f.get("side_conditions", ())),
+            )
+            for f in obj["forms"]
         )
-        for f in obj["forms"]
-    )
-    structures = tuple(
-        StructureEntry(
-            id=s["id"],
-            form_id=s["form"],
-            J=Endomorphism(s["J"]["rows"]),
-            params=tuple(s["params"]),
-            side_conditions=tuple(s["side_conditions"]),
-            canonical_binding=dict(s["canonical_binding"]),
-            expected=expectations.get((name, s["id"])),
+        structures = tuple(
+            StructureEntry(
+                id=s["id"],
+                form_id=s["form"],
+                J=Endomorphism(s["J"]["rows"]),
+                params=tuple(s["params"]),
+                side_conditions=tuple(s["side_conditions"]),
+                canonical_binding=dict(s["canonical_binding"]),
+                expected=expectations.get((name, s["id"])),
+            )
+            for s in obj["structures"]
         )
-        for s in obj["structures"]
-    )
-    return CatalogEntry(
-        name=obj["name"],
-        algebra=LieAlgebra.from_json_dict(obj["algebra"]),
-        forms=forms,
-        structures=structures,
-        notes=obj["notes"],
-    )
+        return CatalogEntry(
+            name=obj["name"],
+            algebra=LieAlgebra.from_json_dict(obj["algebra"]),
+            forms=forms,
+            structures=structures,
+            notes=obj["notes"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"catalog entry {name} lacks the key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"catalog entry {name} is malformed: {exc}") from exc
 
 
 def get(name: str) -> CatalogEntry:

@@ -96,8 +96,8 @@ def _entry(name: str) -> catalog.CatalogEntry:
         raise UsageError(str(exc.args[0])) from exc
     except OSError as exc:
         raise UsageError(f"cannot load catalog entry {name}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"catalog entry {name} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_binding(pairs: list[str], allowed: frozenset[str]) -> ParamBinding:
@@ -247,8 +247,8 @@ def cmd_curvature(args) -> int:
     for s in structures:
         binding = _parse_binding(args.bind, frozenset(s.params))
         _check_side_conditions(s.side_conditions, binding)
-        metric, _, curv = geometry.full_curvature(e.algebra, fe.form, s.J)
-        report = geometry.curvature_report(metric, curv)
+        _, _, curv = geometry.full_curvature(e.algebra, fe.form, s.J)
+        report = geometry.curvature_report(curv)
         if binding:
             for row in report["nonzero_up"] + report["nonzero_down"]:
                 value = parse_expr(row["value"]).substitute(binding)
@@ -257,8 +257,7 @@ def cmd_curvature(args) -> int:
         report["entry"] = e.name
         report["form"] = fe.id
         report["structure"] = s.id
-        report["side_conditions"] = sorted(
-            set(report["side_conditions"]) | {str(c) for c in s.side_conditions})
+        report["side_conditions"] = list(s.side_conditions)
         reports.append(report)
     print(json.dumps(reports if len(reports) > 1 else reports[0], indent=1))
     return 0

@@ -26,22 +26,14 @@ _HALF = Scalar.from_fraction(Fraction(1, 2))
 
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric nondegenerate matrix together with its exact inverse.
-
-    ``side_conditions`` records the nonvanishing constraints accumulated
-    while inverting (pivots that are nonzero polynomials, not constants).
-    """
+    """Symmetric nondegenerate matrix together with its exact inverse."""
 
     g: linalg.Matrix
     g_inv: linalg.Matrix
-    side_conditions: linalg.SideConditions
 
     @property
     def dim(self) -> int:
         return len(self.g)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.g[i][j]
 
 
 @dataclass(frozen=True)
@@ -118,8 +110,7 @@ def metric_from_matrix(rows: Sequence[Sequence]) -> Metric:
         raise ValueError("metric matrix must be square")
     if g != linalg.transpose(g):
         raise ValueError("metric matrix must be symmetric")
-    g_inv, conditions = linalg.invert(g)
-    return Metric(g=g, g_inv=g_inv, side_conditions=conditions)
+    return Metric(g=g, g_inv=linalg.invert(g))
 
 
 def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
@@ -127,6 +118,8 @@ def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
 
     The result is symmetric exactly when (omega, J) is a compatible pair,
     so an asymmetric product is rejected rather than silently symmetrized.
+    In matrices g = omega J^T, so J^2 = -I gives g^-1 = -J^T omega^-1: only
+    the sparse omega is inverted, and g g^-1 = I is checked exactly.
     """
     if w.dim != J.dim:
         raise ValueError("form and endomorphism dimensions differ")
@@ -134,10 +127,13 @@ def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
     if g != linalg.transpose(g):
         raise ValueError("omega(X, JY) is not symmetric: the pair is not compatible")
     try:
-        g_inv, conditions = linalg.invert(g)
+        w_inv = linalg.invert(w.omega)
     except ValueError:
-        raise ValueError("associated metric is singular") from None
-    return Metric(g=g, g_inv=g_inv, side_conditions=conditions)
+        raise ValueError(f"{w!r} is degenerate: the associated metric is singular") from None
+    g_inv = linalg.mat_scale(-1, linalg.mat_mul(linalg.transpose(J.rows), w_inv))
+    if linalg.mat_mul(g, g_inv) != linalg.identity(w.dim):
+        raise ValueError("J is not almost complex: J^2 != -I, so -J^T omega^-1 is not g^-1")
+    return Metric(g=g, g_inv=g_inv)
 
 
 def _structure_terms(alg: LieAlgebra) -> list[tuple[int, int, int, Scalar]]:
@@ -621,7 +617,7 @@ def nonzero_down_components(curv: Curvature) -> list[tuple[tuple[int, int, int, 
     return out
 
 
-def curvature_report(metric: Metric, curv: Curvature) -> dict:
+def curvature_report(curv: Curvature) -> dict:
     """JSON-ready curvature summary (indices printed 1-based)."""
     return {
         "nonzero_up": [
@@ -634,5 +630,4 @@ def curvature_report(metric: Metric, curv: Curvature) -> dict:
         ],
         "ricci_zero": linalg.is_zero_matrix(curv.ricci),
         "norm": str(curv.norm),
-        "side_conditions": [str(c) for c in metric.side_conditions],
     }

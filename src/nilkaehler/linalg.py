@@ -1,17 +1,17 @@
 """Exact linear algebra over the Scalar fraction field.
 
 Matrices are immutable tuples of tuples of Scalar.  Elimination routines
-return side conditions: the pivot numerators that were assumed nonzero.
-Pivots that are nonzero rational constants never generate a condition, and
-constant pivots are preferred during pivot selection so that conditions
-appear only when genuinely forced by symbolic entries.
+return side conditions: the sign-normalised primitive parts of the pivot
+numerators that were assumed nonzero.  A part free of parameters never
+generates a condition, and constant pivots are preferred during pivot
+selection so that conditions appear only when forced by symbolic entries.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .scalar import ONE, ZERO, Scalar, ScalarLike, _canonical, as_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 Row = tuple[Scalar, ...]
@@ -84,21 +84,13 @@ class SideConditions:
         self.items: list[Scalar] = []
 
     def require_nonzero(self, value: Scalar) -> None:
-        if value.is_constant():
-            return
-        # a quotient is nonzero exactly when its numerator polynomial is
-        poly = Scalar._make(value._num, value._num.ring.one)
-        if poly._num.LC < 0:
-            poly = -poly
-        if poly not in self._seen:
+        # a quotient is nonzero exactly when the primitive part of its
+        # numerator is; a part free of parameters never vanishes
+        _, prim = value._num.primitive()
+        poly = _canonical(-prim if prim.LC < 0 else prim, prim.ring.one, prim.ring)
+        if poly.free_params() and poly not in self._seen:
             self._seen.add(poly)
             self.items.append(poly)
-
-    def extend(self, other: "SideConditions") -> None:
-        for item in other.items:
-            if item not in self._seen:
-                self._seen.add(item)
-                self.items.append(item)
 
     def __iter__(self):
         return iter(self.items)
@@ -171,15 +163,14 @@ def nullspace(m: Matrix) -> tuple[list[Row], SideConditions]:
     return basis, conditions
 
 
-def invert(m: Matrix) -> tuple[Matrix, SideConditions]:
+def invert(m: Matrix) -> Matrix:
     """Exact inverse; raises ValueError when singular as a symbolic matrix."""
     n = len(m)
     augmented = tuple(row + identity(n)[i] for i, row in enumerate(m))
-    reduced, pivots, conditions = rref(augmented)
+    reduced, pivots, _ = rref(augmented)
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
-    inverse = tuple(row[n:] for row in reduced[:n])
-    return inverse, conditions
+    return tuple(row[n:] for row in reduced[:n])
 
 
 def det(m: Matrix) -> Scalar:

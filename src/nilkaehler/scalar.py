@@ -644,4 +644,8 @@ class _Parser:
 
 def parse_expr(text: str) -> Scalar:
     """Parse an expression string into a canonical Scalar."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except ScalarSyntaxError as exc:
+        exc.args = (f"{exc.args[0]} in {text!r}",)
+        raise

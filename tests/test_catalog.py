@@ -7,6 +7,7 @@ import pytest
 
 from nilkaehler import catalog
 from nilkaehler.catalog import get, list_entries, validate_entry
+from nilkaehler.scalar import parse_expr
 
 
 EXPECTED_TYPES = {
@@ -142,3 +143,52 @@ class TestMutationControl:
         shutil.copytree(src, work)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
         assert catalog.self_validate(["g24"]).ok
+
+
+def _factors(poly) -> dict:
+    """Sign-normalised irreducible non-constant factors of a polynomial."""
+    out = {}
+    if poly.is_ground:
+        return out
+    for f, _ in poly.factor_list()[1]:
+        f = -f if f.LC < 0 else f
+        out[f.as_expr()] = f
+    return out
+
+
+def _no_real_zero(f) -> bool:
+    # a positive constant plus positive multiples of even monomials is > 0
+    terms = dict(f.terms())
+    return terms.get(f.ring.zero_monom, 0) > 0 and all(
+        c > 0 and all(e % 2 == 0 for e in m) for m, c in terms.items()
+    )
+
+
+class TestDenominatorsCovered:
+    def test_every_denominator_factor_is_a_stored_condition(self, curvatures):
+        # the stored conditions are the only ones reported, so every place
+        # J, g^-1, Gamma or R can blow up must be one of them or never real
+        never_real = set()
+        for name in catalog.NAMES:
+            entry = get(name)
+            for s in entry.structures:
+                stored = set()
+                for cond in s.side_conditions + entry.form(s.form_id).side_conditions:
+                    stored |= set(_factors(parse_expr(cond)._num))
+                metric, conn, curv = curvatures[name, s.id]
+                values = [x for row in s.J.rows + metric.g_inv for x in row]
+                values += [x for t in conn.gamma for row in t for x in row]
+                values += [
+                    x for up in (curv.up, curv.down)
+                    for t in up for plane in t for row in plane for x in row
+                ]
+                for den in {x._den for x in values}:
+                    for expr, f in _factors(den).items():
+                        if expr not in stored:
+                            assert _no_real_zero(f), (name, s.id, str(expr))
+                            never_real.add((name, s.id, str(expr)))
+        assert never_real == {
+            ("g14", "J1", "psi11**2 + 1"),
+            ("g16", "J1", "psi11**2 + psi12**2 + 1"),
+            ("g18", "J2", "lambda**2 + 1"),
+        }

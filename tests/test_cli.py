@@ -1,9 +1,23 @@
 import json
+import pathlib
+import shutil
+from itertools import combinations
 
 import pytest
 
 from nilkaehler import catalog
 from nilkaehler.cli import run
+from nilkaehler.scalar import parse_expr
+
+
+DATA = pathlib.Path(catalog.__file__).parent / "data"
+
+
+def _g10_text(edit):
+    """The stored g10.json with ``edit`` applied to its parsed object."""
+    obj = json.loads((DATA / "g10.json").read_text())
+    edit(obj)
+    return json.dumps(obj)
 
 
 def invoke(capsys, *argv):
@@ -89,7 +103,18 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "g10_text,fragment",
-        [(None, "cannot load catalog entry g10"), ('{"name": ', "not valid JSON")],
+        [
+            (None, "cannot load catalog entry g10"),
+            ('{"name": ', "not valid JSON"),
+            pytest.param(
+                _g10_text(lambda obj: obj.pop("forms")),
+                "catalog entry g10 lacks the key 'forms'",
+                id="missing-key"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["J"]["rows"][0].__setitem__(0, "psi11 +")),
+                "catalog entry g10 is malformed: unexpected end of input (at position 7) in 'psi11 +'",
+                id="bad-expression"),
+        ],
     )
     def test_catalog_load_failure_is_usage_error(
         self, capsys, monkeypatch, tmp_path, g10_text, fragment
@@ -97,10 +122,12 @@ class TestVerify:
         if g10_text is None:
             tmp_path = tmp_path / "missing"
         else:
+            shutil.copy(DATA / "expectations.json", tmp_path)
             (tmp_path / "g10.json").write_text(g10_text)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
-        rc, _, err = invoke(capsys, "verify", "g10")
+        rc, out, err = invoke(capsys, "verify", "g10")
         assert rc == 2
+        assert out == "" and err.startswith("error: ")
         assert fragment in err
 
 
@@ -117,6 +144,22 @@ class TestCurvature:
         assert report["norm"] == "0"
         down = {tuple(c["idx"]): c["value"] for c in report["nonzero_down"]}
         assert down == {(1, 2, 1, 2): "1"}
+        # the family's stored conditions, nothing from an elimination
+        assert report["side_conditions"] == ["psi11", "psi12"]
+
+    @pytest.mark.parametrize(
+        "name,sid",
+        [(n, s.id) for n in catalog.NAMES for s in catalog.get(n).structures],
+    )
+    def test_reported_conditions_are_honest(self, capsys, name, sid):
+        # no constant, no duplicate up to a unit, none zero at the canonical binding
+        s = catalog.get(name).structure(sid)
+        rc, out, _ = invoke(capsys, "curvature", name, "--form", s.form_id, "--structure", sid)
+        assert rc == 0
+        conds = [parse_expr(c) for c in json.loads(out)["side_conditions"]]
+        assert not any(c.is_constant() for c in conds)
+        assert not any((a / b).is_constant() for a, b in combinations(conds, 2))
+        assert not any(c.substitute(s.binding()).is_zero() for c in conds)
 
     def test_binding_accepts_fractions(self, capsys):
         rc, out, _ = invoke(

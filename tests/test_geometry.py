@@ -108,6 +108,38 @@ class TestAssociatedMetric:
         with pytest.raises(ValueError, match="not compatible"):
             associated_metric(w1, J0_G16)
 
+    @pytest.mark.parametrize(
+        "name,sid",
+        [(n, s.id) for n in catalog.NAMES for s in catalog.get(n).structures],
+    )
+    def test_closed_form_inverse_matches_elimination(self, name, sid):
+        # linalg.invert on g is the independent oracle for -J^T omega^-1;
+        # on g14 J1 it takes about 50 s symbolically, so g14 J1 is compared
+        # at its canonical binding, and there also against the bound symbolic inverse
+        entry = catalog.get(name)
+        s = entry.structure(sid)
+        w, J = entry.form(s.form_id).form, s.J
+        m = associated_metric(w, J)
+        if (name, sid) == ("g14", "J1"):
+            b = s.binding()
+            bound = [[x.substitute(b) for x in row] for row in m.g_inv]
+            m = associated_metric(w.substitute(b), J.substitute(b))
+            assert m.g_inv == linalg.as_matrix(bound)
+        assert m.g_inv == linalg.invert(m.g)
+
+    def test_not_almost_complex_raises(self):
+        # omega (2J)^T = 2I is compatible, symmetric and invertible, but
+        # (2J)^2 = -4I: the guard refuses instead of falling back
+        two_j = Endomorphism([[2 * x for x in row] for row in J_STD.rows])
+        assert associated_metric(W_STD, J_STD).g == linalg.identity(6)
+        with pytest.raises(ValueError, match="not almost complex"):
+            associated_metric(W_STD, two_j)
+
+    def test_degenerate_form_named(self):
+        w = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1)])
+        with pytest.raises(ValueError, match=r"TwoForm\(e1\^e2 \+ e3\^e4\) is degenerate"):
+            associated_metric(w, J_STD)
+
     def test_metric_from_matrix_validates(self):
         with pytest.raises(ValueError, match="symmetric"):
             metric_from_matrix([[0, 1], [0, 0]])
@@ -332,8 +364,8 @@ class TestSplitCheck:
 
 class TestReport:
     def test_g21_report(self):
-        m, conn, curv = full_curvature(G21, W2_G21, J21_FAMILY)
-        report = curvature_report(m, curv)
+        _, _, curv = full_curvature(G21, W2_G21, J21_FAMILY)
+        report = curvature_report(curv)
         assert report["ricci_zero"] is True
         assert report["norm"] == "0"
         down_idx = [entry["idx"] for entry in report["nonzero_down"]]
@@ -341,12 +373,10 @@ class TestReport:
         assert sc(report["nonzero_down"][0]["value"]) == sc("-psi12")
         up_idx = {tuple(entry["idx"]) for entry in report["nonzero_up"]}
         assert up_idx == {(1, 2, 1, 5), (1, 2, 1, 6), (1, 2, 2, 5), (1, 2, 2, 6)}
-        assert report["side_conditions"]
-        assert all(isinstance(c, str) for c in report["side_conditions"])
 
     def test_report_is_json_serializable(self):
         import json
 
-        m, conn, curv = full_curvature(G16, W2_G16, J0_G16)
-        text = json.dumps(curvature_report(m, curv))
+        _, _, curv = full_curvature(G16, W2_G16, J0_G16)
+        text = json.dumps(curvature_report(curv))
         assert "nonzero_up" in text

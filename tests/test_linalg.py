@@ -107,9 +107,8 @@ def test_nullspace_of_identity_is_trivial():
 def test_inverse_times_matrix_is_identity(entries):
     m = frac_matrix(entries)
     assume(not linalg.det(m).is_zero())
-    inv, conditions = linalg.invert(m)
-    assert linalg.mat_mul(m, inv) == linalg.identity(3)
-    assert len(conditions) == 0  # numeric pivots never add conditions
+    assert linalg.mat_mul(m, linalg.invert(m)) == linalg.identity(3)
+    assert len(linalg.rref(m)[2]) == 0  # numeric pivots never add conditions
 
 
 def test_inverse_singular_raises():
@@ -118,18 +117,35 @@ def test_inverse_singular_raises():
 
 
 def test_inverse_symbolic_records_side_conditions():
-    inv, conditions = linalg.invert(linalg.as_matrix([[x]]))
-    assert inv == linalg.as_matrix([["1/x"]])
-    assert [str(c) for c in conditions] == ["x"]
+    m = linalg.as_matrix([[x]])
+    assert linalg.invert(m) == linalg.as_matrix([["1/x"]])
+    assert [str(c) for c in linalg.rref(m)[2]] == ["x"]
 
 
 def test_constant_pivots_preferred_over_symbolic():
     # column 0 offers both x (row 0) and 1 (row 1); choosing 1 avoids any
     # condition, and det = -1 means none is mathematically needed either
     m = linalg.as_matrix([[x, 1], [1, 0]])
-    inv, conditions = linalg.invert(m)
-    assert len(conditions) == 0
-    assert inv == linalg.as_matrix([[0, 1], [1, "-x"]])
+    assert len(linalg.rref(m)[2]) == 0
+    assert linalg.invert(m) == linalg.as_matrix([[0, 1], [1, "-x"]])
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        ([["2/x"]], []),  # the numerator 2 never vanishes
+        ([["2*x"]], ["x"]),  # the primitive part, not 2*x
+        ([["-2*s*x - 4*y"]], ["s*x + 2*y"]),
+        ([["x/y", 0], [0, "x"]], ["x"]),  # the same x, whatever the denominator
+        (
+            [["2*x", 0, 0, 0], [0, "-x/3", 0, 0], [0, 0, "(2*x+4)/y", 0], [0, 0, 0, "3*s"]],
+            ["x", "x + 2"],
+        ),
+    ],
+)
+def test_side_conditions_are_canonical(rows, expected):
+    # sign-normalised primitive parts: no constants, no duplicates up to a unit
+    assert [str(c) for c in linalg.rref(linalg.as_matrix(rows))[2]] == expected
 
 
 # ---------------------------------------------------------------- span
