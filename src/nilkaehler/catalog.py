@@ -295,8 +295,18 @@ def validate_entry(entry: CatalogEntry) -> EntryValidation:
 
 
 def self_validate(names: Sequence[str] | None = None) -> ValidationReport:
-    """Run validate_entry over the whole catalog (or the named subset)."""
+    """Run validate_entry over the whole catalog (or the named subset).
+
+    An entry that cannot be loaded is reported as one failed check whose
+    label is ``load: `` and the loader's message; the others still run.
+    """
     selected = tuple(names) if names is not None else NAMES
-    return ValidationReport(
-        entries=tuple(validate_entry(get(name)) for name in selected)
-    )
+    entries = []
+    for name in selected:
+        try:
+            entry = get(name)
+        except (OSError, ValueError) as exc:
+            entries.append(EntryValidation(name=name, checks=((f"load: {exc}", False),)))
+        else:
+            entries.append(validate_entry(entry))
+    return ValidationReport(entries=tuple(entries))

@@ -4,12 +4,16 @@ verification, and a seeded numerical probe for the full nonlinear system.
 The linear stage solves the compatibility equations exactly over the
 fraction field.  The nonlinear probe (compatibility + J^2 = -I +
 integrability) runs damped Newton least-squares from random starts; a
-failure to converge is evidence of nonexistence, never a proof.
+failure to converge is evidence of nonexistence, never a proof.  Every
+probe residual is quadratic in J, so its Jacobian is the exact polarization
+(f(J + E) - f(J - E))/2 over the unit matrices E: the float residual is the
+probe's single definition of the equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,45 +143,28 @@ def _float_brackets(alg: LieAlgebra) -> np.ndarray:
 
 
 def _residual(X: np.ndarray, omega: np.ndarray, C: np.ndarray, iu, ju) -> np.ndarray:
-    n = X.shape[0]
-    compat = X @ omega + omega @ X.T
+    """(compatibility, J^2 + I, Nijenhuis) at X, over any leading batch axes."""
+    n = X.shape[-1]
+    compat = X @ omega + omega @ np.swapaxes(X, -1, -2)
     j2 = X @ X + np.eye(n)
-    nij = (
-        np.einsum("iu,jv,uvk->ijk", X, X, C)
-        - C
-        - np.einsum("iu,ujm,mk->ijk", X, C, X)
-        - np.einsum("jv,ivm,mk->ijk", X, C, X)
-    )
-    return np.concatenate([compat[iu, ju], j2.ravel(), nij[iu, ju, :].ravel()])
+    # A[i, v, k] = X_iu C_uvk and T = A X; since C_ivm = -C_vim, the last
+    # Nijenhuis term -X_jv C_ivm X_mk is T[j, i, k]
+    A = (X @ C.reshape(n, n * n)).reshape(*X.shape, n)
+    T = A @ X[..., None, :, :]
+    nij = X[..., None, :, :] @ A - C - T + np.swapaxes(T, -3, -2)
+    parts = (compat[..., iu, ju], j2, nij[..., iu, ju, :])
+    return np.concatenate([p.reshape(*X.shape[:-2], -1) for p in parts], axis=-1)
 
 
 def _jacobian(X: np.ndarray, omega: np.ndarray, C: np.ndarray, iu, ju) -> np.ndarray:
-    n = X.shape[0]
-    eye = np.eye(n)
-    # d(compat)[i,j]/dX[a,b] = delta_ia omega[b,j] + delta_ja omega[i,b]
-    d_compat = np.einsum("ia,bj->ijab", eye, omega) + np.einsum(
-        "ja,ib->ijab", eye, omega
-    )
-    # d(X@X)[i,s]/dX[a,b] = delta_ia X[b,s] + delta_sb X[i,a]
-    d_j2 = np.einsum("ia,bs->isab", eye, X) + np.einsum("sb,ia->isab", eye, X)
-    d_t1 = np.einsum("ia,jbk->ijkab", eye, np.einsum("jv,bvk->jbk", X, C)) + np.einsum(
-        "ja,ibk->ijkab", eye, np.einsum("iu,ubk->ibk", X, C)
-    )
-    d_t3 = np.einsum("ia,bjk->ijkab", eye, np.einsum("bjm,mk->bjk", C, X)) + np.einsum(
-        "kb,ija->ijkab", eye, np.einsum("iu,uja->ija", X, C)
-    )
-    d_t4 = np.einsum("ja,ibk->ijkab", eye, np.einsum("ibm,mk->ibk", C, X)) + np.einsum(
-        "kb,ija->ijkab", eye, np.einsum("jv,iva->ija", X, C)
-    )
-    d_nij = d_t1 - d_t3 - d_t4
-    m = n * n
-    return np.concatenate(
-        [
-            d_compat[iu, ju].reshape(-1, m),
-            d_j2.reshape(-1, m),
-            d_nij[iu, ju, :, :, :].reshape(-1, m),
-        ]
-    )
+    """Exact Jacobian of the quadratic ``_residual``, by polarization.
+
+    For quadratic f, f(X + E) - f(X - E) = 2 Df(X)[E] with no remainder, so
+    the central difference along each of the n^2 unit matrices E is exact.
+    """
+    E = np.eye(X.size).reshape(X.size, *X.shape)
+    args = (omega, C, iu, ju)
+    return (_residual(X + E, *args) - _residual(X - E, *args)).T / 2
 
 
 def _newton_from(
@@ -269,24 +256,18 @@ def residual_sup_norms(
     symbolic tensor machinery, so this check shares no code with the
     iteration loop.
     """
-    from fractions import Fraction
-
     J = Endomorphism(
         [[Scalar.from_fraction(Fraction(float(x))) for x in row] for row in J_numeric]
     )
-    norms = []
-    for mat in (
+    nij = tensors.nijenhuis(alg, J)
+    residuals = (
         tensors.compat_residual(w, J),
         tensors.almost_complex_residual(J),
-    ):
-        norms.append(
-            max(abs(x.evaluate({})) for row in mat for x in row)
-        )
-    nij = tensors.nijenhuis(alg, J)
-    norms.append(
-        max(abs(c.evaluate({})) for plane in nij for row in plane for c in row)
+        [row for plane in nij for row in plane],
     )
-    return tuple(norms)  # type: ignore[return-value]
+    return tuple(  # type: ignore[return-value]
+        max(abs(x.evaluate({})) for row in mat for x in row) for mat in residuals
+    )
 
 
 def search_report(result: SearchResult) -> dict:

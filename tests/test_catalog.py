@@ -137,6 +137,24 @@ class TestMutationControl:
         assert not report.ok
         assert "g21: J1 down components" in report.failures()
 
+    def test_malformed_entry_is_a_reported_failure(self, tmp_path, monkeypatch):
+        src = pathlib.Path(catalog.__file__).parent / "data"
+        work = tmp_path / "data"
+        shutil.copytree(src, work)
+        g10 = work / "g10.json"
+        obj = json.loads(g10.read_text())
+        obj["structures"][0]["J"]["rows"][0][0] = "psi11 +"
+        g10.write_text(json.dumps(obj))
+
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+        report = catalog.self_validate(["g10", "g21"])
+        assert report.failures() == [
+            "g10: load: catalog entry g10 is malformed: unexpected end of input"
+            " (at position 7) in 'psi11 +'"
+        ]
+        assert [e.name for e in report.entries] == ["g10", "g21"]
+        assert report.entries[1].ok and len(report.entries[1].checks) > 1
+
     def test_env_override_round_trip(self, tmp_path, monkeypatch):
         src = pathlib.Path(catalog.__file__).parent / "data"
         work = tmp_path / "data"

@@ -1,12 +1,16 @@
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilkaehler import catalog, solver, tensors
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.linalg import is_zero_matrix
+from nilkaehler.scalar import ParamBinding
 from nilkaehler.solver import (
     FamilyReport,
     LinearSolution,
@@ -176,6 +180,61 @@ class TestNewtonSearch:
         w = TwoForm.from_terms(6, [(1, 6, 1), (2, 5, "lambda"), (3, 4, -1)])
         with pytest.raises(ValueError, match="unbound"):
             newton_search(G21, w, max_starts=1, seed=0)
+
+
+def _stored_forms():
+    """Every stored (algebra, form) pair, with lambda = 2 where it occurs."""
+    cases = []
+    for name in catalog.NAMES:
+        entry = catalog.get(name)
+        for f in entry.forms:
+            w = f.form
+            if w.free_params():
+                w = w.substitute(ParamBinding({"lambda": Fraction(2)}))
+            cases.append(pytest.param(entry.algebra, w, id=f"{name}-{f.id}"))
+    return cases
+
+
+def _probe_args(alg, w):
+    iu, ju = np.triu_indices(alg.dim, k=1)
+    return solver._float_form(w), solver._float_brackets(alg), iu, ju
+
+
+class TestNumericResidual:
+    """The probe's float residual against the exact tensors it stands for."""
+
+    @pytest.mark.parametrize("alg,w", _stored_forms())
+    def test_matches_exact_tensors(self, alg, w):
+        args = _probe_args(alg, w)
+        upper = list(zip(*args[2:]))
+        n = alg.dim
+        rng = np.random.default_rng(2)
+        # dyadic entries k/8: every float product and sum below is exact
+        X = rng.integers(-12, 13, size=(3, n, n)) / 8
+        rows = solver._residual(X, *args)
+        for x, row in zip(X, rows):
+            J = Endomorphism([[Fraction(v) for v in r] for r in x])
+            compat = tensors.compat_residual(w, J)
+            j2 = tensors.almost_complex_residual(J)
+            nij = tensors.nijenhuis(alg, J)
+            exact = (
+                [compat[i][j] for i, j in upper]
+                + [c for r in j2 for c in r]
+                + [c for i, j in upper for c in nij[i][j]]
+            )
+            assert [Fraction(v) for v in row] == [c.as_fraction() for c in exact]
+            # a stack gives the rows of single calls
+            assert np.array_equal(solver._residual(x, *args), row)
+
+    @pytest.mark.parametrize("alg,w", _stored_forms())
+    def test_polarization_is_exact(self, alg, w):
+        # f(X + D) - f(X - D) = 2 Df(X) D holds exactly only for quadratic f
+        args = _probe_args(alg, w)
+        rng = np.random.default_rng(3)
+        X, D = rng.standard_normal((2, alg.dim, alg.dim))
+        lhs = solver._residual(X + D, *args) - solver._residual(X - D, *args)
+        rhs = 2 * solver._jacobian(X, *args) @ D.ravel()
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 class TestSearchReport:
