@@ -258,6 +258,10 @@ def _validate_structure(
         return checks
     got_up = _component_table(geometry.nonzero_up_components(curv))
     got_down = _component_table(geometry.nonzero_down_components(curv))
+    # the paper: the curvature of every family depends on at most three parameters
+    values = (*got_up.values(), *got_down.values())
+    params = set().union(*(v.free_params() for v in values))
+    checks.append((f"{s.id} curvature parameters <= 3", len(params) <= 3))
     checks.append(
         (f"{s.id} up components", _components_match(got_up, exp.up_components)))
     checks.append(

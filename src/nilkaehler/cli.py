@@ -285,8 +285,11 @@ def cmd_search(args) -> int:
         w = TwoForm.from_json_dict(form_obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad input file: {exc}") from exc
-    result = solver.newton_search(
-        alg, w, tolerance=args.tol, max_starts=args.starts, seed=args.seed)
+    try:
+        result = solver.newton_search(
+            alg, w, tolerance=args.tol, max_starts=args.starts, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     print(json.dumps(solver.search_report(result), indent=1))
     return 0 if result.converged else 1
 

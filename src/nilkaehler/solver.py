@@ -3,18 +3,21 @@ verification, and a seeded numerical probe for the full nonlinear system.
 
 The linear stage solves the compatibility equations exactly over the
 fraction field.  The nonlinear probe (compatibility + J^2 = -I +
-integrability) runs damped Newton least-squares from random starts; a
-failure to converge is evidence of nonexistence, never a proof.  Every
-probe residual is quadratic in J, so its Jacobian is the exact polarization
-(f(J + E) - f(J - E))/2 over the unit matrices E: the float residual is the
-probe's single definition of the equations.
+integrability) runs Levenberg-Marquardt from random starts, a block of
+starts at a time, each start with its own damping and retired on its own,
+and stops once the first verified start is known; a failure to converge is
+evidence of nonexistence, never a proof.  Every probe residual is quadratic
+in J, so its Jacobian is the exact polarization (f(J + E) - f(J - E))/2
+over the unit matrices E, and that Jacobian is affine in J: the float
+residual is the probe's single definition of the equations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,40 +170,147 @@ def _jacobian(X: np.ndarray, omega: np.ndarray, C: np.ndarray, iu, ju) -> np.nda
     return (_residual(X + E, *args) - _residual(X - E, *args)).T / 2
 
 
-def _newton_from(
-    X: np.ndarray,
-    omega: np.ndarray,
-    C: np.ndarray,
-    tolerance: float,
-    max_iter: int = 60,
-) -> tuple[np.ndarray, float]:
-    n = X.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    res = _residual(X, omega, C, iu, ju)
-    norm = float(np.max(np.abs(res)))
-    for it in range(max_iter):
-        if norm <= tolerance or not np.isfinite(norm):
-            break
-        if it == 30 and norm > 1e-2:
-            break  # far from any root after 30 damped steps; hopeless start
-        M = _jacobian(X, omega, C, iu, ju)
-        try:
-            step, *_ = np.linalg.lstsq(M, -res, rcond=None)
-        except np.linalg.LinAlgError:
-            break  # overflowed Jacobian; abandon this start
-        step = step.reshape(n, n)
-        damping = 1.0
-        while True:
-            candidate = X + damping * step
-            cand_res = _residual(candidate, omega, C, iu, ju)
-            cand_norm = float(np.max(np.abs(cand_res)))
-            if cand_norm < norm:
-                X, res, norm = candidate, cand_res, cand_norm
-                break
-            damping /= 2.0
-            if damping < 2.0**-20:
-                return X, norm  # stalled
-    return X, norm
+# Starts iterated together.  A block holds one (BLOCK, 141, 36) Jacobian
+# stack at a time, so memory stays bounded for any number of starts.
+BLOCK = 64
+MAX_ITER = 60  # Levenberg-Marquardt iterations per start, rejected steps included
+MU_START, MU_MAX = 1e-6, 1e8
+MU_DOWN, MU_UP = 3.0, 4.0
+HOPELESS_ITER, HOPELESS_NORM = 30, 1e-2
+
+
+class _LinearJacobian:
+    """The probe Jacobian as an affine function of X, built once per search.
+
+    The residual is quadratic, so Df(X) = D(0) + sum_k x_k H_k with
+    H_k = D(E_k) - D(0), both from ``_jacobian``.  Only the entries that
+    some H_k touches depend on X, and D(0) is zero on them: the rows that
+    depend on X (J^2 + I, Nijenhuis) have no linear part, and the linear
+    compatibility rows do not depend on X.  ``__call__`` fills those entries
+    for a whole stack of starts with one matmul.
+    """
+
+    def __init__(self, omega: np.ndarray, C: np.ndarray, iu, ju) -> None:
+        n = omega.shape[0]
+        zero = _jacobian(np.zeros((n, n)), omega, C, iu, ju)
+        self.shape = zero.shape
+        self.zero = zero.ravel()
+        # one unit matrix at a time: a batched polarization costs megabytes
+        H = np.empty((n * n, self.zero.size))
+        for k, E in enumerate(np.eye(n * n).reshape(n * n, n, n)):
+            H[k] = _jacobian(E, omega, C, iu, ju).ravel()
+        H -= self.zero
+        self.live = np.flatnonzero(np.any(H != 0, axis=0))
+        self.H = H[:, self.live]
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        M = np.empty((len(X), self.zero.size))
+        M[:] = self.zero
+        M[:, self.live] = X.reshape(-1, len(self.H)) @ self.H
+        return M.reshape(len(X), *self.shape)
+
+
+def _solve_damped(MtM: np.ndarray, Mtr: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Solutions of (M^T M + mu I) delta = -M^T r for a stack of starts.
+
+    A start whose system is not finite or is singular gets a nan step, so
+    it alone retires.
+    """
+    K = MtM + mu[:, None, None] * np.eye(MtM.shape[-1])
+    step = np.full(Mtr.shape, np.nan)
+    ok = np.isfinite(K).all(axis=(1, 2)) & np.isfinite(Mtr).all(axis=(1, 2))
+    try:
+        step[ok] = np.linalg.solve(K[ok], Mtr[ok])
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(ok):
+            try:
+                step[i] = np.linalg.solve(K[i], Mtr[i])
+            except np.linalg.LinAlgError:
+                pass
+    return step
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values retire a start
+def _lm_step(
+    X: np.ndarray, res: np.ndarray, norm: np.ndarray, mu: np.ndarray,
+    idx: np.ndarray, args: tuple, jacobian: _LinearJacobian,
+) -> None:
+    """One Levenberg-Marquardt step of the starts ``idx``, in place.
+
+    A step is accepted when it lowers the sup-norm (mu / 3), else rejected
+    (mu * 4); a start whose step is not finite gets mu = inf.
+    """
+    M = jacobian(X[idx])
+    Mt = np.swapaxes(M, -1, -2)
+    step = _solve_damped(Mt @ M, -(Mt @ res[idx, :, None]), mu[idx])
+    del M, Mt  # one Jacobian stack alive at a time
+    finite = np.isfinite(step).all(axis=(1, 2))
+    mu[idx[~finite]] = np.inf
+    idx, step = idx[finite], step[finite]
+    if not idx.size:
+        return
+    trial = X[idx] + step.reshape(-1, *X.shape[1:])
+    trial_res = _residual(trial, *args)
+    trial_norm = np.max(np.abs(trial_res), axis=-1)
+    accepted = trial_norm < norm[idx]
+    took = idx[accepted]
+    X[took], res[took] = trial[accepted], trial_res[accepted]
+    norm[took] = trial_norm[accepted]
+    mu[took] /= MU_DOWN
+    mu[idx[~accepted]] *= MU_UP
+
+
+def _levenberg_marquardt(
+    X: np.ndarray, args: tuple, jacobian: _LinearJacobian, tolerance: float
+) -> Iterator[tuple[int, np.ndarray, float]]:
+    """Levenberg-Marquardt on a stack of starts, yielding each start as it retires.
+
+    Each start keeps its own damping mu in (M^T M + mu I) delta = -M^T r
+    (see ``_lm_step``).  A start retires when it converges, when mu
+    exceeds MU_MAX, when it is hopeless (sup-norm above HOPELESS_NORM at
+    iteration HOPELESS_ITER), when its residual, Jacobian or step is not
+    finite, or after MAX_ITER iterations; it is then yielded once as
+    (row, X, sup-norm).  Starts never interact, so a consumer may stop
+    iterating at any point.
+    """
+    X = X.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _residual(X, *args)
+        norm = np.max(np.abs(res), axis=-1)
+    mu = np.full(len(X), MU_START)
+    active = np.ones(len(X), dtype=bool)
+    for it in range(MAX_ITER + 1):
+        running = active & (norm > tolerance) & np.isfinite(norm) & (mu <= MU_MAX)
+        if it == HOPELESS_ITER:
+            running &= norm <= HOPELESS_NORM
+        if it == MAX_ITER:
+            running[:] = False
+        for row in np.flatnonzero(active & ~running):
+            yield int(row), X[row].copy(), float(norm[row])
+        active = running
+        if not active.any():
+            return
+        _lm_step(X, res, norm, mu, np.flatnonzero(active), args, jacobian)
+
+
+def _first_in_order(
+    retired: Iterable[tuple[int, np.ndarray, float]], accept
+) -> tuple[int, np.ndarray, float] | None:
+    """The lowest row of ``retired`` (rows in any order) that ``accept`` takes.
+
+    Rows are tested in row order, each as soon as every lower row has been
+    seen, and ``retired`` is consumed only until the answer is known.
+    """
+    seen: dict[int, tuple[np.ndarray, float]] = {}
+    row = 0
+    for r, X, norm in retired:
+        seen[r] = X, norm
+        while row in seen:
+            X, norm = seen.pop(row)
+            if accept(X, norm):
+                return row, X, norm
+            row += 1
+    return None
 
 
 def newton_search(
@@ -211,33 +321,56 @@ def newton_search(
     seed: int = 0,
     initial_guess: Sequence[Sequence[float]] | None = None,
 ) -> SearchResult:
-    """Damped Newton least-squares over random starts (reproducible by seed).
+    """Levenberg-Marquardt over random starts (reproducible by seed).
 
-    Start 0 uses ``initial_guess`` verbatim when given; every other start
-    draws fresh standard-normal entries from a per-start generator, so
-    runs are independent of execution order.
+    Start 0 uses ``initial_guess`` (an n x n matrix) when given; every other
+    start draws fresh standard-normal entries from a per-start generator, so
+    a start's outcome does not depend on the others.  Starts run in
+    consecutive blocks of BLOCK, all starts of a block iterated together
+    (see ``_levenberg_marquardt``).  The result is the first converged
+    start, in start order, whose root passes the exact re-check of
+    ``residual_sup_norms``; the iteration stops as soon as that start is
+    known, that is once it has converged and every earlier start has retired.
+
+    Raises ``ValueError`` when ``max_starts < 1``, when ``tolerance`` is not
+    a positive finite number, or when ``initial_guess`` is not n x n.
     """
+    if max_starts < 1:
+        raise ValueError(f"max_starts must be at least 1, got {max_starts}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+    n = alg.dim
+    if initial_guess is not None and np.shape(initial_guess) != (n, n):
+        raise ValueError(
+            f"initial_guess must be {n} x {n}, got shape {np.shape(initial_guess)}")
     omega = _float_form(w)
     C = _float_brackets(alg)
-    n = alg.dim
-    for start in range(max_starts):
-        rng = np.random.default_rng((seed, start))
-        if start == 0 and initial_guess is not None:
-            X0 = np.array(initial_guess, dtype=float)
-        else:
-            X0 = rng.standard_normal((n, n))
-        X, norm = _newton_from(X0, omega, C, tolerance)
-        if norm <= tolerance:
-            J_numeric = tuple(tuple(float(x) for x in row) for row in X)
-            # accept only if the exact-arithmetic re-check agrees
-            if max(residual_sup_norms(alg, w, J_numeric)) <= tolerance:
-                return SearchResult(
-                    status="converged",
-                    J_numeric=J_numeric,
-                    residual_norm=norm,
-                    starts_tried=start + 1,
-                    seed=seed,
-                )
+    iu, ju = np.triu_indices(n, k=1)
+    args = (omega, C, iu, ju)
+    jacobian = _LinearJacobian(*args)
+
+    def is_root(X: np.ndarray, norm: float) -> bool:
+        # accept only if the exact-arithmetic re-check agrees
+        return norm <= tolerance and max(residual_sup_norms(alg, w, X.tolist())) <= tolerance
+
+    for first in range(0, max_starts, BLOCK):
+        starts = range(first, min(first + BLOCK, max_starts))
+        X0 = np.empty((len(starts), n, n))
+        for row, start in enumerate(starts):
+            if start == 0 and initial_guess is not None:
+                X0[row] = initial_guess
+            else:
+                X0[row] = np.random.default_rng((seed, start)).standard_normal((n, n))
+        found = _first_in_order(_levenberg_marquardt(X0, args, jacobian, tolerance), is_root)
+        if found is not None:
+            row, X, norm = found
+            return SearchResult(
+                status="converged",
+                J_numeric=tuple(map(tuple, X.tolist())),
+                residual_norm=norm,
+                starts_tried=starts[row] + 1,
+                seed=seed,
+            )
     return SearchResult(
         status="failed",
         J_numeric=None,

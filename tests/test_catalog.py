@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilkaehler import catalog
+from nilkaehler import catalog, geometry
 from nilkaehler.catalog import get, list_entries, validate_entry
 from nilkaehler.scalar import parse_expr
 
@@ -35,6 +35,16 @@ NO_J_FORMS = {
     ("g21", "w1"),
     ("g23", "w1"),
     ("g23", "w2"),
+}
+
+# parameters the curvature components of each family depend on; the paper
+# says at most three
+CURVATURE_PARAMS = {
+    ("g10", "J1"): 2, ("g11", "J1"): 3, ("g12", "J1"): 2, ("g12", "J2"): 1,
+    ("g12", "J3"): 1, ("g13", "J1"): 3, ("g13", "J3"): 2, ("g14", "J1"): 0,
+    ("g15", "J1"): 2, ("g16", "J1"): 2, ("g16", "J2"): 1, ("g17", "J1"): 2,
+    ("g18", "J1"): 3, ("g18", "J2"): 2, ("g18", "J3"): 2, ("g21", "J1"): 2,
+    ("g23", "J1"): 3, ("g24", "J1"): 2, ("g25", "J1"): 0,
 }
 
 
@@ -112,6 +122,24 @@ class TestSelfValidate:
         report = catalog.self_validate(["g24", "g25"])
         assert report.ok
         assert [e.name for e in report.entries] == ["g24", "g25"]
+
+
+class TestCurvatureParameters:
+    def test_counts_per_family(self, curvatures):
+        got = {}
+        for key, (_, _, curv) in curvatures.items():
+            comps = (geometry.nonzero_up_components(curv)
+                     + geometry.nonzero_down_components(curv))
+            got[key] = len(set().union(*(v.free_params() for _, v in comps)))
+        assert got == CURVATURE_PARAMS
+
+    def test_every_family_is_checked(self, full_validation):
+        checked = {
+            (e.name, label.split()[0]): passed
+            for e in full_validation.entries for label, passed in e.checks
+            if label.endswith(" curvature parameters <= 3")
+        }
+        assert checked == {key: True for key in CURVATURE_PARAMS}
 
 
 class TestMutationControl:

@@ -219,6 +219,27 @@ class TestSolveAndSearch:
         assert rc == 1
         assert json.loads(out)["status"] == "failed"
 
+    @pytest.mark.parametrize(
+        "flag,fragment",
+        [
+            ("--starts=-3", "max_starts"),
+            ("--starts=0", "max_starts"),
+            ("--tol=0", "tolerance"),
+            ("--tol=-1e-9", "tolerance"),
+            ("--tol=nan", "tolerance"),
+            ("--tol=inf", "tolerance"),
+        ],
+    )
+    def test_bad_search_input_is_usage_error(self, capsys, tmp_path, flag, fragment):
+        alg = tmp_path / "abelian.json"
+        form = tmp_path / "wstd.json"
+        alg.write_text(json.dumps(ABELIAN))
+        form.write_text(json.dumps(W_STD))
+        rc, out, err = invoke(capsys, "search", str(alg), str(form), flag)
+        assert rc == 2
+        assert out == ""
+        assert fragment in err
+
 
 class TestExport:
     def test_latex_matches_printed_metric_layout(self, capsys):

@@ -181,6 +181,38 @@ class TestNewtonSearch:
         with pytest.raises(ValueError, match="unbound"):
             newton_search(G21, w, max_starts=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,fragment",
+        [
+            ({"max_starts": 0}, "max_starts"),
+            ({"max_starts": -3}, "max_starts"),
+            ({"tolerance": 0.0}, "tolerance"),
+            ({"tolerance": -1e-9}, "tolerance"),
+            ({"tolerance": math.nan}, "tolerance"),
+            ({"tolerance": math.inf}, "tolerance"),
+            ({"initial_guess": [[0.0] * 6]}, "initial_guess"),
+            ({"initial_guess": 0.0}, "initial_guess"),
+            ({"initial_guess": np.zeros((7, 7))}, "initial_guess"),
+        ],
+    )
+    def test_bad_search_input_is_rejected(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            newton_search(ABELIAN, W_STD, seed=0, **kwargs)
+
+    # 1e5 everywhere makes the damped normal matrix exactly singular in floats
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is retired, not reported
+    @pytest.mark.parametrize("bad", [math.nan, 1e200, 1e5])
+    def test_bad_first_start_is_retired_alone(self, bad):
+        X0 = _starts(3, 10, first=np.full((6, 6), bad))
+        alone = [
+            newton_search(ABELIAN, W_STD, max_starts=1, initial_guess=x).converged
+            for x in X0
+        ]
+        assert not alone[0]
+        result = newton_search(ABELIAN, W_STD, max_starts=10, seed=3, initial_guess=X0[0])
+        assert result.converged
+        assert result.starts_tried == alone.index(True) + 1
+
 
 def _stored_forms():
     """Every stored (algebra, form) pair, with lambda = 2 where it occurs."""
@@ -235,6 +267,80 @@ class TestNumericResidual:
         lhs = solver._residual(X + D, *args) - solver._residual(X - D, *args)
         rhs = 2 * solver._jacobian(X, *args) @ D.ravel()
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+
+
+def _starts(seed, count, first=None):
+    """The stack a search draws: start 0 is ``first`` when given."""
+    X = np.stack([np.random.default_rng((seed, k)).standard_normal((6, 6))
+                  for k in range(count)])
+    if first is not None:
+        X[0] = first
+    return X
+
+
+def _converged(X0, args, jacobian):
+    """Each start's converged flag, in start order, with every start run out."""
+    norms = {row: norm for row, _, norm in
+             solver._levenberg_marquardt(X0, args, jacobian, 1e-9)}
+    assert sorted(norms) == list(range(len(X0)))  # each start retires once
+    return [norms[row] <= 1e-9 for row in range(len(X0))]
+
+
+class TestBatchedProbe:
+    """The Levenberg-Marquardt iteration over a stack of starts."""
+
+    @pytest.mark.parametrize("alg,w", _stored_forms())
+    def test_linear_jacobian_matches_polarization(self, alg, w):
+        # the probe Jacobian is affine in X: D(0) + sum_k x_k H_k
+        args = _probe_args(alg, w)
+        X = np.random.default_rng(4).standard_normal((3, alg.dim, alg.dim))
+        got = solver._LinearJacobian(*args)(X)
+        want = np.stack([solver._jacobian(x, *args) for x in X])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "alg,w,X0",
+        [
+            pytest.param(G23, W1_G23, _starts(11, 12), id="g23-w1"),
+            pytest.param(
+                G21, W2_G21,
+                _starts(11, 12, first=np.array(J21_CANON)
+                        + 0.05 * np.random.default_rng(5).standard_normal((6, 6))),
+                id="g21-w2-nudged"),
+        ],
+    )
+    def test_starts_do_not_interact(self, alg, w, X0):
+        args = _probe_args(alg, w)
+        jacobian = solver._LinearJacobian(*args)
+        together = _converged(X0, args, jacobian)
+        alone = [_converged(x[None], args, jacobian)[0] for x in X0]
+        assert together == alone
+        if alg is G21:
+            assert together[0]
+
+    # 1e5 everywhere makes the damped normal matrix exactly singular in floats
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, 1e200, 1e5])
+    def test_nonfinite_start_leaves_the_stack_alone(self, bad):
+        args = _probe_args(ABELIAN, W_STD)
+        jacobian = solver._LinearJacobian(*args)
+        X0 = _starts(3, 6, first=np.full((6, 6), bad))
+        with_bad = _converged(X0, args, jacobian)
+        assert not with_bad[0]
+        assert with_bad[1:] == _converged(X0[1:], args, jacobian)
+
+    def test_first_in_order_stops_once_the_answer_is_known(self):
+        taken = []
+
+        def retired():
+            for row in (2, 0, 3, 1, 4):
+                taken.append(row)
+                yield row, np.zeros((6, 6)), 0.0
+
+        # row 1 is the first accepted, known once rows 0 and 1 have retired
+        found = solver._first_in_order(retired(), lambda X, norm: len(taken) >= 3)
+        assert found[0] == 1 and taken == [2, 0, 3, 1]
+        assert solver._first_in_order(retired(), lambda X, norm: False) is None
 
 
 class TestSearchReport:
