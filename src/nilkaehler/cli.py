@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import catalog, geometry, solver
 from .liealg import LieAlgebra
-from .scalar import SQRT2_NAME, ParamBinding, Scalar, parse_expr
+from .scalar import SQRT2_NAME, ZERO, ParamBinding, Scalar, parse_expr
 from .tensors import Endomorphism, TwoForm
 
 
@@ -180,6 +180,39 @@ def cmd_show(args) -> int:
     return 0
 
 
+def _expectation_lines(
+    e: catalog.CatalogEntry, s: catalog.StructureEntry, passed: dict[str, bool]
+) -> list[str]:
+    """The stored curvature claims of ``s``, each with its verdict.
+
+    A down component reads "matched" when it equals the computed one, else
+    the computed value; a computed component the data lacks is listed too.
+    Claims of a structure whose residual checks failed are "not checked".
+    """
+    down_ok = passed.get(f"{s.id} down components")
+    got = {}
+    if down_ok is False:
+        _, _, curv = geometry.full_curvature(e.algebra, e.form(s.form_id).form, s.J)
+        got = catalog._component_table(geometry.nonzero_down_components(curv))
+    lines = []
+    for idx, txt in sorted(s.expected.down_components.items()):
+        value = got.get(idx, ZERO)
+        if down_ok is None:
+            verdict = "not checked"
+        elif down_ok or (value - parse_expr(txt)).is_zero():
+            verdict = "matched"
+        else:
+            verdict = f"computed {value}"
+        lines.append(f"       {s.id} {_form_idx(idx)} = {txt}: {verdict}")
+    for idx in sorted(set(got) - set(s.expected.down_components)):
+        lines.append(f"       {s.id} {_form_idx(idx)} = {got[idx]}: not in the data")
+    if s.expected.flat:
+        flat = passed.get(f"{s.id} flat")
+        verdict = "not checked" if flat is None else "matched" if flat else "not matched"
+        lines.append(f"       {s.id} curvature identically zero: {verdict}")
+    return lines
+
+
 def _verify_entry(e: catalog.CatalogEntry, form_id: str | None) -> tuple[int, list[str]]:
     validation = catalog.validate_entry(e)
     keep_ids = None
@@ -199,10 +232,7 @@ def _verify_entry(e: catalog.CatalogEntry, form_id: str | None) -> tuple[int, li
             continue
         if s.expected is None:
             continue
-        for idx, txt in sorted(s.expected.down_components.items()):
-            lines.append(f"       {s.id} {_form_idx(idx)} = {txt}: matched")
-        if s.expected.flat:
-            lines.append(f"       {s.id} curvature identically zero: matched")
+        lines.extend(_expectation_lines(e, s, dict(validation.checks)))
         if s.side_conditions:
             lines.append(
                 "       " + s.id + " side conditions: "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -442,11 +443,6 @@ def _as_vector(v, dim: int) -> Vector:
     return vec
 
 
-def _span_rows(vectors: Sequence[Vector]) -> list[linalg.Row]:
-    basis, _ = linalg.row_space_basis([tuple(v.components) for v in vectors])
-    return basis
-
-
 def type246_structure_check(
     alg: LieAlgebra,
     w: TwoForm,
@@ -463,123 +459,50 @@ def type246_structure_check(
     interact, B+Z is nabla-flat, curvature dies on B+Z in the first and
     third slots, and all curvature values land in Z.
     """
-    a_vecs = tuple(_as_vector(v, alg.dim) for v in split[0])
-    b_vecs = tuple(_as_vector(v, alg.dim) for v in split[1])
-    z_vecs = tuple(_as_vector(v, alg.dim) for v in split[2])
-    bz_vecs = b_vecs + z_vecs
-    all_vecs = a_vecs + bz_vecs
-
-    hypotheses = []
-    hypotheses.append(("algebra_type_is_2_4_6", liealg.algebra_type(alg) == (2, 4, 6)))
-
-    all_rows = _span_rows(all_vecs)
-    hypotheses.append(
-        ("split_is_a_basis", len(all_vecs) == alg.dim and len(all_rows) == alg.dim)
-    )
-
+    a, b, z = (tuple(_as_vector(v, alg.dim) for v in part) for part in split)
+    bz, everything = b + z, a + b + z
+    bz_span, z_span = linalg.span(bz), linalg.span(z)
     series = liealg.ascending_series(alg)
-    if len(series) >= 2:
-        second = series[1]
-        bz_rows = _span_rows(bz_vecs)
-        matches = len(bz_rows) == len(second) and all(
-            linalg.in_row_span(list(second), row) for row in bz_rows
-        )
-    else:
-        matches = False
-    hypotheses.append(("b_plus_z_is_second_ascending_term", matches))
 
-    hypotheses.append(
-        (
-            "b_plus_z_abelian",
-            all(
-                liealg.bracket(alg, x, y).is_zero()
-                for x, y in combinations(bz_vecs, 2)
-            ),
-        )
+    def pairing(xs, ys) -> linalg.Matrix:
+        return linalg.as_matrix([[w.apply(x, y) for y in ys] for x in xs])
+
+    hypotheses = (
+        ("algebra_type_is_2_4_6", tuple(len(term) for term in series) == (2, 4, 6)),
+        ("split_is_a_basis",
+         len(everything) == alg.dim and len(linalg.span(everything)) == alg.dim),
+        ("b_plus_z_is_second_ascending_term",
+         len(series) >= 2 and len(bz_span) == len(series[1])
+         and all(series[1].contains(v) for v in bz)),
+        ("b_plus_z_abelian",
+         all(liealg.bracket(alg, x, y).is_zero() for x, y in combinations(bz, 2))),
+        ("a_isotropic", all(w.apply(x, y).is_zero() for x, y in combinations(a, 2))),
+        ("z_isotropic", all(w.apply(x, y).is_zero() for x, y in combinations(z, 2))),
+        ("a_z_pairing_nondegenerate",
+         len(a) == len(z) and not linalg.det(pairing(a, z)).is_zero()),
+        ("omega_nondegenerate_on_b", not linalg.det(pairing(b, b)).is_zero()),
     )
-    hypotheses.append(
-        ("a_isotropic", all(w.apply(x, y).is_zero() for x, y in combinations(a_vecs, 2)))
-    )
-    hypotheses.append(
-        ("z_isotropic", all(w.apply(x, y).is_zero() for x, y in combinations(z_vecs, 2)))
-    )
-    if len(a_vecs) == len(z_vecs):
-        pairing = linalg.as_matrix([[w.apply(x, z) for z in z_vecs] for x in a_vecs])
-        dual = not linalg.det(pairing).is_zero()
-    else:
-        dual = False
-    hypotheses.append(("a_z_pairing_nondegenerate", dual))
-    b_pairing = linalg.as_matrix([[w.apply(x, y) for y in b_vecs] for x in b_vecs])
-    hypotheses.append(("omega_nondegenerate_on_b", not linalg.det(b_pairing).is_zero()))
 
     _, conn, curv = full_curvature(alg, w, J)
-
-    bz_span = _span_rows(bz_vecs)
-    z_span = _span_rows(z_vecs)
-
-    def in_span(span_rows: list, vec: Vector) -> bool:
-        return linalg.in_row_span(span_rows, tuple(vec.components))
-
-    conclusions = []
-    conclusions.append(
-        (
-            "nabla_a_a_in_b_plus_z",
-            all(in_span(bz_span, covariant_derivative(conn, x, y)) for x in a_vecs for y in a_vecs),
-        )
-    )
-    conclusions.append(
-        (
-            "nabla_a_b_in_z",
-            all(
-                in_span(z_span, covariant_derivative(conn, x, y))
-                and in_span(z_span, covariant_derivative(conn, y, x))
-                for x in a_vecs
-                for y in b_vecs
-            ),
-        )
-    )
-    conclusions.append(
-        (
-            "nabla_a_z_vanishes",
-            all(
-                covariant_derivative(conn, x, y).is_zero()
-                and covariant_derivative(conn, y, x).is_zero()
-                for x in a_vecs
-                for y in z_vecs
-            ),
-        )
-    )
-    conclusions.append(
-        (
-            "nabla_flat_on_b_plus_z",
-            all(
-                covariant_derivative(conn, x, y).is_zero()
-                for x in bz_vecs
-                for y in bz_vecs
-            ),
-        )
-    )
-
+    nabla = partial(covariant_derivative, conn)
+    R = partial(apply_curvature, curv)
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    kills = True
-    for x in bz_vecs:
-        for u in basis:
-            for v in basis:
-                if not apply_curvature(curv, x, u, v).is_zero():
-                    kills = False
-                if not apply_curvature(curv, u, v, x).is_zero():
-                    kills = False
-    conclusions.append(("curvature_kills_b_plus_z", kills))
-
-    into_z = all(
-        in_span(z_span, apply_curvature(curv, x, y, z))
-        for x in all_vecs
-        for y in all_vecs
-        for z in all_vecs
+    conclusions = (
+        ("nabla_a_a_in_b_plus_z", all(bz_span.contains(nabla(x, y)) for x in a for y in a)),
+        ("nabla_a_b_in_z",
+         all(z_span.contains(nabla(x, y)) and z_span.contains(nabla(y, x))
+             for x in a for y in b)),
+        ("nabla_a_z_vanishes",
+         all(nabla(x, y).is_zero() and nabla(y, x).is_zero() for x in a for y in z)),
+        ("nabla_flat_on_b_plus_z", all(nabla(x, y).is_zero() for x in bz for y in bz)),
+        ("curvature_kills_b_plus_z",
+         all(R(x, u, v).is_zero() and R(u, v, x).is_zero()
+             for x in bz for u in basis for v in basis)),
+        ("curvature_values_in_z",
+         all(z_span.contains(R(x, y, t))
+             for x in everything for y in everything for t in everything)),
     )
-    conclusions.append(("curvature_values_in_z", into_z))
-
-    return SplitReport(hypotheses=tuple(hypotheses), conclusions=tuple(conclusions))
+    return SplitReport(hypotheses=hypotheses, conclusions=conclusions)
 
 
 # -- reporting ----------------------------------------------------------------

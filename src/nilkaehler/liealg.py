@@ -3,7 +3,9 @@
 Structure constants are stored sparsely for index pairs i < j only;
 antisymmetry supplies the rest.  All Python-level indices are 0-based.
 The JSON interchange format (see ``from_json_dict``) is 1-based, matching
-the printed basis labels e1..e6.
+the printed basis labels e1..e6.  The terms of the central series are
+``linalg.Span`` values: the ascending terms come straight from
+``linalg.nullspace`` and the descending ones from ``linalg.span``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from . import linalg
 from .scalar import ZERO, Scalar, ScalarLike, as_scalar
 
 Row = linalg.Row
-Basis = tuple[Row, ...]
 
 
 @dataclass(frozen=True)
@@ -194,31 +195,25 @@ def jacobi_check(alg: LieAlgebra) -> list[tuple[int, int, int]]:
 # -- central series ---------------------------------------------------------
 
 
-def descending_series(alg: LieAlgebra) -> list[Basis]:
+def descending_series(alg: LieAlgebra) -> list[linalg.Span]:
     """C^0 = g, C^k = [g, C^{k-1}], until the dimension stabilizes."""
-    full: Basis = tuple(tuple(r) for r in linalg.identity(alg.dim))
-    series = [full]
-    current = full
-    while True:
-        generated: list[Row] = []
-        for w in current:
-            wv = Vector(w)
-            for i in range(alg.dim):
-                v = bracket(alg, alg.basis_vector(i), wv)
-                if not v.is_zero():
-                    generated.append(v.components)
-        basis, _ = linalg.row_space_basis(generated)
-        if len(basis) == len(current):
+    current = linalg.Span(linalg.identity(alg.dim), tuple(range(alg.dim)))
+    series = [current]
+    while current:
+        term = linalg.span(
+            bracket(alg, alg.basis_vector(i), Vector(w)).components
+            for w in current
+            for i in range(alg.dim)
+        )
+        if len(term) == len(current):
             break
-        series.append(tuple(basis))
-        current = tuple(basis)
-        if not basis:
-            break
+        series.append(term)
+        current = term
     return series
 
 
 def _membership_constraints(
-    alg: LieAlgebra, subspace: Basis, pre: linalg.Matrix | None = None
+    alg: LieAlgebra, subspace: linalg.Span, pre: linalg.Matrix | None = None
 ) -> linalg.Matrix:
     """Rows M with M x = 0 iff [P x, e_j] lies in the subspace for every j.
 
@@ -227,38 +222,42 @@ def _membership_constraints(
     the image [Jx, e_j] instead of [x, e_j].
     """
     n = alg.dim
-    reduced, pivots, _ = linalg.rref(tuple(subspace)) if subspace else ((), (), None)
     rows: list[Row] = []
     for j in range(n):
         # column i of B is [e_i, e_j]
         b = [[alg.structure_constant(i, j, m) for i in range(n)] for m in range(n)]
         if pre is not None:
             b = [list(r) for r in linalg.mat_mul(tuple(tuple(r) for r in b), pre)]
-        # residual of B x after reduction by the subspace basis
-        for r, pc in enumerate(pivots):
+        # residual of B x after clearing against the subspace pivots
+        for basis_row, pc in zip(subspace.rows, subspace.pivots):
             coeff_row = b[pc]
             b = [
-                [b[m][i] - reduced[r][m] * coeff_row[i] for i in range(n)]
+                [b[m][i] - basis_row[m] * coeff_row[i] for i in range(n)]
                 for m in range(n)
             ]
         rows.extend(tuple(row) for row in b)
     return tuple(rows)
 
 
-def ascending_series(alg: LieAlgebra) -> list[Basis]:
-    """g_1 = center, g_k = {X : [X, g] in g_{k-1}}, until stable."""
-    series: list[Basis] = []
-    prev: Basis = ()
-    while True:
+def ascending_series(
+    alg: LieAlgebra, twist: linalg.Matrix | None = None
+) -> list[linalg.Span]:
+    """g_1 = center, g_k = {X : [X, g] in g_{k-1}}, until stable.
+
+    With ``twist`` (a matrix P acting on column vectors) each term also
+    asks [P X, g] in g_{k-1}; P = J^T gives the J-twisted series.
+    """
+    series: list[linalg.Span] = []
+    prev = linalg.Span((), ())
+    while len(prev) < alg.dim:
         constraints = _membership_constraints(alg, prev)
-        basis_vectors, _ = linalg.nullspace(constraints)
-        basis, _ = linalg.row_space_basis(basis_vectors)
-        if len(basis) == len(prev):
+        if twist is not None:
+            constraints += _membership_constraints(alg, prev, pre=twist)
+        term, _ = linalg.nullspace(constraints)
+        if len(term) == len(prev):
             break
-        series.append(tuple(basis))
-        prev = tuple(basis)
-        if len(basis) == alg.dim:
-            break
+        series.append(term)
+        prev = term
     return series
 
 
@@ -267,11 +266,6 @@ def algebra_type(alg: LieAlgebra) -> tuple[int, ...]:
     return tuple(len(term) for term in ascending_series(alg))
 
 
-def center(alg: LieAlgebra) -> Basis:
+def center(alg: LieAlgebra) -> linalg.Span:
     series = ascending_series(alg)
-    return series[0] if series else ()
-
-
-def in_subspace(subspace: Basis, v: Vector | Row) -> bool:
-    row = v.components if isinstance(v, Vector) else tuple(v)
-    return linalg.in_row_span(list(subspace), row)
+    return series[0] if series else linalg.Span((), ())

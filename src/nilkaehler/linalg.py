@@ -5,11 +5,17 @@ return side conditions: the sign-normalised primitive parts of the pivot
 numerators that were assumed nonzero.  A part free of parameters never
 generates a condition, and constant pivots are preferred during pivot
 selection so that conditions appear only when forced by symbolic entries.
+
+A subspace is a ``Span``, a basis reduced at its pivot columns.  It is
+built once, by ``span`` from constant rows (one ``rref``) or by
+``nullspace`` (symbolic entries allowed, conditions returned), and testing
+membership then runs no elimination.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .scalar import ONE, ZERO, Scalar, ScalarLike, _canonical, as_scalar
 
@@ -143,16 +149,57 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], SideConditions]:
     return tuple(tuple(row) for row in rows), tuple(pivots), conditions
 
 
-def rank(m: Matrix) -> tuple[int, SideConditions]:
-    _, pivots, conditions = rref(m)
-    return len(pivots), conditions
+@dataclass(frozen=True)
+class Span:
+    """Subspace of row vectors with a basis reduced at its pivots.
+
+    Invariant: row r has a 1 at ``pivots[r]`` and every other row has a 0
+    there.  A vector v is then sum_r v[pivots[r]] rows[r] when it lies in
+    the span, so membership clears v against the pivots and runs no
+    elimination.
+    """
+
+    rows: tuple[Row, ...]
+    pivots: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.rows)
+
+    def contains(self, v: Iterable[Scalar]) -> bool:
+        rest = list(v)
+        for row, col in zip(self.rows, self.pivots):
+            f = rest[col]
+            if not f.is_zero():
+                rest = [x - f * y for x, y in zip(rest, row)]
+        return all(x.is_zero() for x in rest)
 
 
-def nullspace(m: Matrix) -> tuple[list[Row], SideConditions]:
-    """Basis of the right nullspace {v : m v = 0}."""
+def span(rows: Iterable[Iterable[Scalar]]) -> Span:
+    """The span of the given constant rows, reduced by one ``rref``.
+
+    Which rows are independent is a rank decision, so free parameters are
+    refused rather than assumed generic.
+    """
+    mat = tuple(tuple(row) for row in rows)
+    free = set().union(*(x.free_params() for row in mat for x in row))
+    if free:
+        raise ValueError(f"unbound parameters: {', '.join(sorted(free))}")
+    reduced, pivots, _ = rref(mat)
+    return Span(reduced[: len(pivots)], pivots)
+
+
+def nullspace(m: Matrix) -> tuple[Span, SideConditions]:
+    """The right nullspace {v : m v = 0} and the conditions its rref assumed.
+
+    The basis vector of free column c has a 1 at c and a 0 at every other
+    free column, so the free columns are the pivots of the Span.
+    """
     reduced, pivots, conditions = rref(m)
     ncols = shape(m)[1]
-    free = [c for c in range(ncols) if c not in pivots]
+    free = tuple(c for c in range(ncols) if c not in pivots)
     basis: list[Row] = []
     for fc in free:
         v = [ZERO] * ncols
@@ -160,7 +207,7 @@ def nullspace(m: Matrix) -> tuple[list[Row], SideConditions]:
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][fc]
         basis.append(tuple(v))
-    return basis, conditions
+    return Span(tuple(basis), free), conditions
 
 
 def invert(m: Matrix) -> Matrix:
@@ -194,34 +241,6 @@ def det(m: Matrix) -> Scalar:
             f = rows[i][col] * inv
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
     return result
-
-
-def row_space_basis(rows: Iterable[Row]) -> tuple[list[Row], SideConditions]:
-    """Row-reduced basis of the span of the given rows."""
-    mat = tuple(tuple(row) for row in rows)
-    if not mat:
-        return [], SideConditions()
-    reduced, pivots, conditions = rref(mat)
-    return [reduced[i] for i in range(len(pivots))], conditions
-
-
-def in_row_span(basis: Sequence[Row], v: Row) -> bool:
-    """Membership of v in span(basis); basis need not be reduced.
-
-    The basis is reduced once; v is then cleared against the pivot rows and
-    lies in the span exactly when nothing is left.
-    """
-    if all(x.is_zero() for x in v):
-        return True
-    if not basis:
-        return False
-    reduced, pivots, _ = rref(tuple(tuple(row) for row in basis))
-    rest = list(v)
-    for row, col in zip(reduced, pivots):
-        f = rest[col]
-        if not f.is_zero():
-            rest = [x - f * y for x, y in zip(rest, row)]
-    return all(x.is_zero() for x in rest)
 
 
 def symmetric_signature(m: Iterable[Iterable[ScalarLike]]) -> tuple[int, int]:

@@ -31,21 +31,29 @@ from .tensors import Endomorphism, TwoForm
 class LinearSolution:
     """Exact solution space of the compatibility system.
 
-    ``basis`` spans {J : omega_kj J_i^k + omega_is J_j^s = 0} as dim x dim
-    matrices; ``side_conditions`` carries nonvanishing constraints picked
-    up while eliminating symbolic form coefficients.
+    ``span`` spans {J : omega_kj J_i^k + omega_is J_j^s = 0} in the
+    row-major flattening x[i*dim + k] = J_i^k; ``side_conditions`` carries
+    nonvanishing constraints picked up while eliminating symbolic form
+    coefficients.
     """
 
-    basis: tuple[linalg.Matrix, ...]
-    dimension: int
+    span: linalg.Span
     side_conditions: linalg.SideConditions
 
-    def flat_basis(self) -> list[linalg.Row]:
-        return [tuple(x for row in mat for x in row) for mat in self.basis]
+    @property
+    def dimension(self) -> int:
+        return len(self.span)
+
+    @property
+    def basis(self) -> tuple[linalg.Matrix, ...]:
+        """The spanning solutions as dim x dim matrices."""
+        n = math.isqrt(len(self.span.rows[0])) if self.span else 0
+        return tuple(
+            tuple(flat[i * n:(i + 1) * n] for i in range(n)) for flat in self.span
+        )
 
     def contains(self, J: Endomorphism) -> bool:
-        flat = tuple(x for row in J.rows for x in row)
-        return linalg.in_row_span(self.flat_basis(), flat)
+        return self.span.contains(x for row in J.rows for x in row)
 
 
 @dataclass(frozen=True)
@@ -79,12 +87,8 @@ def compat_nullspace(w: TwoForm) -> LinearSolution:
                 coeffs[i * n + b] = coeffs[i * n + b] + w.entry(b, j)
                 coeffs[j * n + b] = coeffs[j * n + b] + w.entry(i, b)
             rows.append(tuple(coeffs))
-    basis_rows, conditions = linalg.nullspace(linalg.as_matrix(rows))
-    mats = tuple(
-        tuple(tuple(flat[i * n + k] for k in range(n)) for i in range(n))
-        for flat in basis_rows
-    )
-    return LinearSolution(basis=mats, dimension=len(mats), side_conditions=conditions)
+    span, conditions = linalg.nullspace(linalg.as_matrix(rows))
+    return LinearSolution(span=span, side_conditions=conditions)
 
 
 @dataclass(frozen=True)
@@ -182,24 +186,27 @@ HOPELESS_ITER, HOPELESS_NORM = 30, 1e-2
 class _LinearJacobian:
     """The probe Jacobian as an affine function of X, built once per search.
 
-    The residual is quadratic, so Df(X) = D(0) + sum_k x_k H_k with
-    H_k = D(E_k) - D(0), both from ``_jacobian``.  Only the entries that
-    some H_k touches depend on X, and D(0) is zero on them: the rows that
-    depend on X (J^2 + I, Nijenhuis) have no linear part, and the linear
-    compatibility rows do not depend on X.  ``__call__`` fills those entries
-    for a whole stack of starts with one matmul.
+    The residual is quadratic, so Df(X) = D(0) + sum_k x_k H_k, with D(0)
+    from ``_jacobian`` and H_k = D(E_k) - D(0) the second difference
+    H_k[:, j] = f(E_k + E_j) - f(E_k) - f(E_j) + f(0).  Only the entries
+    that some H_k touches depend on X, and D(0) is zero on them: the rows
+    that depend on X (J^2 + I, Nijenhuis) have no linear part, and the
+    linear compatibility rows do not depend on X.  ``__call__`` fills those
+    entries for a whole stack of starts with one matmul.
     """
 
     def __init__(self, omega: np.ndarray, C: np.ndarray, iu, ju) -> None:
         n = omega.shape[0]
-        zero = _jacobian(np.zeros((n, n)), omega, C, iu, ju)
+        args = (omega, C, iu, ju)
+        zero = _jacobian(np.zeros((n, n)), *args)
         self.shape = zero.shape
         self.zero = zero.ravel()
-        # one unit matrix at a time: a batched polarization costs megabytes
+        E = np.eye(n * n).reshape(n * n, n, n)
+        f_0, f_E = _residual(np.zeros((n, n)), *args), _residual(E, *args)
+        # one k at a time: a batched second difference costs megabytes
         H = np.empty((n * n, self.zero.size))
-        for k, E in enumerate(np.eye(n * n).reshape(n * n, n, n)):
-            H[k] = _jacobian(E, omega, C, iu, ju).ravel()
-        H -= self.zero
+        for k in range(n * n):
+            H[k] = (_residual(E[k] + E, *args) - f_E[k] - f_E + f_0).T.ravel()
         self.live = np.flatnonzero(np.any(H != 0, axis=0))
         self.H = H[:, self.live]
 

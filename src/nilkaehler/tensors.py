@@ -305,7 +305,7 @@ def is_integrable(alg: LieAlgebra, J: Endomorphism) -> bool:
 # -- J-twisted ascending series ----------------------------------------------
 
 
-def j_ascending_series(alg: LieAlgebra, J: Endomorphism) -> list[liealg.Basis]:
+def j_ascending_series(alg: LieAlgebra, J: Endomorphism) -> list[linalg.Span]:
     """a_l(J) = {X : [X, g] and [JX, g] both lie in a_{l-1}(J)}.
 
     Needs a fully bound J: subspace extraction makes rank decisions that
@@ -315,21 +315,7 @@ def j_ascending_series(alg: LieAlgebra, J: Endomorphism) -> list[liealg.Basis]:
         raise ValueError(
             f"unbound parameters: {', '.join(sorted(J.free_params()))}"
         )
-    jt = linalg.transpose(J.rows)
-    series: list[liealg.Basis] = []
-    prev: liealg.Basis = ()
-    while True:
-        plain = liealg._membership_constraints(alg, prev)
-        twisted = liealg._membership_constraints(alg, prev, pre=jt)
-        vectors, _ = linalg.nullspace(plain + twisted)
-        basis, _ = linalg.row_space_basis(vectors)
-        if len(basis) == len(prev):
-            break
-        series.append(tuple(basis))
-        prev = tuple(basis)
-        if len(basis) == alg.dim:
-            break
-    return series
+    return liealg.ascending_series(alg, twist=linalg.transpose(J.rows))
 
 
 def is_nilpotent_J(alg: LieAlgebra, J: Endomorphism) -> bool:

@@ -131,6 +131,47 @@ class TestVerify:
         assert fragment in err
 
 
+    @staticmethod
+    def _g21_j1_wrong_value(rec):
+        rec["down_components"][0]["value"] = "-7*psi12"
+        rec["flat"] = True
+
+    @staticmethod
+    def _g21_j1_missing_component(rec):
+        rec["down_components"] = []
+
+    @pytest.mark.parametrize(
+        "edit,expected",
+        [
+            ("_g21_j1_wrong_value", [
+                "  FAIL J1 down components",
+                "  FAIL J1 flat",
+                "       J1 R_{1,2,1,2} = -7*psi12: computed -psi12",
+                "       J1 curvature identically zero: not matched",
+            ]),
+            ("_g21_j1_missing_component", [
+                "  FAIL J1 down components",
+                "       J1 R_{1,2,1,2} = -psi12: not in the data",
+            ]),
+        ],
+    )
+    def test_failed_expectation_is_not_reported_matched(
+        self, capsys, monkeypatch, tmp_path, edit, expected
+    ):
+        records = json.loads((DATA / "expectations.json").read_text())
+        for rec in records:
+            if (rec["entry"], rec["structure"]) == ("g21", "J1"):
+                getattr(self, edit)(rec)
+        (tmp_path / "expectations.json").write_text(json.dumps(records))
+        shutil.copy(DATA / "g21.json", tmp_path)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
+        rc, out, _ = invoke(capsys, "verify", "g21")
+        assert rc == 1
+        lines = out.splitlines()
+        assert all(line in lines for line in expected), out
+        assert not any(line.endswith(": matched") for line in lines), out
+
+
 class TestCurvature:
     def test_g24_canonical_binding(self, capsys):
         rc, out, _ = invoke(
@@ -196,6 +237,19 @@ class TestSolveAndSearch:
         rc, out, _ = invoke(capsys, "solve-linear", str(path))
         assert rc == 0
         assert json.loads(out) == {"dimension": 21, "side_conditions": []}
+
+    @pytest.mark.parametrize(
+        "name,form_id,conditions",
+        [("g12", "w1", ["lambda", "lambda + 1"]), ("g13", "w2", ["lambda"])],
+    )
+    def test_solve_linear_reports_form_conditions(
+        self, capsys, tmp_path, name, form_id, conditions
+    ):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(catalog.get(name).form(form_id).form.to_json_dict()))
+        rc, out, _ = invoke(capsys, "solve-linear", str(path))
+        assert rc == 0
+        assert json.loads(out) == {"dimension": 21, "side_conditions": conditions}
 
     def test_search_converges_on_abelian(self, capsys, tmp_path):
         alg = tmp_path / "abelian.json"

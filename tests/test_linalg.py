@@ -1,4 +1,4 @@
-"""Fraction-field elimination: rref, inverse, nullspace, det, signature."""
+"""Fraction-field elimination: rref, inverse, nullspace, spans, det, signature."""
 
 from fractions import Fraction
 
@@ -18,6 +18,19 @@ def frac_matrix(rows):
 
 
 int_entries = st.integers(-5, 5)
+
+
+@st.composite
+def rows_and_vector(draw):
+    """Up to four integer rows and a vector of their width, which is a
+    combination of the rows half of the time."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=4))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        return rows, [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+    return rows, draw(row)
 
 
 def int_matrix(n):
@@ -64,7 +77,7 @@ def test_det_is_multiplicative(a, b):
     assert linalg.det(linalg.mat_mul(ma, mb)) == linalg.det(ma) * linalg.det(mb)
 
 
-# ---------------------------------------------------------------- rref / rank
+# ---------------------------------------------------------------- rref
 
 
 def test_rref_known_case():
@@ -75,28 +88,33 @@ def test_rref_known_case():
 
 
 def test_rank_counts_pivots():
+    # the rank is the length of the row Span
     m = frac_matrix([[1, 2], [2, 4]])
-    assert linalg.rank(m)[0] == 1
-    assert linalg.rank(linalg.identity(4))[0] == 4
+    assert len(linalg.span(m)) == 1
+    assert len(linalg.span(linalg.identity(4))) == 4
 
 
 # ---------------------------------------------------------------- nullspace
 
 
-@given(int_matrix(4))
-@settings(max_examples=30, deadline=None)
-def test_nullspace_vectors_are_annihilated(entries):
-    m = frac_matrix(entries)
-    basis, _ = linalg.nullspace(m)
-    r, _ = linalg.rank(m)
-    assert len(basis) == 4 - r
-    for v in basis:
-        assert all(e.is_zero() for e in linalg.mat_vec(m, v))
+@given(rows_and_vector())
+@settings(max_examples=60, deadline=None)
+def test_nullspace_vectors_are_annihilated(case):
+    assume(case[0])  # a matrix without rows has no column count
+    m, v = frac_matrix(case[0]), linalg.as_row(case[1])
+    null, _ = linalg.nullspace(m)
+    assert len(null) + len(linalg.span(m)) == len(v)
+    for r in null:
+        assert all(e.is_zero() for e in linalg.mat_vec(m, r))
+    # membership in a nullspace Span is membership in the kernel
+    assert null.contains(v) == all(e.is_zero() for e in linalg.mat_vec(m, v))
+    combination = [sum((c * r[j] for c, r in zip(v, null)), ZERO) for j in range(len(v))]
+    assert null.contains(combination)
 
 
 def test_nullspace_of_identity_is_trivial():
-    basis, _ = linalg.nullspace(linalg.identity(3))
-    assert basis == []
+    null, _ = linalg.nullspace(linalg.identity(3))
+    assert len(null) == 0
 
 
 # ---------------------------------------------------------------- inverse
@@ -152,10 +170,32 @@ def test_side_conditions_are_canonical(rows, expected):
 
 
 def test_in_row_span():
-    basis = [linalg.as_row([1, 0, 1]), linalg.as_row([0, 1, 1])]
-    assert linalg.in_row_span(basis, linalg.as_row([2, 3, 5]))
-    assert not linalg.in_row_span(basis, linalg.as_row([0, 0, 1]))
-    assert linalg.in_row_span([], linalg.as_row([0, 0, 0]))
+    basis = linalg.span([linalg.as_row([1, 0, 1]), linalg.as_row([0, 1, 1])])
+    assert basis.contains(linalg.as_row([2, 3, 5]))
+    assert not basis.contains(linalg.as_row([0, 0, 1]))
+    assert linalg.span([]).contains(linalg.as_row([0, 0, 0]))
+
+
+@given(rows_and_vector())
+@settings(max_examples=60, deadline=None)
+def test_span_contains_exactly_when_the_rank_stays(case):
+    rows, v = frac_matrix(case[0]), linalg.as_row(case[1])
+    span = linalg.span(rows)
+    assert span.contains(v) == (len(linalg.span(rows + (v,))) == len(span))
+
+
+def test_span_refuses_free_parameters():
+    with pytest.raises(ValueError, match="unbound parameters: x, y"):
+        linalg.span(linalg.as_matrix([[x, 1], [0, y]]))
+
+
+def test_symbolic_nullspace_membership_needs_no_rank_decision():
+    # the pivot x is assumed nonzero and reported; membership is then an
+    # identity of rational functions, decided without elimination
+    null, conditions = linalg.nullspace(linalg.as_matrix([[x, 1]]))
+    assert [str(c) for c in conditions] == ["x"]
+    assert null.contains(linalg.as_row([-1, x]))
+    assert not null.contains(linalg.as_row([1, 0]))
 
 
 # ---------------------------------------------------------------- signature
