@@ -9,7 +9,13 @@ set of named parameters, held in a canonical reduced form:
 * the underlying polynomial ring mentions exactly the parameters that occur.
 
 Equality, hashing and ``is_zero`` are therefore decidable by direct
-comparison of the stored polynomials.
+comparison of the stored polynomials.  A rational constant hashes as the
+equal ``int`` or ``Fraction`` does.
+
+Rational constants (no parameter and no ``s``) are added, subtracted,
+multiplied and divided with Python ints and ``math.gcd``, not with
+polynomial arithmetic; the result is stored in the same canonical form
+over the parameter-free ring.
 
 The name ``s`` is reserved: it stands for the square root of two.  Every
 result is reduced via s^2 -> 2, and denominators are rationalized so they
@@ -114,6 +120,26 @@ def _canonical(num, den, R) -> "Scalar":
     return Scalar._make(num, den)
 
 
+def _rational(n: int, d: int) -> "Scalar":
+    # n/d (d != 0) in the canonical form _canonical gives a rational constant
+    if not n:
+        return ZERO
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    return Scalar._make(_R0.dtype({(): n}), _R0.one if d == 1 else _R0.dtype({(): d}))
+
+
+def _rational_ints(a: "Scalar", b: "Scalar"):
+    # (n1, d1, n2, d2) when a = n1/d1 and b = n2/d2 are rational constants
+    if a._num.ring is _R0 and b._num.ring is _R0:
+        return a._num.get((), 0), a._den[()], b._num.get((), 0), b._den[()]
+    return None
+
+
 def _unify(a: "Scalar", b: "Scalar"):
     Ra = a._num.ring
     Rb = b._num.ring
@@ -145,18 +171,12 @@ class Scalar:
 
     @classmethod
     def from_int(cls, value: int) -> "Scalar":
-        if value == 0:
-            return ZERO
-        if value == 1:
-            return ONE
-        return cls._make(_R0(value), _R0.one)
+        return _rational(value, 1)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "Scalar":
         value = Fraction(value)
-        if value.denominator == 1:
-            return cls.from_int(value.numerator)
-        return cls._make(_R0(value.numerator), _R0(value.denominator))
+        return _rational(value.numerator, value.denominator)
 
     @classmethod
     def param(cls, name: str) -> "Scalar":
@@ -175,7 +195,8 @@ class Scalar:
         return not self._num
 
     def is_one(self) -> bool:
-        return self._num == 1 and self._den == 1
+        return (self._num.ring is _R0 and self._num.get(()) == 1
+                and self._den[()] == 1)
 
     def is_constant(self) -> bool:
         """True when no parameter occurs (the reserved ``s`` counts as one)."""
@@ -188,9 +209,7 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a rational constant: {self}")
-        nt = self._num.terms()
-        dt = self._den.terms()
-        return Fraction(int(nt[0][1]) if nt else 0, int(dt[0][1]))
+        return Fraction(self._num.get((), 0), self._den[()])
 
     def sign(self) -> int:
         """-1, 0 or 1 for a constant a + b*sqrt(2); parameters raise ValueError.
@@ -222,16 +241,25 @@ class Scalar:
             return other
         if other.is_zero():
             return self
+        if q := _rational_ints(self, other):
+            n1, d1, n2, d2 = q
+            return _rational(n1 * d2 + n2 * d1, d1 * d2)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * d2 + n2 * d1, d1 * d2, R)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        return self + (-as_scalar(other))
+        other = as_scalar(other)
+        if other.is_zero():
+            return self
+        if q := _rational_ints(self, other):
+            n1, d1, n2, d2 = q
+            return _rational(n1 * d2 - n2 * d1, d1 * d2)
+        return self + (-other)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return as_scalar(other) + (-self)
+        return as_scalar(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         other = as_scalar(other)
@@ -241,6 +269,9 @@ class Scalar:
             return other
         if other.is_one():
             return self
+        if q := _rational_ints(self, other):
+            n1, d1, n2, d2 = q
+            return _rational(n1 * n2, d1 * d2)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * n2, d1 * d2, R)
 
@@ -254,6 +285,9 @@ class Scalar:
             return self
         if self.is_zero():
             return ZERO
+        if q := _rational_ints(self, other):
+            n1, d1, n2, d2 = q
+            return _rational(n1 * d2, d1 * n2)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * d2, d1 * n2, R)
 
@@ -332,12 +366,15 @@ class Scalar:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            key = (
-                self._num.ring._scalar_names,
-                tuple((m, int(c)) for m, c in self._num.terms()),
-                tuple((m, int(c)) for m, c in self._den.terms()),
-            )
-            self._hash = hash(key)
+            if self._num.ring is _R0:
+                # equal to an int or Fraction, so it must hash as one
+                self._hash = hash(self.as_fraction())
+            else:
+                self._hash = hash((
+                    self._num.ring._scalar_names,
+                    tuple((m, int(c)) for m, c in self._num.terms()),
+                    tuple((m, int(c)) for m, c in self._den.terms()),
+                ))
         return self._hash
 
     def __bool__(self) -> bool:

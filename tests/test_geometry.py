@@ -1,3 +1,4 @@
+import random
 import pytest
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from nilkaehler.geometry import (
     type246_structure_check,
 )
 from nilkaehler.liealg import LieAlgebra, Vector
-from nilkaehler.scalar import ParamBinding, as_scalar, parse_expr
+from nilkaehler.scalar import ParamBinding, Scalar, as_scalar, parse_expr
 from nilkaehler.tensors import Endomorphism, TwoForm, is_compatible
 
 G21 = LieAlgebra.from_terms(6, [(1, 2, 4, 1), (1, 4, 6, 1), (2, 3, 6, 1)])
@@ -380,3 +381,48 @@ class TestReport:
         _, _, curv = full_curvature(G16, W2_G16, J0_G16)
         text = json.dumps(curvature_report(curv))
         assert "nonzero_up" in text
+
+
+FAMILIES = [(n, s.id) for n in catalog.NAMES for s in catalog.get(n).structures]
+
+
+def _bind(value, binding):
+    # substitute into a Scalar or into nested tuples of them
+    if isinstance(value, Scalar):
+        return value.substitute(binding)
+    return tuple(_bind(v, binding) for v in value)
+
+
+def _admissible_binding(rng, params, conditions):
+    # a rational binding under which no stored side condition vanishes
+    while True:
+        binding = ParamBinding(
+            {p: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for p in params})
+        if not any(c.substitute(binding).is_zero() for c in conditions):
+            return binding
+
+
+class TestBindingCommutesWithThePipeline:
+    """Binding the parameters of a family before the pipeline or after it
+    gives the same g^-1, Christoffel symbols, curvature, Ricci and norm."""
+
+    @pytest.mark.parametrize("name,sid", FAMILIES)
+    def test_bind_then_compute_equals_compute_then_bind(self, curvatures, name, sid):
+        entry = catalog.get(name)
+        s = entry.structure(sid)
+        f = entry.form(s.form_id)
+        conditions = [parse_expr(c) for c in s.side_conditions + f.side_conditions]
+        params = sorted(s.J.free_params() | f.form.free_params())
+        seeded = _admissible_binding(random.Random(f"{name}/{sid}"), params, conditions)
+        metric, conn, curv = curvatures[name, sid]
+        for binding in (s.binding(), seeded):
+            bound_metric, bound_conn, bound_curv = full_curvature(
+                entry.algebra, f.form.substitute(binding), s.J.substitute(binding))
+            assert bound_metric.g_inv == _bind(metric.g_inv, binding)
+            assert bound_conn.gamma == _bind(conn.gamma, binding)
+            assert bound_curv.up == _bind(curv.up, binding)
+            assert bound_curv.down == _bind(curv.down, binding)
+            assert bound_curv.ricci == _bind(curv.ricci, binding)
+            assert bound_curv.norm == curv.norm.substitute(binding)
+            g, g_inv = bound_metric.g, bound_metric.g_inv
+            assert linalg.mat_mul(g, g_inv) == linalg.identity(bound_metric.dim)

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: canonical forms, parsing, field axioms."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from nilkaehler.scalar import (
     ParamBinding,
     Scalar,
     ScalarSyntaxError,
+    _canonical,
+    _R0,
     as_scalar,
     parse_expr,
 )
@@ -183,6 +186,15 @@ def test_evaluate_requires_full_binding():
         v.evaluate({"x": 1})
 
 
+def test_constants_hash_as_the_equal_number():
+    for value in (0, 1, 3, -7, 2**70, Fraction(1, 2), Fraction(-5, 3)):
+        assert as_scalar(value) == value
+        assert hash(as_scalar(value)) == hash(value)
+    assert len({as_scalar(3), 3}) == 1
+    assert {3: "three"}.get(as_scalar(3)) == "three"
+    assert {Fraction(1, 2): "half"}.get(parse_expr("2/4")) == "half"
+
+
 def test_as_fraction_round_trip():
     assert as_scalar(Fraction(-7, 3)).as_fraction() == Fraction(-7, 3)
     with pytest.raises(ValueError):
@@ -263,4 +275,49 @@ def test_substitute_commutes_with_arithmetic(a, b, xv, yv):
 def test_constants_agree_with_fractions(p, q, r, t):
     a, b = Fraction(p, q), Fraction(r, t)
     assert (as_scalar(a) + as_scalar(b)).as_fraction() == a + b
+    assert (as_scalar(a) - as_scalar(b)).as_fraction() == a - b
     assert (as_scalar(a) * as_scalar(b)).as_fraction() == a * b
+    if b:
+        assert (as_scalar(a) / as_scalar(b)).as_fraction() == a / b
+    else:
+        with pytest.raises(ZeroDivisionError):
+            as_scalar(a) / as_scalar(b)
+
+
+# ints, small fractions and the 53-bit dyadic rationals of floats, with
+# zero and negative values among them
+rational_constants = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**12, 10**12).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).map(Fraction),
+)
+
+OPERATORS = {
+    "+": (operator.add, lambda n1, d1, n2, d2: (n1 * d2 + n2 * d1, d1 * d2)),
+    "-": (operator.sub, lambda n1, d1, n2, d2: (n1 * d2 - n2 * d1, d1 * d2)),
+    "*": (operator.mul, lambda n1, d1, n2, d2: (n1 * n2, d1 * d2)),
+    "/": (operator.truediv, lambda n1, d1, n2, d2: (n1 * d2, d1 * n2)),
+}
+
+
+@given(st.sampled_from(sorted(OPERATORS)), rational_constants, rational_constants)
+@settings(max_examples=300, deadline=None)
+def test_constant_arithmetic_matches_the_polynomial_path(symbol, a, b):
+    apply, cross = OPERATORS[symbol]
+    assume(symbol != "/" or b)
+    want = apply(a, b)
+    # the same operation through polynomial arithmetic over the
+    # parameter-free ring, as a parametric operand would take it
+    ints = (_R0(x) for x in (a.numerator, a.denominator, b.numerator, b.denominator))
+    reference = _canonical(*cross(*ints), _R0)
+    for got in (apply(as_scalar(a), as_scalar(b)), apply(a, as_scalar(b))):
+        assert got._num.ring is _R0 and reference._num.ring is _R0
+        assert got._num == reference._num and got._den == reference._den
+        assert got == reference == want
+        assert got.as_fraction() == want
+        assert str(got) == str(reference) == str(want)
+        assert hash(got) == hash(reference) == hash(want)
+        assert got.is_one() == reference.is_one() == (want == 1)
+        assert got.is_zero() == (want == 0)
+        assert got.is_constant()
