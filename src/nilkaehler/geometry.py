@@ -4,6 +4,12 @@ Everything is exact: metrics, Christoffel symbols and curvature live over
 the fraction field provided by ``scalar``.  Index conventions follow the
 rest of the package (0-based, row i of an endomorphism is the image of
 e_i), and the metric is g_ij = sum_s omega_is J_j^s.
+
+Christoffel symbols and curvature are sparse: ``Connection.gamma``,
+``Curvature.up`` and ``Curvature.down`` map index tuples to their nonzero
+components only, and an absent index is a zero component.  The readers
+``Connection.entry``, ``Curvature.up_component`` and
+``Curvature.down_component`` return ``ZERO`` for it.
 """
 
 from __future__ import annotations
@@ -12,15 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
 from .scalar import ZERO, ParamBinding, Scalar
 from .tensors import Endomorphism, TwoForm
 
-Gamma3 = tuple[tuple[tuple[Scalar, ...], ...], ...]
-Up4 = tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]
+Components = Mapping[tuple[int, ...], Scalar]
 
 _HALF = Scalar.from_fraction(Fraction(1, 2))
 
@@ -39,63 +44,43 @@ class Metric:
 
 @dataclass(frozen=True)
 class Connection:
-    """Levi-Civita coefficients gamma[i][j][k] = Gamma_ij^k."""
+    """Levi-Civita coefficients gamma[i, j, k] = Gamma_ij^k, nonzero ones only."""
 
-    gamma: Gamma3
-
-    @property
-    def dim(self) -> int:
-        return len(self.gamma)
+    gamma: Components
 
     def entry(self, i: int, j: int, k: int) -> Scalar:
-        return self.gamma[i][j][k]
-
-    def nonzero(self) -> list[tuple[int, int, int, Scalar]]:
-        n = self.dim
-        return [
-            (i, j, k, self.gamma[i][j][k])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            if not self.gamma[i][j][k].is_zero()
-        ]
+        return self.gamma.get((i, j, k), ZERO)
 
 
 @dataclass(frozen=True)
 class Curvature:
     """The curvature of a metric, every field filled by ``curvature``.
 
-    up[i][j][k][s] = R_ijk^s, down[i][j][k][l] = R_ijkl, ricci[j][k] =
-    Ric_jk and norm = g(R, R).
+    up[i, j, k, s] = R_ijk^s and down[i, j, k, l] = R_ijkl hold the nonzero
+    components only; ricci[j][k] = Ric_jk and norm = g(R, R).
     """
 
-    up: Up4
-    down: Up4
+    up: Components
+    down: Components
     ricci: linalg.Matrix
     norm: Scalar
 
-    @property
-    def dim(self) -> int:
-        return len(self.up)
-
     def up_component(self, i: int, j: int, k: int, s: int) -> Scalar:
-        return self.up[i][j][k][s]
+        return self.up.get((i, j, k, s), ZERO)
 
     def down_component(self, i: int, j: int, k: int, l: int) -> Scalar:
-        return self.down[i][j][k][l]
+        return self.down.get((i, j, k, l), ZERO)
 
     def is_flat(self) -> bool:
-        return all(
-            v.is_zero() for plane in self.up for row in plane for col in row for v in col
-        )
+        return not self.up
 
 
-def _freeze3(a: list) -> Gamma3:
-    return tuple(tuple(tuple(row) for row in plane) for plane in a)
-
-
-def _freeze4(a: list) -> Up4:
-    return tuple(tuple(tuple(tuple(col) for col in row) for row in plane) for plane in a)
+def _accumulate(terms: Iterable[tuple[tuple[int, ...], Scalar]]) -> Components:
+    """Sum the (index, value) terms per index and keep the nonzero sums."""
+    acc: dict[tuple[int, ...], Scalar] = {}
+    for idx, v in terms:
+        acc[idx] = acc[idx] + v if idx in acc else v
+    return {idx: v for idx, v in acc.items() if not v.is_zero()}
 
 
 def metric_from_matrix(rows: Sequence[Sequence]) -> Metric:
@@ -157,45 +142,33 @@ def christoffel(alg: LieAlgebra, metric: Metric) -> Connection:
     if metric.dim != n:
         raise ValueError("metric dimension does not match the algebra")
     g, g_inv = metric.g, metric.g_inv
-    cs = _structure_terms(alg)
 
-    # v[i][j][k] = g_pk C_ij^p + g_pj C_ki^p + g_ip C_kj^p
-    v = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (a, b, p, c) in cs:
-        for t in range(n):
-            if not g[p][t].is_zero():
-                v[a][b][t] = v[a][b][t] + g[p][t] * c      # g_pk C_ij^p
-                v[b][t][a] = v[b][t][a] + g[p][t] * c      # g_pj C_ki^p with (k,i)=(a,b)
-            if not g[t][p].is_zero():
-                v[t][b][a] = v[t][b][a] + g[t][p] * c      # g_ip C_kj^p with (k,j)=(a,b)
+    def v_terms():
+        # v[i, j, k] = g_pk C_ij^p + g_pj C_ki^p + g_ip C_kj^p, g symmetric
+        for (a, b, p, c) in _structure_terms(alg):
+            for t in range(n):
+                if not g[p][t].is_zero():
+                    gc = g[p][t] * c
+                    yield (a, b, t), gc      # g_pk C_ij^p
+                    yield (b, t, a), gc      # g_pj C_ki^p with (k,i)=(a,b)
+                    yield (t, b, a), gc      # g_ip C_kj^p with (k,j)=(a,b)
 
-    gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if v[i][j][k].is_zero():
-                    continue
-                for s in range(n):
-                    if g_inv[k][s].is_zero():
-                        continue
-                    gamma[i][j][s] = gamma[i][j][s] + _HALF * g_inv[k][s] * v[i][j][k]
-    return Connection(gamma=_freeze3(gamma))
+    v = _accumulate(v_terms())
+    return Connection(gamma=_accumulate(
+        ((i, j, s), _HALF * g_inv[k][s] * val)
+        for (i, j, k), val in v.items()
+        for s in range(n)
+        if not g_inv[k][s].is_zero()
+    ))
 
 
 def covariant_derivative(conn: Connection, x: Vector, y: Vector) -> Vector:
     """nabla_X Y by bilinear extension of nabla_{e_i} e_j = Gamma_ij^k e_k."""
-    n = conn.dim
-    out = [ZERO] * n
-    for i, xi in enumerate(x.components):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y.components):
-            if yj.is_zero():
-                continue
-            for k in range(n):
-                gk = conn.gamma[i][j][k]
-                if not gk.is_zero():
-                    out[k] = out[k] + xi * yj * gk
+    out = [ZERO] * x.dim
+    for (i, j, k), v in conn.gamma.items():
+        xi, yj = x.components[i], y.components[j]
+        if not (xi.is_zero() or yj.is_zero()):
+            out[k] = out[k] + xi * yj * v
     return Vector(tuple(out))
 
 
@@ -205,106 +178,67 @@ def curvature(alg: LieAlgebra, conn: Connection, metric: Metric) -> Curvature:
     R_ijk^s = Gamma_ip^s Gamma_jk^p - Gamma_jp^s Gamma_ik^p - C_ij^p Gamma_pk^s,
     then lower_curvature, ricci and curvature_norm.
     """
-    n = conn.dim
     gamma = conn.gamma
-    nz = conn.nonzero()
     by_mid: dict[int, list[tuple[int, int, Scalar]]] = {}
     by_first: dict[int, list[tuple[int, int, Scalar]]] = {}
-    for (i, j, k, val) in nz:
+    for (i, j, k), val in gamma.items():
         by_mid.setdefault(j, []).append((i, k, val))
         by_first.setdefault(i, []).append((j, k, val))
 
-    # T[i][j][k][s] = sum_p Gamma_ip^s Gamma_jk^p
-    T = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (j, k, p, v1) in nz:
-        for (i, s, v2) in by_mid.get(p, ()):
-            T[i][j][k][s] = T[i][j][k][s] + v2 * v1
+    def terms():
+        # Gamma_ip^s Gamma_jk^p, and its negative with i and j swapped
+        for (j, k, p), v1 in gamma.items():
+            for (i, s, v2) in by_mid.get(p, ()):
+                t = v2 * v1
+                yield (i, j, k, s), t
+                yield (j, i, k, s), -t
+        for (a, b, p, c) in _structure_terms(alg):
+            for (k, s, val) in by_first.get(p, ()):
+                yield (a, b, k, s), -(c * val)
 
-    up = [
-        [[[T[i][j][k][s] - T[j][i][k][s] for s in range(n)] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    for (a, b, p, c) in _structure_terms(alg):
-        for (k, s, val) in by_first.get(p, ()):
-            up[a][b][k][s] = up[a][b][k][s] - c * val
-    up = _freeze4(up)
+    up = _accumulate(terms())
     down = lower_curvature(up, metric)
     return Curvature(
-        up=up, down=down, ricci=ricci(up), norm=curvature_norm(down, metric)
+        up=up, down=down, ricci=ricci(up, metric.dim), norm=curvature_norm(down, metric)
     )
 
 
 def apply_curvature(curv: Curvature, x: Vector, y: Vector, z: Vector) -> Vector:
     """R(X, Y)Z as a Vector, by trilinear extension of the up components."""
-    n = curv.dim
-    out = [ZERO] * n
-    for i, xi in enumerate(x.components):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y.components):
-            if yj.is_zero():
-                continue
-            coeff = xi * yj
-            for k, zk in enumerate(z.components):
-                if zk.is_zero():
-                    continue
-                for s in range(n):
-                    v = curv.up[i][j][k][s]
-                    if not v.is_zero():
-                        out[s] = out[s] + coeff * zk * v
+    out = [ZERO] * x.dim
+    for (i, j, k, s), v in curv.up.items():
+        xi, yj, zk = x.components[i], y.components[j], z.components[k]
+        if not (xi.is_zero() or yj.is_zero() or zk.is_zero()):
+            out[s] = out[s] + xi * yj * zk * v
     return Vector(tuple(out))
 
 
-def lower_curvature(up: Up4, metric: Metric) -> Up4:
+def lower_curvature(up: Components, metric: Metric) -> Components:
     """R_ijkl = R_ijk^s g_sl."""
-    n = len(up)
     g = metric.g
-    down = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for s in range(n):
-                    v = up[i][j][k][s]
-                    if v.is_zero():
-                        continue
-                    for l in range(n):
-                        if not g[s][l].is_zero():
-                            down[i][j][k][l] = down[i][j][k][l] + v * g[s][l]
-    return _freeze4(down)
+    return _accumulate(
+        ((i, j, k, l), v * g[s][l])
+        for (i, j, k, s), v in up.items()
+        for l in range(len(g))
+        if not g[s][l].is_zero()
+    )
 
 
-def ricci(up: Up4) -> linalg.Matrix:
-    """Ric_jk = sum_i R_ijk^i."""
-    n = len(up)
-    out = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            total = ZERO
-            for i in range(n):
-                v = up[i][j][k][i]
-                if not v.is_zero():
-                    total = total + v
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+def ricci(up: Components, n: int) -> linalg.Matrix:
+    """Ric_jk = sum_i R_ijk^i, as a dense n x n matrix."""
+    out = [[ZERO] * n for _ in range(n)]
+    for (i, j, k, s), v in up.items():
+        if i == s:
+            out[j][k] = out[j][k] + v
+    return tuple(tuple(row) for row in out)
 
 
-def curvature_norm(down: Up4, metric: Metric) -> Scalar:
+def curvature_norm(down: Components, metric: Metric) -> Scalar:
     """g(R, R) = R_ijkl R_pqrs g^ip g^jq g^kr g^ls."""
-    n = len(down)
     g_inv = metric.g_inv
-    nz = [
-        (i, j, k, l, down[i][j][k][l])
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        for l in range(n)
-        if not down[i][j][k][l].is_zero()
-    ]
     total = ZERO
-    for (i, j, k, l, v1) in nz:
-        for (p, q, r, s, v2) in nz:
+    for (i, j, k, l), v1 in down.items():
+        for (p, q, r, s), v2 in down.items():
             f = g_inv[i][p]
             if f.is_zero():
                 continue
@@ -332,56 +266,49 @@ def full_curvature(alg: LieAlgebra, w: TwoForm, J: Endomorphism) -> tuple[Metric
 
 
 def is_torsion_free(alg: LieAlgebra, conn: Connection) -> bool:
-    """Gamma_ij^k - Gamma_ji^k = C_ij^k for all indices."""
-    n = conn.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = conn.gamma[i][j][k] - conn.gamma[j][i][k]
-                if lhs != alg.structure_constant(i, j, k):
-                    return False
-    return True
+    """Gamma_ij^k - Gamma_ji^k = C_ij^k for all indices.
+
+    Both sides vanish unless Gamma_ij^k, Gamma_ji^k or C_ij^k is nonzero,
+    and swapping i and j negates both, so the stored keys of Gamma and C
+    are the only ones to check.
+    """
+    keys = set(conn.gamma) | {(a, b, p) for (a, b, p, _) in _structure_terms(alg)}
+    return all(
+        conn.entry(i, j, k) - conn.entry(j, i, k) == alg.structure_constant(i, j, k)
+        for (i, j, k) in keys
+    )
 
 
 def is_metric_connection(conn: Connection, metric: Metric) -> bool:
     """nabla g = 0: sum_s (Gamma_ij^s g_sk + Gamma_ik^s g_js) = 0 for all i, j, k."""
-    n = conn.dim
     g = metric.g
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = ZERO
-                for s in range(n):
-                    total = total + conn.gamma[i][j][s] * g[s][k] + conn.gamma[i][k][s] * g[j][s]
-                if not total.is_zero():
-                    return False
-    return True
+
+    def terms():
+        for (i, j, s), v in conn.gamma.items():
+            for k in range(len(g)):
+                if not g[s][k].is_zero():
+                    t = v * g[s][k]
+                    yield (i, j, k), t       # Gamma_ij^s g_sk
+                    yield (i, k, j), t       # Gamma_ik^s g_js with (k,j) swapped, g symmetric
+
+    return not _accumulate(terms())
 
 
 def first_bianchi_holds(curv: Curvature) -> bool:
-    """R_ijk^s + R_jki^s + R_kij^s = 0."""
-    n = curv.dim
-    up = curv.up
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for s in range(n):
-                    if not (up[i][j][k][s] + up[j][k][i][s] + up[k][i][j][s]).is_zero():
-                        return False
-    return True
+    """R_ijk^s + R_jki^s + R_kij^s = 0.
+
+    The cyclic sum is invariant under cycling (i, j, k), and a nonzero sum
+    has a stored term, so checking it at the stored keys is enough.
+    """
+    r = curv.up_component
+    return all(
+        (v + r(j, k, i, s) + r(k, i, j, s)).is_zero() for (i, j, k, s), v in curv.up.items()
+    )
 
 
 def pair_symmetric(curv: Curvature) -> bool:
     """R_ijkl = R_klij on the lowered tensor."""
-    n = curv.dim
-    d = curv.down
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if d[i][j][k][l] != d[k][l][i][j]:
-                        return False
-    return True
+    return all(curv.down_component(k, l, i, j) == v for (i, j, k, l), v in curv.down.items())
 
 
 def signature(metric: Metric | linalg.Matrix, binding: ParamBinding | Mapping | None = None) -> tuple[int, int]:
@@ -510,34 +437,17 @@ def type246_structure_check(
 
 def nonzero_up_components(curv: Curvature) -> list[tuple[tuple[int, int, int, int], Scalar]]:
     """Nonzero R_ijk^s for i < j (the i > j half is the structural negative)."""
-    n = curv.dim
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for s in range(n):
-                    v = curv.up[i][j][k][s]
-                    if not v.is_zero():
-                        out.append(((i, j, k, s), v))
-    return out
+    return [(idx, v) for idx, v in sorted(curv.up.items()) if idx[0] < idx[1]]
 
 
 def nonzero_down_components(curv: Curvature) -> list[tuple[tuple[int, int, int, int], Scalar]]:
     """Nonzero R_ijkl, reduced to i < j and (when the mirror agrees) k < l."""
-    n = curv.dim
-    d = curv.down
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(n):
-                    v = d[i][j][k][l]
-                    if v.is_zero():
-                        continue
-                    if k > l and d[i][j][l][k] == -v:
-                        continue  # reported by its k < l partner
-                    out.append(((i, j, k, l), v))
-    return out
+    return [
+        ((i, j, k, l), v)
+        for (i, j, k, l), v in sorted(curv.down.items())
+        # the k > l entry is reported by its k < l partner when they mirror
+        if i < j and not (k > l and curv.down_component(i, j, l, k) == -v)
+    ]
 
 
 def curvature_report(curv: Curvature) -> dict:

@@ -246,7 +246,12 @@ def ascending_series(
 
     With ``twist`` (a matrix P acting on column vectors) each term also
     asks [P X, g] in g_{k-1}; P = J^T gives the J-twisted series.
+
+    The structure constants and the twist must be free of parameters: the
+    terms rest on rank decisions that a parameter value can change, so a
+    free one raises ValueError rather than being assumed generic.
     """
+    linalg.require_bound([*(row.values() for row in alg._table.values()), *(twist or ())])
     series: list[linalg.Span] = []
     prev = linalg.Span((), ())
     while len(prev) < alg.dim:

@@ -177,6 +177,13 @@ class Span:
         return all(x.is_zero() for x in rest)
 
 
+def require_bound(rows: Iterable[Iterable[Scalar]]) -> None:
+    """Raise ValueError naming the free parameters of the entries, if any."""
+    free = set().union(*(x.free_params() for row in rows for x in row))
+    if free:
+        raise ValueError(f"unbound parameters: {', '.join(sorted(free))}")
+
+
 def span(rows: Iterable[Iterable[Scalar]]) -> Span:
     """The span of the given constant rows, reduced by one ``rref``.
 
@@ -184,9 +191,7 @@ def span(rows: Iterable[Iterable[Scalar]]) -> Span:
     refused rather than assumed generic.
     """
     mat = tuple(tuple(row) for row in rows)
-    free = set().union(*(x.free_params() for row in mat for x in row))
-    if free:
-        raise ValueError(f"unbound parameters: {', '.join(sorted(free))}")
+    require_bound(mat)
     reduced, pivots, _ = rref(mat)
     return Span(reduced[: len(pivots)], pivots)
 

@@ -353,11 +353,10 @@ class Scalar:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, str)):
-            try:
-                other = as_scalar(other)
-            except (ValueError, ZeroDivisionError):
-                return NotImplemented
+        # a str is not parsed here: it could never hash as the Scalar it names;
+        # a bool is no Scalar value (see as_scalar), so it compares unequal
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            other = as_scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         if self._num.ring is not other._num.ring:

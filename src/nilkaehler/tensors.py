@@ -308,13 +308,9 @@ def is_integrable(alg: LieAlgebra, J: Endomorphism) -> bool:
 def j_ascending_series(alg: LieAlgebra, J: Endomorphism) -> list[linalg.Span]:
     """a_l(J) = {X : [X, g] and [JX, g] both lie in a_{l-1}(J)}.
 
-    Needs a fully bound J: subspace extraction makes rank decisions that
-    are not well defined with free parameters in the matrix.
+    Needs a fully bound J: ``liealg.ascending_series`` raises ValueError on
+    a free parameter.
     """
-    if J.free_params():
-        raise ValueError(
-            f"unbound parameters: {', '.join(sorted(J.free_params()))}"
-        )
     return liealg.ascending_series(alg, twist=linalg.transpose(J.rows))
 
 

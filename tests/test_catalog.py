@@ -223,11 +223,7 @@ class TestDenominatorsCovered:
                     stored |= set(_factors(parse_expr(cond)._num))
                 metric, conn, curv = curvatures[name, s.id]
                 values = [x for row in s.J.rows + metric.g_inv for x in row]
-                values += [x for t in conn.gamma for row in t for x in row]
-                values += [
-                    x for up in (curv.up, curv.down)
-                    for t in up for plane in t for row in plane for x in row
-                ]
+                values += [*conn.gamma.values(), *curv.up.values(), *curv.down.values()]
                 for den in {x._den for x in values}:
                     for expr, f in _factors(den).items():
                         if expr not in stored:

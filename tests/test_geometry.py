@@ -1,9 +1,11 @@
 import random
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 
 from nilkaehler import catalog, linalg
 from nilkaehler.geometry import (
+    Connection,
     associated_metric,
     apply_curvature,
     christoffel,
@@ -152,7 +154,7 @@ class TestChristoffel:
     def test_abelian_connection_vanishes(self):
         m = associated_metric(W_STD, J_STD)
         conn = christoffel(ABELIAN, m)
-        assert conn.nonzero() == []
+        assert conn.gamma == {}
 
     def test_g21_frozen_table(self):
         # canonical structure at psi11=0, psi12=-1; all six nonzero entries
@@ -166,7 +168,7 @@ class TestChristoffel:
             (3, 0, 5): -1,
             (3, 1, 4): -1,
         }
-        got = {(i, j, k): v for (i, j, k, v) in conn.nonzero()}
+        got = conn.gamma
         assert set(got) == set(expected)
         for key, value in expected.items():
             assert got[key] == as_scalar(value)
@@ -267,7 +269,7 @@ class TestCurvature:
     def test_full_curvature_fills_everything(self):
         m, conn, curv = full_curvature(G21, W2_G21, J21_FAMILY)
         assert curv.down == lower_curvature(curv.up, m)
-        assert curv.ricci == ricci(curv.up)
+        assert curv.ricci == ricci(curv.up, m.dim)
         assert curv.norm == curvature_norm(curv.down, m)
         assert curv.norm.is_zero()
 
@@ -279,6 +281,37 @@ class TestCurvature:
         assert v.components[5] == sc("psi11^2+1")
         # first argument from the center kills everything
         assert apply_curvature(curv, G21.basis_vector(4), e1, e2).is_zero()
+
+
+class TestInvariantChecksCatchOneEntry:
+    """On g21 J1 each invariant check holds, and fails after one entry changes."""
+
+    def test_torsion_and_metric_connection(self, curvatures):
+        metric, conn, _ = curvatures["g21", "J1"]
+        alg = catalog.get("g21").algebra
+        assert is_torsion_free(alg, conn) and is_metric_connection(conn, metric)
+        key = next(k for k in conn.gamma if k[0] != k[1])
+        bad = Connection({**conn.gamma, key: conn.gamma[key] + 1})
+        assert not is_torsion_free(alg, bad)
+        assert not is_metric_connection(bad, metric)
+
+    def test_first_bianchi(self, curvatures):
+        _, _, curv = curvatures["g21", "J1"]
+        assert first_bianchi_holds(curv)
+        up = {**curv.up,
+              (0, 1, 2, 3): curv.up_component(0, 1, 2, 3) + 1,
+              (1, 0, 2, 3): curv.up_component(1, 0, 2, 3) - 1}
+        assert not first_bianchi_holds(replace(curv, up=up))
+
+    def test_pair_symmetry(self, curvatures):
+        _, _, curv = curvatures["g21", "J1"]
+        assert pair_symmetric(curv)
+
+        def without(key):
+            return replace(curv, down={k: v for k, v in curv.down.items() if k != key})
+
+        assert not pair_symmetric(without((0, 1, 1, 0)))  # its pair (1, 0, 0, 1) stays
+        assert pair_symmetric(without((0, 1, 0, 1)))  # its own pair
 
 
 class TestSignature:
@@ -387,9 +420,13 @@ FAMILIES = [(n, s.id) for n in catalog.NAMES for s in catalog.get(n).structures]
 
 
 def _bind(value, binding):
-    # substitute into a Scalar or into nested tuples of them
+    # substitute into a Scalar, into nested tuples of them, or into the
+    # nonzero components of a sparse tensor (dropping those that vanish)
     if isinstance(value, Scalar):
         return value.substitute(binding)
+    if isinstance(value, dict):
+        bound = {idx: v.substitute(binding) for idx, v in value.items()}
+        return {idx: v for idx, v in bound.items() if not v.is_zero()}
     return tuple(_bind(v, binding) for v in value)
 
 
@@ -415,6 +452,10 @@ class TestBindingCommutesWithThePipeline:
         params = sorted(s.J.free_params() | f.form.free_params())
         seeded = _admissible_binding(random.Random(f"{name}/{sid}"), params, conditions)
         metric, conn, curv = curvatures[name, sid]
+        for tensor in (conn.gamma, curv.up, curv.down):
+            assert not any(v.is_zero() for v in tensor.values())
+            assert all(t in range(6) for idx in tensor for t in idx)
+        assert all(curv.up_component(j, i, k, t) == -v for (i, j, k, t), v in curv.up.items())
         for binding in (s.binding(), seeded):
             bound_metric, bound_conn, bound_curv = full_curvature(
                 entry.algebra, f.form.substitute(binding), s.J.substitute(binding))

@@ -110,6 +110,13 @@ class TestSeries:
         assert algebra_type(G18) == (3, 6)
         assert algebra_type(ABELIAN) == (6,)
 
+    def test_symbolic_algebra_rejected(self):
+        # [e1, e2] = a e3 is abelian at a = 0, so no single type is right
+        alg = LieAlgebra.from_terms(3, [(1, 2, 3, "a")])
+        for series_of in (ascending_series, algebra_type, center):
+            with pytest.raises(ValueError, match="unbound parameters: a"):
+                series_of(alg)
+
     def test_center_g21(self):
         z = center(G21)
         assert len(z) == 2

@@ -195,6 +195,17 @@ def test_constants_hash_as_the_equal_number():
     assert {Fraction(1, 2): "half"}.get(parse_expr("2/4")) == "half"
 
 
+def test_a_scalar_never_equals_a_string_or_bool():
+    # == does not parse: a string never hashes as the Scalar it names
+    x = parse_expr("x")
+    assert x != "x" and as_scalar(3) != "3"
+    assert len({x, "x"}) == 2
+    assert {"x": 1}.get(x) is None
+    assert as_scalar(3) == 3 and hash(as_scalar(3)) == hash(3)
+    # a bool is not a Scalar value: unequal, and no TypeError from ==
+    assert as_scalar(1) != True and True not in {as_scalar(1)}  # noqa: E712
+
+
 def test_as_fraction_round_trip():
     assert as_scalar(Fraction(-7, 3)).as_fraction() == Fraction(-7, 3)
     with pytest.raises(ValueError):
