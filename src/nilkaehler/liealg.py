@@ -228,13 +228,16 @@ def _membership_constraints(
         b = [[alg.structure_constant(i, j, m) for i in range(n)] for m in range(n)]
         if pre is not None:
             b = [list(r) for r in linalg.mat_mul(tuple(tuple(r) for r in b), pre)]
-        # residual of B x after clearing against the subspace pivots
+        # residual of B x after clearing against the subspace pivots,
+        # touching only entries where both factors are nonzero
         for basis_row, pc in zip(subspace.rows, subspace.pivots):
-            coeff_row = b[pc]
-            b = [
-                [b[m][i] - basis_row[m] * coeff_row[i] for i in range(n)]
-                for m in range(n)
-            ]
+            coeffs = [(i, c) for i, c in enumerate(b[pc]) if not c.is_zero()]
+            for m, x in enumerate(basis_row):
+                if x.is_zero():
+                    continue
+                row = b[m]
+                for i, c in coeffs:
+                    row[i] = row[i] - x * c
         rows.extend(tuple(row) for row in b)
     return tuple(rows)
 

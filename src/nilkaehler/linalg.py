@@ -92,6 +92,8 @@ class SideConditions:
     def require_nonzero(self, value: Scalar) -> None:
         # a quotient is nonzero exactly when the primitive part of its
         # numerator is; a part free of parameters never vanishes
+        if not value.free_params():
+            return
         _, prim = value._num.primitive()
         poly = _canonical(-prim if prim.LC < 0 else prim, prim.ring.one, prim.ring)
         if poly.free_params() and poly not in self._seen:

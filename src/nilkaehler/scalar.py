@@ -8,14 +8,15 @@ set of named parameters, held in a canonical reduced form:
 * zero is 0/1,
 * the underlying polynomial ring mentions exactly the parameters that occur.
 
-Equality, hashing and ``is_zero`` are therefore decidable by direct
-comparison of the stored polynomials.  A rational constant hashes as the
-equal ``int`` or ``Fraction`` does.
+A rational constant (no parameter and no ``s``) is stored as two Python
+ints, numerator and denominator in lowest terms with a positive
+denominator, and never as polynomials.  Its ``+``, ``-``, ``*`` and ``/``
+with another constant use ints and ``math.gcd``; an operation with a
+parametric value puts it into that value's polynomial ring.
 
-Rational constants (no parameter and no ``s``) are added, subtracted,
-multiplied and divided with Python ints and ``math.gcd``, not with
-polynomial arithmetic; the result is stored in the same canonical form
-over the parameter-free ring.
+Equality, hashing and ``is_zero`` are therefore decidable by direct
+comparison of the stored ints or polynomials.  A rational constant hashes
+as the equal ``int`` or ``Fraction`` does.
 
 The name ``s`` is reserved: it stands for the square root of two.  Every
 result is reduced via s^2 -> 2, and denominators are rationalized so they
@@ -117,11 +118,13 @@ def _canonical(num, den, R) -> "Scalar":
     if den.LC < 0:
         num, den = -num, -den
     num, den, R = _shrink(num, den, R)
-    return Scalar._make(num, den)
+    if not R._scalar_names:
+        return Scalar._const(int(num[()]), int(den[()]))
+    return Scalar._poly(num, den)
 
 
 def _rational(n: int, d: int) -> "Scalar":
-    # n/d (d != 0) in the canonical form _canonical gives a rational constant
+    # n/d (d != 0) reduced to lowest terms with a positive denominator
     if not n:
         return ZERO
     g = math.gcd(n, d)
@@ -130,42 +133,54 @@ def _rational(n: int, d: int) -> "Scalar":
     if g != 1:
         n //= g
         d //= g
-    return Scalar._make(_R0.dtype({(): n}), _R0.one if d == 1 else _R0.dtype({(): d}))
+    return Scalar._const(n, d)
 
 
-def _rational_ints(a: "Scalar", b: "Scalar"):
-    # (n1, d1, n2, d2) when a = n1/d1 and b = n2/d2 are rational constants
-    if a._num.ring is _R0 and b._num.ring is _R0:
-        return a._num.get((), 0), a._den[()], b._num.get((), 0), b._den[()]
-    return None
+def _in_ring(x: "Scalar", R):
+    # numerator and denominator of x as polynomials over R
+    if x._p is None:
+        return R.ground_new(x._n), R.ground_new(x._d)
+    if x._p.ring is R:
+        return x._p, x._q
+    return x._p.set_ring(R), x._q.set_ring(R)
 
 
 def _unify(a: "Scalar", b: "Scalar"):
-    Ra = a._num.ring
-    Rb = b._num.ring
-    if Ra is Rb:
-        return a._num, a._den, b._num, b._den, Ra
-    names = tuple(sorted(set(Ra._scalar_names) | set(Rb._scalar_names)))
-    R = _ring_for(names)
-    return (
-        a._num.set_ring(R),
-        a._den.set_ring(R),
-        b._num.set_ring(R),
-        b._den.set_ring(R),
-        R,
-    )
+    # a and b over one ring; at least one of them is parametric
+    if a._p is None:
+        R = b._p.ring
+    elif b._p is None or b._p.ring is a._p.ring:
+        R = a._p.ring
+    else:
+        R = _ring_for(tuple(sorted(
+            set(a._p.ring._scalar_names) | set(b._p.ring._scalar_names))))
+    return (*_in_ring(a, R), *_in_ring(b, R), R)
 
 
 class Scalar:
-    """Immutable exact rational function; see module docstring."""
+    """Immutable exact rational function; see module docstring.
 
-    __slots__ = ("_num", "_den", "_hash")
+    A rational constant is the ints ``_n``/``_d`` with ``_p is None``; any
+    other value is the polynomials ``_p``/``_q`` with ``_n`` and ``_d`` None.
+    """
+
+    __slots__ = ("_n", "_d", "_p", "_q", "_hash")
 
     @classmethod
-    def _make(cls, num, den) -> "Scalar":
+    def _const(cls, n: int, d: int) -> "Scalar":
         self = object.__new__(cls)
-        self._num = num
-        self._den = den
+        self._n = n
+        self._d = d
+        self._p = self._q = None
+        self._hash = None
+        return self
+
+    @classmethod
+    def _poly(cls, num, den) -> "Scalar":
+        self = object.__new__(cls)
+        self._n = self._d = None
+        self._p = num
+        self._q = den
         self._hash = None
         return self
 
@@ -183,7 +198,7 @@ class Scalar:
         if not name.isidentifier():
             raise ValueError(f"not a valid parameter name: {name!r}")
         R = _ring_for((name,))
-        return cls._make(R.gens[0], R.one)
+        return cls._poly(R.gens[0], R.one)
 
     @classmethod
     def sqrt2(cls) -> "Scalar":
@@ -191,25 +206,36 @@ class Scalar:
 
     # -- inspection ----------------------------------------------------
 
+    @property
+    def _num(self):
+        """Numerator polynomial; built over the parameter-free ring for a constant."""
+        return _R0.ground_new(self._n) if self._p is None else self._p
+
+    @property
+    def _den(self):
+        """Denominator polynomial; built over the parameter-free ring for a constant."""
+        return _R0.ground_new(self._d) if self._p is None else self._q
+
     def is_zero(self) -> bool:
-        return not self._num
+        return self._n == 0
 
     def is_one(self) -> bool:
-        return (self._num.ring is _R0 and self._num.get(()) == 1
-                and self._den[()] == 1)
+        return self._n == 1 and self._d == 1
 
     def is_constant(self) -> bool:
         """True when no parameter occurs (the reserved ``s`` counts as one)."""
-        return not self._num.ring._scalar_names
+        return self._p is None
 
     def free_params(self) -> frozenset[str]:
         """Bindable parameter names occurring in this value (``s`` excluded)."""
-        return frozenset(n for n in self._num.ring._scalar_names if n != SQRT2_NAME)
+        if self._p is None:
+            return frozenset()
+        return frozenset(n for n in self._p.ring._scalar_names if n != SQRT2_NAME)
 
     def as_fraction(self) -> Fraction:
-        if not self.is_constant():
+        if self._p is not None:
             raise ValueError(f"not a rational constant: {self}")
-        return Fraction(self._num.get((), 0), self._den[()])
+        return Fraction(self._n, self._d)
 
     def sign(self) -> int:
         """-1, 0 or 1 for a constant a + b*sqrt(2); parameters raise ValueError.
@@ -220,10 +246,12 @@ class Scalar:
         sign of the term with the larger square, a^2 against 2 b^2; these
         never tie because sqrt(2) is irrational.
         """
+        if self._p is None:
+            return (self._n > 0) - (self._n < 0)
         if self.free_params():
             raise ValueError(f"sign of a parametric value: {self}")
         a = b = 0
-        for monom, coeff in self._num.terms():
+        for monom, coeff in self._p.terms():
             if any(monom):
                 b = int(coeff)
             else:
@@ -237,13 +265,12 @@ class Scalar:
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         other = as_scalar(other)
-        if self.is_zero():
+        if self._n == 0:
             return other
-        if other.is_zero():
+        if other._n == 0:
             return self
-        if q := _rational_ints(self, other):
-            n1, d1, n2, d2 = q
-            return _rational(n1 * d2 + n2 * d1, d1 * d2)
+        if self._p is None and other._p is None:
+            return _rational(self._n * other._d + other._n * self._d, self._d * other._d)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * d2 + n2 * d1, d1 * d2, R)
 
@@ -251,11 +278,10 @@ class Scalar:
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         other = as_scalar(other)
-        if other.is_zero():
+        if other._n == 0:
             return self
-        if q := _rational_ints(self, other):
-            n1, d1, n2, d2 = q
-            return _rational(n1 * d2 - n2 * d1, d1 * d2)
+        if self._p is None and other._p is None:
+            return _rational(self._n * other._d - other._n * self._d, self._d * other._d)
         return self + (-other)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
@@ -263,15 +289,14 @@ class Scalar:
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         other = as_scalar(other)
-        if self.is_zero() or other.is_zero():
+        if self._n == 0 or other._n == 0:
             return ZERO
         if self.is_one():
             return other
         if other.is_one():
             return self
-        if q := _rational_ints(self, other):
-            n1, d1, n2, d2 = q
-            return _rational(n1 * n2, d1 * d2)
+        if self._p is None and other._p is None:
+            return _rational(self._n * other._n, self._d * other._d)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * n2, d1 * d2, R)
 
@@ -279,15 +304,14 @@ class Scalar:
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         other = as_scalar(other)
-        if other.is_zero():
+        if other._n == 0:
             raise ZeroDivisionError("division by zero Scalar")
         if other.is_one():
             return self
-        if self.is_zero():
+        if self._n == 0:
             return ZERO
-        if q := _rational_ints(self, other):
-            n1, d1, n2, d2 = q
-            return _rational(n1 * d2, d1 * n2)
+        if self._p is None and other._p is None:
+            return _rational(self._n * other._d, self._d * other._n)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * d2, d1 * n2, R)
 
@@ -295,9 +319,9 @@ class Scalar:
         return as_scalar(other) / self
 
     def __neg__(self) -> "Scalar":
-        if self.is_zero():
-            return ZERO
-        return Scalar._make(-self._num, self._den)
+        if self._p is None:
+            return Scalar._const(-self._n, self._d) if self._n else ZERO
+        return Scalar._poly(-self._p, self._q)
 
     def __pos__(self) -> "Scalar":
         return self
@@ -311,38 +335,45 @@ class Scalar:
             return ONE
         if exponent == 1:
             return self
-        R = self._num.ring
-        return _canonical(self._num**exponent, self._den**exponent, R)
+        if self._p is None:
+            # powers of coprime ints stay coprime, and d > 0
+            return Scalar._const(self._n**exponent, self._d**exponent)
+        return _canonical(self._p**exponent, self._q**exponent, self._p.ring)
 
     # -- substitution and evaluation ------------------------------------
 
     def substitute(self, binding: "ParamBinding | Mapping") -> "Scalar":
         """Exact substitution of rational values; unbound parameters stay."""
         binding = ParamBinding.coerce(binding)
-        relevant = {
-            n: binding[n] for n in self._num.ring._scalar_names if n in binding
-        }
+        if self._p is None:
+            return self
+        names = self._p.ring._scalar_names
+        relevant = {n: binding[n] for n in names if n in binding}
         if not relevant:
             return self
-        num_p, num_d = _substitute_poly(self._num, relevant)
-        den_p, den_d = _substitute_poly(self._den, relevant)
-        if not den_p:
+        num, num_d = _substitute_poly(self._p, relevant)
+        den, den_d = _substitute_poly(self._q, relevant)
+        if not den:
             raise ZeroDivisionError(
-                f"denominator {_poly_text(self._den)} vanishes under binding"
+                f"denominator {_poly_text(self._q)} vanishes under binding"
             )
-        R = num_p.ring
-        return _canonical(num_p * den_d, den_p * num_d, R)
+        if len(relevant) == len(names):
+            return _rational(num.get((), 0) * den_d, den[()] * num_d)
+        R = _ring_for(tuple(n for n in names if n not in relevant))
+        return _canonical(R.from_dict(num) * den_d, R.from_dict(den) * num_d, R)
 
     def evaluate(self, binding: "ParamBinding | Mapping | None" = None) -> float:
         """Float value; every parameter must be bound (``s`` is sqrt(2))."""
+        if self._p is None:
+            return self._n / self._d
         binding = ParamBinding.coerce(binding or {})
         missing = self.free_params() - set(binding)
         if missing:
             raise ValueError(f"unbound parameters: {sorted(missing)}")
         values = {n: float(binding[n]) for n in binding}
         values[SQRT2_NAME] = math.sqrt(2.0)
-        num = _eval_poly(self._num, values)
-        den = _eval_poly(self._den, values)
+        num = _eval_poly(self._p, values)
+        den = _eval_poly(self._q, values)
         if den == 0.0:
             raise ZeroDivisionError("denominator vanishes under binding")
         return num / den
@@ -359,20 +390,21 @@ class Scalar:
             other = as_scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self._num.ring is not other._num.ring:
-            return False
-        return self._num == other._num and self._den == other._den
+        if self._p is None or other._p is None:
+            return self._p is other._p and self._n == other._n and self._d == other._d
+        return (self._p.ring is other._p.ring
+                and self._p == other._p and self._q == other._q)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            if self._num.ring is _R0:
+            if self._p is None:
                 # equal to an int or Fraction, so it must hash as one
-                self._hash = hash(self.as_fraction())
+                self._hash = hash(self._n if self._d == 1 else Fraction(self._n, self._d))
             else:
                 self._hash = hash((
-                    self._num.ring._scalar_names,
-                    tuple((m, int(c)) for m, c in self._num.terms()),
-                    tuple((m, int(c)) for m, c in self._den.terms()),
+                    self._p.ring._scalar_names,
+                    tuple((m, int(c)) for m, c in self._p.terms()),
+                    tuple((m, int(c)) for m, c in self._q.terms()),
                 ))
         return self._hash
 
@@ -382,13 +414,15 @@ class Scalar:
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
-        num = _poly_text(self._num)
-        if self._den == 1:
+        if self._p is None:
+            return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
+        num = _poly_text(self._p)
+        if self._q == 1:
             return num
-        if len(self._num) > 1:
+        if len(self._p) > 1:
             num = f"({num})"
-        den = _poly_text(self._den)
-        if not _atomic_denominator(self._den):
+        den = _poly_text(self._q)
+        if not _atomic_denominator(self._q):
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -396,8 +430,8 @@ class Scalar:
         return f"Scalar({str(self)!r})"
 
 
-ZERO = Scalar._make(_R0.zero, _R0.one)
-ONE = Scalar._make(_R0.one, _R0.one)
+ZERO = Scalar._const(0, 1)
+ONE = Scalar._const(1, 1)
 
 
 def as_scalar(value: ScalarLike) -> Scalar:
@@ -416,26 +450,27 @@ def as_scalar(value: ScalarLike) -> Scalar:
 
 
 def _substitute_poly(p, bind: dict[str, Fraction]):
-    """Return (polynomial over the remaining parameters, common denominator)."""
+    """Put the rationals of ``bind`` into p.
+
+    Returns (integer coefficients by monomial in the unbound parameters,
+    common denominator).  Each bound value a/b is scaled by b to the
+    parameter's top degree in p, so every coefficient is an int.
+    """
     names = p.ring._scalar_names
-    kept = tuple(n for n in names if n not in bind)
-    target = _ring_for(kept)
+    bound = [(i, bind[n].numerator, bind[n].denominator)
+             for i, n in enumerate(names) if n in bind]
     kept_pos = [i for i, n in enumerate(names) if n not in bind]
-    acc: dict[tuple, Fraction] = {}
+    top = {i: max(m[i] for m in p.itermonoms()) for i, _, _ in bound}
+    acc: dict[tuple, int] = {}
     for monom, coeff in p.terms():
-        c = Fraction(int(coeff))
-        for i, n in enumerate(names):
+        c = int(coeff)
+        for i, a, b in bound:
             e = monom[i]
-            if e and n in bind:
-                c *= bind[n] ** e
+            c *= a**e * b ** (top[i] - e)
         key = tuple(monom[i] for i in kept_pos)
-        acc[key] = acc.get(key, Fraction(0)) + c
-    acc = {m: c for m, c in acc.items() if c}
-    common = math.lcm(*(c.denominator for c in acc.values())) if acc else 1
-    poly = target.from_dict(
-        {m: int(c * common) for m, c in acc.items()}
-    )
-    return poly, target(common)
+        acc[key] = acc.get(key, 0) + c
+    common = math.prod(b ** top[i] for i, _, b in bound)
+    return {m: c for m, c in acc.items() if c}, common
 
 
 def _eval_poly(p, values: dict[str, float]) -> float:

@@ -239,3 +239,13 @@ def test_signature_is_congruence_invariant(signs, a, c):
     prod = linalg.mat_mul(linalg.transpose(b), linalg.mat_mul(d, b))
     expected = (signs.count(1), signs.count(-1))
     assert linalg.symmetric_signature(prod) == expected
+
+
+@pytest.mark.parametrize("text", ["3", "-2/5", "s", "1 + s", "s/2 - 3"])
+def test_constant_pivots_give_no_condition(text):
+    # a value free of parameters (sqrt(2) included) never vanishes
+    conditions = linalg.SideConditions()
+    conditions.require_nonzero(parse_expr(text))
+    assert len(conditions) == 0
+    m = linalg.as_matrix([[text, 1], [0, "x"]])
+    assert [str(c) for c in linalg.rref(m)[2]] == ["x"]

@@ -332,3 +332,37 @@ def test_constant_arithmetic_matches_the_polynomial_path(symbol, a, b):
         assert got.is_one() == reference.is_one() == (want == 1)
         assert got.is_zero() == (want == 0)
         assert got.is_constant()
+
+
+@given(rational_constants)
+@settings(max_examples=100, deadline=None)
+def test_rational_constants_are_stored_as_ints(c):
+    # whatever path makes a rational constant, it is held as two ints and
+    # never as polynomials, and reads the same as the int or Fraction
+    a = Scalar.param("a")
+    results = [
+        ((a + c) - a, c),
+        ((c * a) / a, c),
+        ((c * a / (a + 1)).substitute({"a": 1}) * 2, c),
+        (parse_expr("a^2 - a*a + 3/2"), Fraction(3, 2)),
+        (Scalar.sqrt2() * Scalar.sqrt2(), Fraction(2)),
+        (Scalar.sqrt2() * Scalar.sqrt2() / 2, Fraction(1)),
+    ]
+    for got, want in results:
+        assert got._p is None and got._q is None
+        assert got == as_scalar(want) == want
+        assert hash(got) == hash(as_scalar(want)) == hash(want)
+        assert str(got) == str(as_scalar(want)) == str(want)
+        assert got.as_fraction() == want
+        assert got.is_constant() and not got.free_params()
+        # the polynomial view that printing and tracing code reads
+        assert got._num.ring is _R0 and got._den.ring is _R0
+        assert got._num == _R0(want.numerator) and got._den == _R0(want.denominator)
+
+
+def test_a_constant_times_a_parameter_is_the_parsed_product():
+    a = Scalar.param("a")
+    assert a * 2 == 2 * a == parse_expr("2*a")
+    assert hash(a * 2) == hash(parse_expr("2*a"))
+    assert (a * 2)._p is not None
+    assert a / Fraction(1, 2) - a == a
