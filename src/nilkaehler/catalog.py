@@ -161,7 +161,7 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
             StructureEntry(
                 id=s["id"],
                 form_id=s["form"],
-                J=Endomorphism(s["J"]["rows"]),
+                J=Endomorphism.from_json_dict(s["J"]),
                 params=tuple(s["params"]),
                 side_conditions=tuple(s["side_conditions"]),
                 canonical_binding=dict(s["canonical_binding"]),
@@ -169,9 +169,19 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
             )
             for s in obj["structures"]
         )
+        algebra = LieAlgebra.from_json_dict(obj["algebra"])
+        form_ids = {f.id for f in forms}
+        for f in forms:
+            if f.form.dim != algebra.dim:
+                raise ValueError(f"form {f.id} has dimension {f.form.dim}, not {algebra.dim}")
+        for s in structures:
+            if s.form_id not in form_ids:
+                raise ValueError(f"structure {s.id} is on the unknown form {s.form_id!r}")
+            if s.J.dim != algebra.dim:
+                raise ValueError(f"structure {s.id} has dimension {s.J.dim}, not {algebra.dim}")
         return CatalogEntry(
             name=obj["name"],
-            algebra=LieAlgebra.from_json_dict(obj["algebra"]),
+            algebra=algebra,
             forms=forms,
             structures=structures,
             notes=obj["notes"],
@@ -245,7 +255,7 @@ def _validate_structure(
     checks: list[tuple[str, bool]] = []
     w = entry.form(s.form_id).form
     report = solver.verify_family(entry.algebra, w, s.J, s.side_conditions)
-    for residual in ("compatibility", "almost_complex", "integrability"):
+    for residual in report.checked:
         checks.append((f"{s.id} {residual}", residual not in report.failures))
     if not report.ok:
         return checks

@@ -278,11 +278,10 @@ def cmd_curvature(args) -> int:
         binding = _parse_binding(args.bind, frozenset(s.params))
         _check_side_conditions(s.side_conditions, binding)
         _, _, curv = geometry.full_curvature(e.algebra, fe.form, s.J)
+        if binding:
+            curv = curv.substitute(binding)
         report = geometry.curvature_report(curv)
         if binding:
-            for row in report["nonzero_up"] + report["nonzero_down"]:
-                value = parse_expr(row["value"]).substitute(binding)
-                row["value"] = str(value)
             report["binding"] = {k: str(v) for k, v in sorted(binding.items())}
         report["entry"] = e.name
         report["form"] = fe.id

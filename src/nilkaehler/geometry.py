@@ -5,11 +5,12 @@ the fraction field provided by ``scalar``.  Index conventions follow the
 rest of the package (0-based, row i of an endomorphism is the image of
 e_i), and the metric is g_ij = sum_s omega_is J_j^s.
 
-Christoffel symbols and curvature are sparse: ``Connection.gamma``,
-``Curvature.up`` and ``Curvature.down`` map index tuples to their nonzero
-components only, and an absent index is a zero component.  The readers
-``Connection.entry``, ``Curvature.up_component`` and
-``Curvature.down_component`` return ``ZERO`` for it.
+Christoffel symbols and curvature are ``linalg.Components``, as the
+structure constants are: ``Connection.gamma``, ``Curvature.up`` and
+``Curvature.down`` map index tuples to their nonzero components only, and
+an absent index is a zero component.  The readers ``Connection.entry``,
+``Curvature.up_component`` and ``Curvature.down_component`` return
+``ZERO`` for it.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
+from .linalg import Components, _accumulate
 from .scalar import ZERO, ParamBinding, Scalar
 from .tensors import Endomorphism, TwoForm
-
-Components = Mapping[tuple[int, ...], Scalar]
 
 _HALF = Scalar.from_fraction(Fraction(1, 2))
 
@@ -74,13 +74,18 @@ class Curvature:
     def is_flat(self) -> bool:
         return not self.up
 
+    def substitute(self, binding: ParamBinding) -> "Curvature":
+        """Every field at ``binding``; components that vanish there are dropped."""
 
-def _accumulate(terms: Iterable[tuple[tuple[int, ...], Scalar]]) -> Components:
-    """Sum the (index, value) terms per index and keep the nonzero sums."""
-    acc: dict[tuple[int, ...], Scalar] = {}
-    for idx, v in terms:
-        acc[idx] = acc[idx] + v if idx in acc else v
-    return {idx: v for idx, v in acc.items() if not v.is_zero()}
+        def bind(components: Components) -> Components:
+            return _accumulate((idx, v.substitute(binding)) for idx, v in components.items())
+
+        return Curvature(
+            up=bind(self.up),
+            down=bind(self.down),
+            ricci=tuple(tuple(x.substitute(binding) for x in row) for row in self.ricci),
+            norm=self.norm.substitute(binding),
+        )
 
 
 def metric_from_matrix(rows: Sequence[Sequence]) -> Metric:
@@ -122,16 +127,6 @@ def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
     return Metric(g=g, g_inv=g_inv)
 
 
-def _structure_terms(alg: LieAlgebra) -> list[tuple[int, int, int, Scalar]]:
-    # full sparse table (i, j, p, C_ij^p) including the antisymmetric images
-    out = []
-    for (a, b) in alg.nonzero_pairs():
-        for p, c in alg.bracket_basis(a, b).items():
-            out.append((a, b, p, c))
-            out.append((b, a, p, -c))
-    return out
-
-
 def christoffel(alg: LieAlgebra, metric: Metric) -> Connection:
     """Levi-Civita coefficients for left-invariant fields.
 
@@ -145,7 +140,7 @@ def christoffel(alg: LieAlgebra, metric: Metric) -> Connection:
 
     def v_terms():
         # v[i, j, k] = g_pk C_ij^p + g_pj C_ki^p + g_ip C_kj^p, g symmetric
-        for (a, b, p, c) in _structure_terms(alg):
+        for (a, b, p), c in alg.constants.items():
             for t in range(n):
                 if not g[p][t].is_zero():
                     gc = g[p][t] * c
@@ -192,7 +187,7 @@ def curvature(alg: LieAlgebra, conn: Connection, metric: Metric) -> Curvature:
                 t = v2 * v1
                 yield (i, j, k, s), t
                 yield (j, i, k, s), -t
-        for (a, b, p, c) in _structure_terms(alg):
+        for (a, b, p), c in alg.constants.items():
             for (k, s, val) in by_first.get(p, ()):
                 yield (a, b, k, s), -(c * val)
 
@@ -272,7 +267,7 @@ def is_torsion_free(alg: LieAlgebra, conn: Connection) -> bool:
     and swapping i and j negates both, so the stored keys of Gamma and C
     are the only ones to check.
     """
-    keys = set(conn.gamma) | {(a, b, p) for (a, b, p, _) in _structure_terms(alg)}
+    keys = set(conn.gamma) | set(alg.constants)
     return all(
         conn.entry(i, j, k) - conn.entry(j, i, k) == alg.structure_constant(i, j, k)
         for (i, j, k) in keys

@@ -1,7 +1,8 @@
 """Lie algebras over the Scalar field: brackets, series, classification.
 
-Structure constants are stored sparsely for index pairs i < j only;
-antisymmetry supplies the rest.  All Python-level indices are 0-based.
+The structure constants are ``linalg.Components``: ``constants[i, j, k]``
+is the nonzero C_ij^k, stored for both orders of the pair (C_ji^k is
+-C_ij^k).  All Python-level indices are 0-based.
 The JSON interchange format (see ``from_json_dict``) is 1-based, matching
 the printed basis labels e1..e6.  The terms of the central series are
 ``linalg.Span`` values: the ascending terms come straight from
@@ -11,6 +12,7 @@ the printed basis labels e1..e6.  The terms of the central series are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -51,7 +53,7 @@ class Vector:
 
 
 class LieAlgebra:
-    """dim, sparse structure constants C_ij^k for i < j, basis labels."""
+    """dim, the structure constants C_ij^k, basis labels."""
 
     def __init__(
         self,
@@ -59,23 +61,20 @@ class LieAlgebra:
         constants: Mapping[tuple[int, int], Mapping[int, ScalarLike]],
         labels: Sequence[str] | None = None,
     ):
+        """``constants`` maps each pair i < j to the components of [e_i, e_j]."""
         if dim <= 0:
             raise ValueError("dimension must be positive")
         self.dim = dim
-        table: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), row in constants.items():
+        terms = []
+        for (i, j), row in sorted(constants.items()):
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket pair ({i}, {j}); need 0 <= i < j < dim")
-            cleaned = {}
             for k, c in row.items():
                 if not 0 <= k < dim:
                     raise ValueError(f"bad bracket target {k}")
                 c = as_scalar(c)
-                if not c.is_zero():
-                    cleaned[k] = c
-            if cleaned:
-                table[(i, j)] = cleaned
-        self._table = table
+                terms += [((i, j, k), c), ((j, i, k), -c)]
+        self.constants: linalg.Components = linalg._accumulate(terms)
         self.basis_labels = (
             tuple(labels) if labels else tuple(f"e{i + 1}" for i in range(dim))
         )
@@ -118,43 +117,28 @@ class LieAlgebra:
         return cls.from_terms(int(obj["dim"]), terms, check=True)
 
     def to_json_dict(self) -> dict:
-        brackets = []
-        for (i, j) in sorted(self._table):
-            for k in sorted(self._table[(i, j)]):
-                brackets.append(
-                    {"i": i + 1, "j": j + 1, "k": k + 1, "c": str(self._table[(i, j)][k])}
-                )
+        brackets = [
+            {"i": i + 1, "j": j + 1, "k": k + 1, "c": str(c)}
+            for (i, j, k), c in sorted(self.constants.items())
+            if i < j
+        ]
         return {"dim": self.dim, "brackets": brackets}
 
     # -- basic structure -----------------------------------------------------
 
     def structure_constant(self, i: int, j: int, k: int) -> Scalar:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self._table.get((i, j), {}).get(k, ZERO)
-        return -self._table.get((j, i), {}).get(k, ZERO)
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, Scalar]:
-        """[e_i, e_j] as a sparse component map."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        return {k: -c for k, c in self._table.get((j, i), {}).items()}
+        return self.constants.get((i, j, k), ZERO)
 
     def basis_vector(self, i: int) -> Vector:
         return Vector.of(1 if t == i else 0 for t in range(self.dim))
 
-    def nonzero_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._table)
-
     def __repr__(self) -> str:
+        upper = sorted((key, c) for key, c in self.constants.items() if key[0] < key[1])
         parts = []
-        for (i, j) in sorted(self._table):
+        for (i, j), group in groupby(upper, key=lambda item: item[0][:2]):
             terms = " + ".join(
                 f"{'' if c.is_one() else f'({c})*'}{self.basis_labels[k]}"
-                for k, c in sorted(self._table[(i, j)].items())
+                for (_, _, k), c in group
             )
             parts.append(f"[{self.basis_labels[i]}, {self.basis_labels[j]}] = {terms}")
         inner = "; ".join(parts) if parts else "abelian"
@@ -166,11 +150,11 @@ def bracket(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
     if x.dim != alg.dim or y.dim != alg.dim:
         raise ValueError("vector dimension does not match the algebra")
     out = [ZERO] * alg.dim
-    for (i, j), row in alg._table.items():
-        coeff = x.components[i] * y.components[j] - x.components[j] * y.components[i]
-        if coeff.is_zero():
+    for (i, j, k), c in alg.constants.items():
+        if i > j:
             continue
-        for k, c in row.items():
+        coeff = x.components[i] * y.components[j] - x.components[j] * y.components[i]
+        if not coeff.is_zero():
             out[k] = out[k] + coeff * c
     return Vector(tuple(out))
 
@@ -254,7 +238,7 @@ def ascending_series(
     terms rest on rank decisions that a parameter value can change, so a
     free one raises ValueError rather than being assumed generic.
     """
-    linalg.require_bound([*(row.values() for row in alg._table.values()), *(twist or ())])
+    linalg.require_bound([alg.constants.values(), *(twist or ())])
     series: list[linalg.Span] = []
     prev = linalg.Span((), ())
     while len(prev) < alg.dim:

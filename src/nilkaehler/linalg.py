@@ -10,17 +10,23 @@ A subspace is a ``Span``, a basis reduced at its pivot columns.  It is
 built once, by ``span`` from constant rows (one ``rref``) or by
 ``nullspace`` (symbolic entries allowed, conditions returned), and testing
 membership then runs no elimination.
+
+A tensor is ``Components``: a mapping from an index tuple to a nonzero
+Scalar.  An absent index is a zero component, and an antisymmetric tensor
+stores every image of a nonzero component, so no reader needs a sign rule.
+Every such mapping is built by ``_accumulate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalar import ONE, ZERO, Scalar, ScalarLike, _canonical, as_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 Row = tuple[Scalar, ...]
+Components = Mapping[tuple[int, ...], Scalar]
 
 
 def as_matrix(rows: Iterable[Iterable[ScalarLike]]) -> Matrix:
@@ -80,6 +86,14 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 def is_zero_matrix(m: Matrix) -> bool:
     return all(x.is_zero() for row in m for x in row)
+
+
+def _accumulate(terms: Iterable[tuple[tuple[int, ...], Scalar]]) -> Components:
+    """Sum the (index, value) terms per index and keep the nonzero sums."""
+    acc: dict[tuple[int, ...], Scalar] = {}
+    for idx, v in terms:
+        acc[idx] = acc[idx] + v if idx in acc else v
+    return {idx: v for idx, v in acc.items() if not v.is_zero()}
 
 
 class SideConditions:

@@ -99,6 +99,13 @@ class FamilyReport:
     failures: tuple[str, ...]
     side_conditions: tuple[str, ...]
 
+    @property
+    def checked(self) -> tuple[str, ...]:
+        """The residuals ``verify_family`` evaluated: integrability needs J^2 = -I."""
+        if "almost_complex" in self.failures:
+            return ("compatibility", "almost_complex")
+        return ("compatibility", "almost_complex", "integrability")
+
 
 def verify_family(
     alg: LieAlgebra,
@@ -109,7 +116,7 @@ def verify_family(
     """Check the three defining residuals symbolically, parameters left free.
 
     Failure names the offending component: compatibility, almost_complex,
-    or integrability.
+    or integrability.  Integrability is not checked when J^2 != -I.
     """
     failures = []
     if not linalg.is_zero_matrix(tensors.compat_residual(w, J)):
@@ -141,11 +148,8 @@ def _float_form(w: TwoForm) -> np.ndarray:
 def _float_brackets(alg: LieAlgebra) -> np.ndarray:
     n = alg.dim
     C = np.zeros((n, n, n))
-    for (i, j) in alg.nonzero_pairs():
-        for k, c in alg.bracket_basis(i, j).items():
-            val = c.evaluate({})
-            C[i, j, k] = val
-            C[j, i, k] = -val
+    for idx, c in alg.constants.items():
+        C[idx] = c.evaluate({})
     return C
 
 
@@ -399,14 +403,13 @@ def residual_sup_norms(
     J = Endomorphism(
         [[Scalar.from_fraction(Fraction(float(x))) for x in row] for row in J_numeric]
     )
-    nij = tensors.nijenhuis(alg, J)
     residuals = (
-        tensors.compat_residual(w, J),
-        tensors.almost_complex_residual(J),
-        [row for plane in nij for row in plane],
+        [x for row in tensors.compat_residual(w, J) for x in row],
+        [x for row in tensors.almost_complex_residual(J) for x in row],
+        tensors.nijenhuis(alg, J).values(),
     )
     return tuple(  # type: ignore[return-value]
-        max(abs(x.evaluate({})) for row in mat for x in row) for mat in residuals
+        max((abs(x.evaluate({})) for x in values), default=0.0) for values in residuals
     )
 
 

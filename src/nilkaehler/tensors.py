@@ -6,7 +6,10 @@ Conventions, fixed once and used everywhere downstream:
   omega_ij = +c and omega_ji = -c, so omega(e_i, e_j) = omega_ij;
 * an endomorphism matrix is row-oriented: J e_i = J_i^k e_k, i.e. row i
   holds the image of the i-th basis vector.  Column-oriented sources must
-  be transposed on entry.
+  be transposed on entry;
+* dw and the Nijenhuis tensor are ``linalg.Components``, as the structure
+  constants are: the nonzero components under every order of their
+  antisymmetric indices, an absent index being a zero component.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
-from .scalar import ONE, ZERO, ParamBinding, Scalar, ScalarLike, as_scalar
+from .linalg import Components, _accumulate
+from .scalar import ZERO, ParamBinding, Scalar, ScalarLike, as_scalar
 
 
 class TwoForm:
@@ -182,73 +186,33 @@ class Endomorphism:
         return f"Endomorphism(dim={self.dim})"
 
 
-class ThreeForm:
-    """Totally antisymmetric 3-index array, stored on i < j < k."""
-
-    __slots__ = ("dim", "_data")
-
-    def __init__(self, dim: int, data: Mapping[tuple[int, int, int], Scalar]):
-        self.dim = dim
-        self._data = {
-            key: c for key, c in data.items() if not c.is_zero()
-        }
-        for i, j, k in self._data:
-            if not 0 <= i < j < k < dim:
-                raise ValueError(f"triple {(i, j, k)} not strictly increasing")
-
-    def component(self, i: int, j: int, k: int) -> Scalar:
-        if i == j or j == k or i == k:
-            return ZERO
-        order = sorted((i, j, k))
-        value = self._data.get(tuple(order), ZERO)
-        # parity of the permutation taking (i, j, k) to sorted order
-        perm = [order.index(t) for t in (i, j, k)]
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-        )
-        return value if inversions % 2 == 0 else -value
-
-    def is_zero(self) -> bool:
-        return not self._data
-
-    def nonzero_triples(self) -> list[tuple[int, int, int]]:
-        return sorted(self._data)
-
-    def __repr__(self) -> str:
-        return f"ThreeForm(dim={self.dim}, nonzero={len(self._data)})"
-
-
 # -- exterior derivative ------------------------------------------------------
 
 
-def exterior_d(alg: LieAlgebra, w: TwoForm) -> ThreeForm:
-    """dw on basis triples: dw(X,Y,Z) = w([X,Y],Z) - w([X,Z],Y) + w([Y,Z],X)."""
-    n = alg.dim
+def exterior_d(alg: LieAlgebra, w: TwoForm) -> Components:
+    """dw(X,Y,Z) = w([X,Y],Z) - w([X,Z],Y) + w([Y,Z],X) on every basis triple.
 
-    def pairing(sparse: Mapping[int, Scalar], t: int) -> Scalar:
-        out = ZERO
-        for m, c in sparse.items():
-            if not w.omega[m][t].is_zero():
-                out = out + c * w.omega[m][t]
-        return out
+    On basis vectors this is the cyclic sum C_ij^p w_pk + C_jk^p w_pi +
+    C_ki^p w_pj, so each C_ab^p w_pt lands on (a, b, t), (t, a, b) and
+    (b, t, a).  A triple with a repeated index sums to zero, so t in
+    {a, b} is skipped.
+    """
+    omega = w.omega
 
-    data = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = alg.bracket_basis(i, j)
-            for k in range(j + 1, n):
-                val = (
-                    pairing(bij, k)
-                    - pairing(alg.bracket_basis(i, k), j)
-                    + pairing(alg.bracket_basis(j, k), i)
-                )
-                if not val.is_zero():
-                    data[(i, j, k)] = val
-    return ThreeForm(n, data)
+    def terms():
+        for (a, b, p), c in alg.constants.items():
+            for t, wpt in enumerate(omega[p]):
+                if t != a and t != b and not wpt.is_zero():
+                    v = c * wpt
+                    yield (a, b, t), v
+                    yield (t, a, b), v
+                    yield (b, t, a), v
+
+    return _accumulate(terms())
 
 
 def is_closed(alg: LieAlgebra, w: TwoForm) -> bool:
-    return exterior_d(alg, w).is_zero()
+    return not exterior_d(alg, w)
 
 
 def nondegenerate(w: TwoForm) -> bool:
@@ -274,32 +238,44 @@ def almost_complex_residual(J: Endomorphism) -> linalg.Matrix:
     return linalg.mat_add(linalg.mat_mul(J.rows, J.rows), linalg.identity(J.dim))
 
 
-def nijenhuis(alg: LieAlgebra, J: Endomorphism):
-    """N_ij^k as a dim^3 nested tuple, antisymmetric in (i, j).
+def nijenhuis(alg: LieAlgebra, J: Endomorphism) -> Components:
+    """N_ij^k of N(X, Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY].
 
-    N(X, Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY].
+    With M_ij^c = J_i^a C_aj^c, the components of [J e_i, e_j]:
+    [J e_i, J e_j] is M_ib^k J_j^b, J[J e_i, e_j] is M_ij^c J_c^k and
+    J[e_i, J e_j] is -M_ji^c J_c^k.  The i < j half is summed and its
+    mirror image stored negated.
     """
     n = alg.dim
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    images = [J.image_of_basis(i) for i in range(n)]
-    basis = [alg.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = (
-                liealg.bracket(alg, images[i], images[j])
-                - liealg.bracket(alg, basis[i], basis[j])
-                - J.apply(liealg.bracket(alg, images[i], basis[j]))
-                - J.apply(liealg.bracket(alg, basis[i], images[j]))
-            )
-            for k, c in enumerate(v.components):
-                out[i][j][k] = c
-                out[j][i][k] = -c
-    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+    rows = J.rows
+    M = _accumulate(
+        ((i, j, c), rows[i][a] * v)
+        for (a, j, c), v in alg.constants.items()
+        for i in range(n)
+        if not rows[i][a].is_zero()
+    )
+
+    def terms():
+        for (i, b, k), m in M.items():
+            for j in range(i + 1, n):
+                if not rows[j][b].is_zero():
+                    yield (i, j, k), m * rows[j][b]
+        for (i, j, k), c in alg.constants.items():
+            if i < j:
+                yield (i, j, k), -c
+        for (i, j, c), m in M.items():
+            if i != j:
+                for k, jck in enumerate(rows[c]):
+                    if not jck.is_zero():
+                        t = m * jck
+                        yield ((i, j, k), -t) if i < j else ((j, i, k), t)
+
+    half = _accumulate(terms())
+    return {**half, **{(j, i, k): -v for (i, j, k), v in half.items()}}
 
 
 def is_integrable(alg: LieAlgebra, J: Endomorphism) -> bool:
-    N = nijenhuis(alg, J)
-    return all(c.is_zero() for plane in N for row in plane for c in row)
+    return not nijenhuis(alg, J)
 
 
 # -- J-twisted ascending series ----------------------------------------------

@@ -142,6 +142,22 @@ class TestCurvatureParameters:
         assert checked == {key: True for key in CURVATURE_PARAMS}
 
 
+def _edited_catalog(tmp_path, monkeypatch, name, edit):
+    """Point the catalog at a copy whose entry ``name`` has ``edit`` applied."""
+    work = tmp_path / "data"
+    shutil.copytree(pathlib.Path(catalog.__file__).parent / "data", work)
+    path = work / f"{name}.json"
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+
+
+def _j_of_dimension_5(obj):
+    J = obj["structures"][0]["J"]
+    J["dim"], J["rows"] = 5, [row[:5] for row in J["rows"][:5]]
+
+
 class TestMutationControl:
     def test_deliberate_mutation_is_caught(self, tmp_path, monkeypatch):
         src = pathlib.Path(catalog.__file__).parent / "data"
@@ -182,6 +198,34 @@ class TestMutationControl:
         ]
         assert [e.name for e in report.entries] == ["g10", "g21"]
         assert report.entries[1].ok and len(report.entries[1].checks) > 1
+
+    def test_skipped_integrability_is_not_reported(self, tmp_path, monkeypatch):
+        def j_squared_not_minus_one(obj):
+            obj["structures"][0]["J"]["rows"][0][0] = "1"
+
+        _edited_catalog(tmp_path, monkeypatch, "g21", j_squared_not_minus_one)
+        checks = catalog.self_validate(["g21"]).entries[0].checks
+        # J^2 != -I: integrability and the curvature checks do not run
+        assert [c for c in checks if c[0].startswith("J1 ")] == [
+            ("J1 compatibility", False), ("J1 almost_complex", False)]
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda obj: obj["structures"][0].__setitem__("form", "w9"),
+             "structure J1 is on the unknown form 'w9'"),
+            (lambda obj: obj["forms"][1]["form"].__setitem__("dim", 7),
+             "form w2 has dimension 7, not 6"),
+            (_j_of_dimension_5, "structure J1 has dimension 5, not 6"),
+            (lambda obj: obj["structures"][0]["J"].__setitem__("dim", 7),
+             "row count must match dim"),
+        ],
+        ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field"],
+    )
+    def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
+        _edited_catalog(tmp_path, monkeypatch, "g21", edit)
+        report = catalog.self_validate(["g21"])
+        assert report.failures() == [f"g21: load: catalog entry g21 is malformed: {message}"]
 
     def test_env_override_round_trip(self, tmp_path, monkeypatch):
         src = pathlib.Path(catalog.__file__).parent / "data"

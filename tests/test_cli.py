@@ -114,10 +114,20 @@ class TestVerify:
                 _g10_text(lambda obj: obj["structures"][0]["J"]["rows"][0].__setitem__(0, "psi11 +")),
                 "catalog entry g10 is malformed: unexpected end of input (at position 7) in 'psi11 +'",
                 id="bad-expression"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__("form", "w9")),
+                "catalog entry g10 is malformed: structure J1 is on the unknown form 'w9'",
+                id="unknown-form"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"][0]["form"].__setitem__("dim", 7)),
+                "catalog entry g10 is malformed: form w1 has dimension 7, not 6",
+                id="form-dimension"),
         ],
     )
+    @pytest.mark.parametrize("argv", [("verify", "g10"), ("export", "g10", "--format", "latex")],
+                             ids=["verify", "export-latex"])
     def test_catalog_load_failure_is_usage_error(
-        self, capsys, monkeypatch, tmp_path, g10_text, fragment
+        self, capsys, monkeypatch, tmp_path, g10_text, fragment, argv
     ):
         if g10_text is None:
             tmp_path = tmp_path / "missing"
@@ -125,7 +135,7 @@ class TestVerify:
             shutil.copy(DATA / "expectations.json", tmp_path)
             (tmp_path / "g10.json").write_text(g10_text)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
-        rc, out, err = invoke(capsys, "verify", "g10")
+        rc, out, err = invoke(capsys, *argv)
         assert rc == 2
         assert out == "" and err.startswith("error: ")
         assert fragment in err
@@ -201,6 +211,20 @@ class TestCurvature:
         assert not any(c.is_constant() for c in conds)
         assert not any((a / b).is_constant() for a, b in combinations(conds, 2))
         assert not any(c.substitute(s.binding()).is_zero() for c in conds)
+
+    def test_binding_drops_vanishing_components(self, capsys):
+        # R_{1,2,2}^6 is nonzero as a function but vanishes at psi11 = 0
+        rc, out, _ = invoke(
+            capsys,
+            "curvature", "g11", "--form", "w1",
+            "--bind", "psi11=0", "psi12=1", "lambda=1",
+        )
+        assert rc == 0
+        report = json.loads(out)
+        up = {tuple(c["idx"]): c["value"] for c in report["nonzero_up"]}
+        down = {tuple(c["idx"]): c["value"] for c in report["nonzero_down"]}
+        assert up == {(1, 2, 1, 5): "-5", (1, 2, 1, 6): "5", (1, 2, 2, 5): "5"}
+        assert down == {(1, 2, 1, 2): "-5"}
 
     def test_binding_accepts_fractions(self, capsys):
         rc, out, _ = invoke(

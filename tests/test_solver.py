@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nilkaehler import catalog, solver, tensors
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.linalg import is_zero_matrix
-from nilkaehler.scalar import ParamBinding
+from nilkaehler.scalar import ZERO, ParamBinding
 from nilkaehler.solver import (
     FamilyReport,
     LinearSolution,
@@ -252,7 +252,7 @@ class TestNumericResidual:
             exact = (
                 [compat[i][j] for i, j in upper]
                 + [c for r in j2 for c in r]
-                + [c for i, j in upper for c in nij[i][j]]
+                + [nij.get((i, j, k), ZERO) for i, j in upper for k in range(n)]
             )
             assert [Fraction(v) for v in row] == [c.as_fraction() for c in exact]
             # a stack gives the rows of single calls

@@ -1,12 +1,15 @@
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
-from nilkaehler import linalg
-from nilkaehler.liealg import LieAlgebra, Vector, center, descending_series
+from nilkaehler import catalog, linalg
+from nilkaehler.liealg import LieAlgebra, Vector, bracket, center, descending_series
 from nilkaehler.scalar import ParamBinding, Scalar, as_scalar
 from nilkaehler.tensors import (
     Endomorphism,
-    ThreeForm,
     TwoForm,
     almost_complex_residual,
     compat_residual,
@@ -128,20 +131,18 @@ class TestExteriorDerivative:
     def test_e3_wedge_e6_on_g21_not_closed(self):
         w = TwoForm.from_terms(6, [(3, 6, 1)])
         d = exterior_d(G21, w)
-        assert not d.is_zero()
+        assert d
         # d(e3^e6)(e1, e3, e4) = -w([e1,e4], e3) = -w(e6, e3) = w(e3, e6) = 1
-        assert d.component(0, 2, 3) == Scalar.from_int(1)
+        assert d[0, 2, 3] == Scalar.from_int(1)
 
     def test_three_form_antisymmetry(self):
         w = TwoForm.from_terms(6, [(3, 6, 1)])
         d = exterior_d(G21, w)
-        assert d.component(2, 0, 3) == Scalar.from_int(-1)
-        assert d.component(3, 0, 2) == Scalar.from_int(1)
-        assert d.component(0, 0, 3).is_zero()
-
-    def test_three_form_rejects_bad_keys(self):
-        with pytest.raises(ValueError):
-            ThreeForm(6, {(2, 1, 3): Scalar.from_int(1)})
+        assert d[2, 0, 3] == Scalar.from_int(-1)
+        assert d[3, 0, 2] == Scalar.from_int(1)
+        assert (0, 0, 3) not in d
+        # every order of each nonzero triple is stored, with its sign
+        assert len(d) == 6 and all(not v.is_zero() for v in d.values())
 
 
 class TestNondegenerate:
@@ -228,19 +229,14 @@ class TestNijenhuis:
             (1, 2, 4): -1, (1, 2, 5): -1,
             (1, 3, 4): -1, (1, 3, 5): 1,
         }
-        for i in range(6):
-            for j in range(i + 1, 6):
-                for k in range(6):
-                    want = Scalar.from_int(expected.get((i, j, k), 0))
-                    assert N[i][j][k] == want, (i, j, k)
+        upper = {idx: v for idx, v in N.items() if idx[0] < idx[1]}
+        assert upper == {idx: Scalar.from_int(c) for idx, c in expected.items()}
         assert not is_integrable(G24, J_NAIVE)
 
     def test_antisymmetric_in_first_pair(self):
         N = nijenhuis(G24, J_NAIVE)
-        for i in range(6):
-            for j in range(6):
-                for k in range(6):
-                    assert N[i][j][k] == -N[j][i][k]
+        assert len(N) == 16
+        assert all(N[j, i, k] == -v for (i, j, k), v in N.items())
 
 
 class TestJAscendingSeries:
@@ -322,3 +318,62 @@ def test_derived_subalgebra_pairs_trivially_with_center():
     for x in c1:
         for y in z:
             assert W2_G21.apply(Vector(x), Vector(y)).is_zero()
+
+
+# -- the sparse tensors against their definitions -----------------------------
+
+
+def _nijenhuis_by_definition(alg, J):
+    """N(e_i, e_j) = [Je_i, Je_j] - [e_i, e_j] - J[Je_i, e_j] - J[e_i, Je_j]."""
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    images = [J.apply(e) for e in basis]
+    out = {}
+    for i, j in product(range(alg.dim), repeat=2):
+        v = (bracket(alg, images[i], images[j]) - bracket(alg, basis[i], basis[j])
+             - J.apply(bracket(alg, images[i], basis[j]))
+             - J.apply(bracket(alg, basis[i], images[j])))
+        out.update({(i, j, k): c for k, c in enumerate(v) if not c.is_zero()})
+    return out
+
+
+def _d_by_definition(alg, w):
+    """dw(e_i, e_j, e_k) = w([e_i, e_j], e_k) - w([e_i, e_k], e_j) + w([e_j, e_k], e_i)."""
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    br = [[bracket(alg, x, y) for y in basis] for x in basis]
+    out = {}
+    for i, j, k in product(range(alg.dim), repeat=3):
+        v = (w.apply(br[i][j], basis[k]) - w.apply(br[i][k], basis[j])
+             + w.apply(br[j][k], basis[i]))
+        if not v.is_zero():
+            out[i, j, k] = v
+    return out
+
+
+def _dyadic(rng, n):
+    # entries k/8, the exact values of the floats residual_sup_norms lifts
+    return [[Fraction(rng.randint(-12, 12), 8) for _ in range(n)] for _ in range(n)]
+
+
+def _definition_cases():
+    """(algebra, form, J): the 19 families with parameters free and at their
+    canonical bindings, and one seeded dyadic form and J per algebra."""
+    cases = []
+    for name in catalog.NAMES:
+        entry = catalog.get(name)
+        for s in entry.structures:
+            w, b = entry.form(s.form_id).form, s.binding()
+            cases.append(pytest.param(entry.algebra, w, s.J, id=f"{name}-{s.id}-free"))
+            cases.append(pytest.param(entry.algebra, w.substitute(b), s.J.substitute(b),
+                                      id=f"{name}-{s.id}-canonical"))
+        n, rng = entry.algebra.dim, random.Random(f"dyadic/{name}")
+        a = _dyadic(rng, n)
+        w = TwoForm([[a[i][j] - a[j][i] for j in range(n)] for i in range(n)])
+        J = Endomorphism(_dyadic(rng, n))
+        cases.append(pytest.param(entry.algebra, w, J, id=f"{name}-dyadic"))
+    return cases
+
+
+@pytest.mark.parametrize("alg,w,J", _definition_cases())
+def test_sparse_tensors_match_their_definitions(alg, w, J):
+    assert nijenhuis(alg, J) == _nijenhuis_by_definition(alg, J)
+    assert exterior_d(alg, w) == _d_by_definition(alg, w)
