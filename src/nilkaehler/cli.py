@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import catalog, geometry, solver
 from .liealg import LieAlgebra
 from .scalar import SQRT2_NAME, ZERO, ParamBinding, Scalar, parse_expr
-from .tensors import Endomorphism, TwoForm
+from .tensors import TwoForm
 
 
 class UsageError(Exception):
@@ -110,6 +110,8 @@ def _parse_binding(pairs: list[str], allowed: frozenset[str]) -> ParamBinding:
             raise UsageError(
                 f"unknown parameter {name!r}; family parameters: "
                 f"{', '.join(sorted(allowed)) or 'none'}")
+        if name in values:
+            raise UsageError(f"parameter {name!r} is bound twice")
         if not _RATIONAL.fullmatch(txt):
             raise UsageError(
                 f"not an exact rational: {item!r} (use n or n/m, no floats)")

@@ -8,19 +8,23 @@ set of named parameters, held in a canonical reduced form:
 * zero is 0/1,
 * the underlying polynomial ring mentions exactly the parameters that occur.
 
-A rational constant (no parameter and no ``s``) is stored as two Python
-ints, numerator and denominator in lowest terms with a positive
-denominator, and never as polynomials.  Its ``+``, ``-``, ``*`` and ``/``
-with another constant use ints and ``math.gcd``; an operation with a
-parametric value puts it into that value's polynomial ring.
+The name ``s`` is reserved: it stands for the square root of two.  Every
+result is reduced via s^2 -> 2, and denominators are rationalized so they
+never contain ``s``.  Because of that, ``s`` cannot be bound to a value.
+
+A value free of parameters other than ``s`` is a constant (a + b*s)/d of
+Q(sqrt 2), and it is stored as Python ints, never as polynomials: a
+rational constant (b = 0) as numerator and denominator in lowest terms with
+a positive denominator, any other as the triple (a, b, d) with
+gcd(a, b, d) = 1 and d > 0.  Their ``+``, ``-``, ``*`` and ``/`` with
+another constant use ints and ``math.gcd``; dividing by a + b*s multiplies
+by its conjugate, 1/(a + b*s) = (a - b*s)/(a^2 - 2 b^2).  An operation
+with a parametric value puts the constant into that value's polynomial
+ring, joined with ``s`` when the constant has it.
 
 Equality, hashing and ``is_zero`` are therefore decidable by direct
 comparison of the stored ints or polynomials.  A rational constant hashes
 as the equal ``int`` or ``Fraction`` does.
-
-The name ``s`` is reserved: it stands for the square root of two.  Every
-result is reduced via s^2 -> 2, and denominators are rationalized so they
-never contain ``s``.  Because of that, ``s`` cannot be bound to a value.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ def _ring_for(names: tuple[str, ...]):
 
 
 _R0 = _ring_for(())
+_RS = _ring_for((SQRT2_NAME,))
 
 
 def _fold_sqrt2(p, R):
@@ -118,8 +123,11 @@ def _canonical(num, den, R) -> "Scalar":
     if den.LC < 0:
         num, den = -num, -den
     num, den, R = _shrink(num, den, R)
-    if not R._scalar_names:
+    if R is _R0:
         return Scalar._const(int(num[()]), int(den[()]))
+    if R is _RS:
+        # (a + b*s)/d, b != 0: s occurs, and never in a denominator
+        return Scalar._const2(int(num.get((0,), 0)), int(num[(1,)]), int(den[(0,)]))
     return Scalar._poly(num, den)
 
 
@@ -136,10 +144,51 @@ def _rational(n: int, d: int) -> "Scalar":
     return Scalar._const(n, d)
 
 
+def _quadratic(a: int, b: int, d: int) -> "Scalar":
+    # (a + b*s)/d (d != 0) with gcd(a, b, d) = 1 and d > 0; b = 0 is rational
+    if not b:
+        return _rational(a, d)
+    g = math.gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return Scalar._const2(a, b, d)
+
+
+def _parts(x: "Scalar") -> tuple[int, int, int]:
+    # (a, b, d) of a constant x = (a + b*s)/d
+    return (x._n, 0, x._d) if x._p is None else x._p
+
+
+def _pow_sqrt2(a: int, b: int, e: int) -> tuple[int, int]:
+    # (a + b*s)^e = ra + rb*s for e >= 0, by repeated squaring
+    ra, rb = 1, 0
+    while e:
+        if e & 1:
+            ra, rb = ra * a + 2 * rb * b, ra * b + rb * a
+        e >>= 1
+        if e:
+            a, b = a * a + 2 * b * b, 2 * a * b
+    return ra, rb
+
+
+def _ring_of(x: "Scalar"):
+    # the ring of exactly the parameters (and s) that occur in x
+    if x._q is not None:
+        return x._p.ring
+    return _R0 if x._p is None else _RS
+
+
 def _in_ring(x: "Scalar", R):
     # numerator and denominator of x as polynomials over R
     if x._p is None:
         return R.ground_new(x._n), R.ground_new(x._d)
+    if x._q is None:
+        a, b, d = x._p
+        return R.ground_new(a) + R.gens[R._scalar_gen_index[SQRT2_NAME]] * b, R.ground_new(d)
     if x._p.ring is R:
         return x._p, x._q
     return x._p.set_ring(R), x._q.set_ring(R)
@@ -147,21 +196,24 @@ def _in_ring(x: "Scalar", R):
 
 def _unify(a: "Scalar", b: "Scalar"):
     # a and b over one ring; at least one of them is parametric
-    if a._p is None:
-        R = b._p.ring
-    elif b._p is None or b._p.ring is a._p.ring:
-        R = a._p.ring
+    Ra, Rb = _ring_of(a), _ring_of(b)
+    if Rb is Ra or Rb is _R0:
+        R = Ra
+    elif Ra is _R0:
+        R = Rb
     else:
-        R = _ring_for(tuple(sorted(
-            set(a._p.ring._scalar_names) | set(b._p.ring._scalar_names))))
+        R = _ring_for(tuple(sorted(set(Ra._scalar_names) | set(Rb._scalar_names))))
     return (*_in_ring(a, R), *_in_ring(b, R), R)
 
 
 class Scalar:
     """Immutable exact rational function; see module docstring.
 
-    A rational constant is the ints ``_n``/``_d`` with ``_p is None``; any
-    other value is the polynomials ``_p``/``_q`` with ``_n`` and ``_d`` None.
+    A rational constant is the ints ``_n``/``_d`` with ``_p is None``.  A
+    constant (a + b*s)/d with b != 0 is the int triple ``_p = (a, b, d)``
+    with ``_n``, ``_d`` and ``_q`` None.  Any other value is the polynomials
+    ``_p``/``_q`` with ``_n`` and ``_d`` None.  So ``_p is None`` tells a
+    rational constant and ``_q is None`` a constant of Q(sqrt 2).
     """
 
     __slots__ = ("_n", "_d", "_p", "_q", "_hash")
@@ -172,6 +224,14 @@ class Scalar:
         self._n = n
         self._d = d
         self._p = self._q = None
+        self._hash = None
+        return self
+
+    @classmethod
+    def _const2(cls, a: int, b: int, d: int) -> "Scalar":
+        self = object.__new__(cls)
+        self._n = self._d = self._q = None
+        self._p = (a, b, d)
         self._hash = None
         return self
 
@@ -197,24 +257,30 @@ class Scalar:
     def param(cls, name: str) -> "Scalar":
         if not name.isidentifier():
             raise ValueError(f"not a valid parameter name: {name!r}")
+        if name == SQRT2_NAME:
+            return _SQRT2
         R = _ring_for((name,))
         return cls._poly(R.gens[0], R.one)
 
     @classmethod
     def sqrt2(cls) -> "Scalar":
-        return cls.param(SQRT2_NAME)
+        return _SQRT2
 
     # -- inspection ----------------------------------------------------
 
     @property
     def _num(self):
-        """Numerator polynomial; built over the parameter-free ring for a constant."""
-        return _R0.ground_new(self._n) if self._p is None else self._p
+        """Numerator polynomial; built over ZZ or ZZ[s] for a constant."""
+        if self._p is None:
+            return _R0.ground_new(self._n)
+        return _in_ring(self, _RS)[0] if self._q is None else self._p
 
     @property
     def _den(self):
-        """Denominator polynomial; built over the parameter-free ring for a constant."""
-        return _R0.ground_new(self._d) if self._p is None else self._q
+        """Denominator polynomial; built over ZZ or ZZ[s] for a constant."""
+        if self._p is None:
+            return _R0.ground_new(self._d)
+        return _RS.ground_new(self._p[2]) if self._q is None else self._q
 
     def is_zero(self) -> bool:
         return self._n == 0
@@ -228,7 +294,7 @@ class Scalar:
 
     def free_params(self) -> frozenset[str]:
         """Bindable parameter names occurring in this value (``s`` excluded)."""
-        if self._p is None:
+        if self._q is None:
             return frozenset()
         return frozenset(n for n in self._p.ring._scalar_names if n != SQRT2_NAME)
 
@@ -248,14 +314,9 @@ class Scalar:
         """
         if self._p is None:
             return (self._n > 0) - (self._n < 0)
-        if self.free_params():
+        if self._q is not None:
             raise ValueError(f"sign of a parametric value: {self}")
-        a = b = 0
-        for monom, coeff in self._p.terms():
-            if any(monom):
-                b = int(coeff)
-            else:
-                a = int(coeff)
+        a, b, _ = self._p
         sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
         if sa * sb >= 0:
             return sa or sb
@@ -271,6 +332,10 @@ class Scalar:
             return self
         if self._p is None and other._p is None:
             return _rational(self._n * other._d + other._n * self._d, self._d * other._d)
+        if self._q is None and other._q is None:
+            a1, b1, d1 = _parts(self)
+            a2, b2, d2 = _parts(other)
+            return _quadratic(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * d2 + n2 * d1, d1 * d2, R)
 
@@ -297,6 +362,10 @@ class Scalar:
             return self
         if self._p is None and other._p is None:
             return _rational(self._n * other._n, self._d * other._d)
+        if self._q is None and other._q is None:
+            a1, b1, d1 = _parts(self)
+            a2, b2, d2 = _parts(other)
+            return _quadratic(a1 * a2 + 2 * b1 * b2, a1 * b2 + a2 * b1, d1 * d2)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * n2, d1 * d2, R)
 
@@ -312,6 +381,12 @@ class Scalar:
             return ZERO
         if self._p is None and other._p is None:
             return _rational(self._n * other._d, self._d * other._n)
+        if self._q is None and other._q is None:
+            # times the conjugate a2 - b2*s over the norm a2^2 - 2 b2^2 != 0
+            a1, b1, d1 = _parts(self)
+            a2, b2, d2 = _parts(other)
+            return _quadratic((a1 * a2 - 2 * b1 * b2) * d2, (a2 * b1 - a1 * b2) * d2,
+                              (a2 * a2 - 2 * b2 * b2) * d1)
         n1, d1, n2, d2, R = _unify(self, other)
         return _canonical(n1 * d2, d1 * n2, R)
 
@@ -321,6 +396,9 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         if self._p is None:
             return Scalar._const(-self._n, self._d) if self._n else ZERO
+        if self._q is None:
+            a, b, d = self._p
+            return Scalar._const2(-a, -b, d)
         return Scalar._poly(-self._p, self._q)
 
     def __pos__(self) -> "Scalar":
@@ -338,6 +416,9 @@ class Scalar:
         if self._p is None:
             # powers of coprime ints stay coprime, and d > 0
             return Scalar._const(self._n**exponent, self._d**exponent)
+        if self._q is None:
+            a, b, d = self._p
+            return _quadratic(*_pow_sqrt2(a, b, exponent), d**exponent)
         return _canonical(self._p**exponent, self._q**exponent, self._p.ring)
 
     # -- substitution and evaluation ------------------------------------
@@ -345,7 +426,7 @@ class Scalar:
     def substitute(self, binding: "ParamBinding | Mapping") -> "Scalar":
         """Exact substitution of rational values; unbound parameters stay."""
         binding = ParamBinding.coerce(binding)
-        if self._p is None:
+        if self._q is None:
             return self
         names = self._p.ring._scalar_names
         relevant = {n: binding[n] for n in names if n in binding}
@@ -357,15 +438,24 @@ class Scalar:
             raise ZeroDivisionError(
                 f"denominator {_poly_text(self._q)} vanishes under binding"
             )
-        if len(relevant) == len(names):
+        kept = tuple(n for n in names if n not in relevant)
+        if not kept:
             return _rational(num.get((), 0) * den_d, den[()] * num_d)
-        R = _ring_for(tuple(n for n in names if n not in relevant))
+        if kept == (SQRT2_NAME,):
+            # (a + b*s)/d: a denominator never contains s
+            return _quadratic(num.get((0,), 0) * den_d, num.get((1,), 0) * den_d,
+                              den[(0,)] * num_d)
+        R = _ring_for(kept)
         return _canonical(R.from_dict(num) * den_d, R.from_dict(den) * num_d, R)
 
     def evaluate(self, binding: "ParamBinding | Mapping | None" = None) -> float:
         """Float value; every parameter must be bound (``s`` is sqrt(2))."""
         if self._p is None:
             return self._n / self._d
+        if self._q is None:
+            # the polynomial sum b*sqrt(2) + a over d, rounded as it would be
+            a, b, d = self._p
+            return (float(b) * math.sqrt(2.0) + float(a)) / float(d)
         binding = ParamBinding.coerce(binding or {})
         missing = self.free_params() - set(binding)
         if missing:
@@ -392,6 +482,8 @@ class Scalar:
             return NotImplemented
         if self._p is None or other._p is None:
             return self._p is other._p and self._n == other._n and self._d == other._d
+        if self._q is None or other._q is None:
+            return self._q is other._q and self._p == other._p
         return (self._p.ring is other._p.ring
                 and self._p == other._p and self._q == other._q)
 
@@ -400,6 +492,8 @@ class Scalar:
             if self._p is None:
                 # equal to an int or Fraction, so it must hash as one
                 self._hash = hash(self._n if self._d == 1 else Fraction(self._n, self._d))
+            elif self._q is None:
+                self._hash = hash(self._p)
             else:
                 self._hash = hash((
                     self._p.ring._scalar_names,
@@ -416,6 +510,15 @@ class Scalar:
     def __str__(self) -> str:
         if self._p is None:
             return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
+        if self._q is None:
+            # as the polynomial (b*s + a)/d prints
+            a, b, d = self._p
+            num = ("-" if b < 0 else "") + ("s" if abs(b) == 1 else f"{abs(b)}*s")
+            if a:
+                num += f" + {a}" if a > 0 else f" - {-a}"
+                if d != 1:
+                    num = f"({num})"
+            return num if d == 1 else f"{num}/{d}"
         num = _poly_text(self._p)
         if self._q == 1:
             return num
@@ -432,6 +535,7 @@ class Scalar:
 
 ZERO = Scalar._const(0, 1)
 ONE = Scalar._const(1, 1)
+_SQRT2 = Scalar._const2(0, 1, 1)
 
 
 def as_scalar(value: ScalarLike) -> Scalar:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from nilkaehler import catalog, geometry, liealg, linalg, solver, tensors
-from nilkaehler.liealg import LieAlgebra, Vector
+from nilkaehler.liealg import Vector
 from nilkaehler.scalar import ONE, ParamBinding, parse_expr
 from nilkaehler.tensors import TwoForm
 

@@ -241,6 +241,7 @@ class TestCurvature:
             (["psi11=0.5"], "not an exact rational"),
             (["psi11=1/0"], "zero denominator"),
             (["zz=1"], "unknown parameter 'zz'"),
+            (["psi11=1/2", "psi11=3"], "parameter 'psi11' is bound twice"),
             (["psi11=1", "psi12=0"], "violates side condition psi12 != 0"),
         ],
     )

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilkaehler import linalg
-from nilkaehler.scalar import ONE, ZERO, Scalar, parse_expr
+from nilkaehler.scalar import ZERO, Scalar, parse_expr
 
 x = Scalar.param("x")
 y = Scalar.param("y")

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: canonical forms, parsing, field axioms."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nilkaehler import catalog
 from nilkaehler.scalar import (
     ONE,
     ZERO,
@@ -14,7 +16,9 @@ from nilkaehler.scalar import (
     Scalar,
     ScalarSyntaxError,
     _canonical,
+    _eval_poly,
     _R0,
+    _ring_for,
     as_scalar,
     parse_expr,
 )
@@ -366,3 +370,110 @@ def test_a_constant_times_a_parameter_is_the_parsed_product():
     assert hash(a * 2) == hash(parse_expr("2*a"))
     assert (a * 2)._p is not None
     assert a / Fraction(1, 2) - a == a
+
+
+# (A, B) stands for A + B*sqrt(2) with rational A, B: an independent model
+# of Q(sqrt 2) in Fractions
+MODEL = {
+    "+": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    "-": lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    "*": lambda x, y: (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    "/": lambda x, y: MODEL["*"](x, (y[0] / (y[0] ** 2 - 2 * y[1] ** 2),
+                                    -y[1] / (y[0] ** 2 - 2 * y[1] ** 2))),
+}
+RS = _ring_for(("s",))
+
+
+def _poly_pair(a: Fraction, b: Fraction):
+    # a + b*s as numerator and denominator over ZZ[s]
+    d = a.denominator * b.denominator
+    s = RS.gens[0]
+    return RS(a.numerator * b.denominator) + s * (b.numerator * a.denominator), RS(d)
+
+
+def _model_pow(x, e):
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        acc = MODEL["*"](acc, x)
+    return MODEL["/"]((Fraction(1), Fraction(0)), acc) if e < 0 else acc
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except OverflowError:
+        return OverflowError
+
+
+def _check_against_reference(got, reference, want):
+    A, B = want
+    assert got == reference
+    assert str(got) == str(reference)
+    assert hash(got) == hash(reference)
+    # _num/_den: the ZZ[s] polynomials of the reference, whose value is A + B*s
+    assert got._num.ring is reference._num.ring is (RS if B else _R0)
+    assert got._num == reference._num and got._den == reference._den
+    d = int(got._den.LC)
+    assert d > 0
+    assert (Fraction(int(got._num.coeff(1)), d),
+            Fraction(int(got._num.coeff(RS.gens[0])) if B else 0, d)) == (A, B)
+    assert got.sign() == reference.sign()
+    value = _outcome(lambda: float(A) + float(B) * math.sqrt(2.0))
+    if value is not OverflowError and abs(value) > 1e-9:
+        assert got.sign() == (1 if value > 0 else -1)
+    # evaluate, bit for bit as the polynomial sum would give it (both
+    # overflow alike when an int is beyond the float range)
+    if B:
+        sqrt2 = {"s": math.sqrt(2.0)}
+        assert _outcome(got.evaluate) == _outcome(
+            lambda: _eval_poly(got._num, sqrt2) / _eval_poly(got._den, sqrt2))
+        assert not got.is_constant() and got.free_params() == frozenset()
+    else:
+        assert _outcome(got.evaluate) == _outcome(lambda: float(A))
+        assert got.is_constant() and got.as_fraction() == A
+
+
+@given(st.sampled_from(sorted(OPERATORS)), rational_constants, rational_constants,
+       rational_constants, rational_constants)
+@settings(max_examples=300, deadline=None)
+def test_q_sqrt2_arithmetic_matches_the_polynomial_path(symbol, a, b, c, d):
+    apply, cross = OPERATORS[symbol]
+    assume(symbol != "/" or c or d)
+    s = Scalar.sqrt2()
+    x, y = a + b * s, c + d * s
+    want = MODEL[symbol]((a, b), (c, d))
+    # the same operation through polynomial arithmetic over ZZ[s], as it
+    # is done when a parametric operand takes part
+    reference = _canonical(*cross(*_poly_pair(a, b), *_poly_pair(c, d)), RS)
+    _check_against_reference(apply(x, y), reference, want)
+
+
+@given(rational_constants, rational_constants, st.integers(-4, 4))
+@settings(max_examples=200, deadline=None)
+def test_q_sqrt2_powers_match_the_polynomial_path(a, b, e):
+    assume(a or b)  # ZZ[s] has no 0**0 for the reference
+    x = a + b * Scalar.sqrt2()
+    num, den = _poly_pair(a, b)
+    reference = _canonical(num**e, den**e, RS) if e >= 0 else _canonical(den**-e, num**-e, RS)
+    _check_against_reference(x**e, reference, _model_pow((a, b), e))
+
+
+def _held_as_ints(x: Scalar) -> bool:
+    if x._p is None:
+        return type(x._n) is int and type(x._d) is int
+    return x._q is None and all(type(v) is int for v in x._p)
+
+
+def test_q_sqrt2_constants_are_stored_as_ints():
+    s, a = Scalar.sqrt2(), Scalar.param("a")
+    for got, text in [(s, "s"), (parse_expr("s"), "s"), (s * s * s, "2*s"),
+                      ((a + s) - a, "s"), ((a * s + 1) / a - 1 / a, "s"),
+                      (parse_expr("(4*s + 5)/7"), "(4*s + 5)/7"), (-s / 2, "-s/2")]:
+        assert _held_as_ints(got) and got._p is not None
+        assert str(got) == text
+    entry = catalog.get("g12")
+    fam = entry.structure("J3")
+    J = fam.J.substitute(fam.binding())
+    entries = [x for row in J.rows for x in row]
+    assert all(_held_as_ints(x) for x in entries)
+    assert sum(x._p is not None for x in entries) == 6  # the sqrt(2) entries
