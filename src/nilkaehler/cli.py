@@ -25,6 +25,10 @@ class UsageError(Exception):
     """Command cannot run as invoked; maps to exit code 2."""
 
 
+class VerificationFailure(Exception):
+    """A stored structure fails a check the command needs; maps to exit code 1."""
+
+
 _RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
@@ -136,6 +140,14 @@ def _check_side_conditions(
     return texts
 
 
+def _full_curvature(e: catalog.CatalogEntry, s: catalog.StructureEntry):
+    """``geometry.full_curvature`` of a stored structure; no metric is a failure."""
+    try:
+        return geometry.full_curvature(e.algebra, e.form(s.form_id).form, s.J)
+    except ValueError as exc:
+        raise VerificationFailure(f"{e.name} {s.id} on {s.form_id}: {exc}") from exc
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -194,7 +206,7 @@ def _expectation_lines(
     down_ok = passed.get(f"{s.id} down components")
     got = {}
     if down_ok is False:
-        _, _, curv = geometry.full_curvature(e.algebra, e.form(s.form_id).form, s.J)
+        _, _, curv = _full_curvature(e, s)
         got = catalog._component_table(geometry.nonzero_down_components(curv))
     lines = []
     for idx, txt in sorted(s.expected.down_components.items()):
@@ -243,14 +255,13 @@ def _verify_entry(e: catalog.CatalogEntry, form_id: str | None) -> tuple[int, li
 
 
 def cmd_verify(args) -> int:
-    names = catalog.NAMES if args.all else [args.name]
-    if not args.all and args.name is None:
-        raise UsageError("verify needs an entry name or --all")
+    if args.all == (args.name is not None) or (args.all and args.form is not None):
+        raise UsageError("verify takes an entry name, optionally with --form, or --all alone")
     total_failed = 0
-    for name in names:
+    for name in catalog.NAMES if args.all else [args.name]:
         e = _entry(name)
         try:
-            failed, lines = _verify_entry(e, None if args.all else args.form)
+            failed, lines = _verify_entry(e, args.form)
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from exc
         plural = "s" if failed != 1 else ""
@@ -279,7 +290,7 @@ def cmd_curvature(args) -> int:
     for s in structures:
         binding = _parse_binding(args.bind, frozenset(s.params))
         _check_side_conditions(s.side_conditions, binding)
-        _, _, curv = geometry.full_curvature(e.algebra, fe.form, s.J)
+        _, _, curv = _full_curvature(e, s)
         if binding:
             curv = curv.substitute(binding)
         report = geometry.curvature_report(curv)
@@ -342,10 +353,9 @@ def cmd_export(args) -> int:
             for idx, txt in sorted(s.expected.down_components.items()):
                 print(f"{e.name},{s.form_id},{s.id},down,{' '.join(map(str, idx))},\"{txt}\"")
         return 0
-    # latex
-    for s in e.structures:
-        fe = e.form(s.form_id)
-        metric, _, curv = geometry.full_curvature(e.algebra, fe.form, s.J)
+    # latex; every metric is built before anything is printed
+    curvatures = [_full_curvature(e, s) for s in e.structures]
+    for s, (metric, _, curv) in zip(e.structures, curvatures):
         print(f"% {e.name} {s.id} on {s.form_id}")
         print(r"\[ J = " + latex_matrix(s.J.rows) + r" \]")
         print(r"\[ g = " + latex_matrix(metric.g) + r" \]")
@@ -422,9 +432,9 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, VerificationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def main() -> None:

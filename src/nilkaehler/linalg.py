@@ -14,7 +14,7 @@ membership then runs no elimination.
 A tensor is ``Components``: a mapping from an index tuple to a nonzero
 Scalar.  An absent index is a zero component, and an antisymmetric tensor
 stores every image of a nonzero component, so no reader needs a sign rule.
-Every such mapping is built by ``_accumulate``.
+Every such mapping is built by ``_accumulate`` and evaluated by ``contract``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,12 @@ def identity(n: int) -> Matrix:
 
 
 def shape(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+    """(rows, columns); a matrix whose rows differ in length is rejected."""
+    ncols = len(m[0]) if m else 0
+    for i, row in enumerate(m):
+        if len(row) != ncols:
+            raise ValueError(f"ragged matrix: row {i + 1} has {len(row)} entries, not {ncols}")
+    return (len(m), ncols)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -94,6 +99,12 @@ def _accumulate(terms: Iterable[tuple[tuple[int, ...], Scalar]]) -> Components:
     for idx, v in terms:
         acc[idx] = acc[idx] + v if idx in acc else v
     return {idx: v for idx, v in acc.items() if not v.is_zero()}
+
+
+def contract(t: Components, slot: int, x: Sequence[Scalar]) -> Components:
+    """sum_i x_i t[..., i, ...] with i at index ``slot``: that index removed."""
+    return _accumulate((idx[:slot] + idx[slot + 1:], x[idx[slot]] * v)
+                       for idx, v in t.items() if not x[idx[slot]].is_zero())
 
 
 class SideConditions:

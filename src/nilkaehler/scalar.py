@@ -453,9 +453,9 @@ class Scalar:
         if self._p is None:
             return self._n / self._d
         if self._q is None:
-            # the polynomial sum b*sqrt(2) + a over d, rounded as it would be
+            # int true division: an int beyond the float range cannot overflow
             a, b, d = self._p
-            return (float(b) * math.sqrt(2.0) + float(a)) / float(d)
+            return a / d + (b / d) * math.sqrt(2.0)
         binding = ParamBinding.coerce(binding or {})
         missing = self.free_params() - set(binding)
         if missing:

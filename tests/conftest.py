@@ -5,7 +5,7 @@ from nilkaehler import catalog, geometry
 
 @pytest.fixture(scope="session")
 def curvatures():
-    """(entry, structure) -> (metric, connection, curvature), fully symbolic.
+    """(entry, structure) -> (metric, Christoffel symbols, curvature), fully symbolic.
 
     Computed once per test run; the curvature-heavy suites all read from
     this table instead of redoing the 19 symbolic pipelines.

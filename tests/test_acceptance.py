@@ -177,8 +177,8 @@ def test_2_ricci_flat_with_mutation_control(curvatures):
     rows[2][5] = rows[2][5] + ONE
     rows[5][2] = rows[5][2] + ONE
     perturbed = geometry.metric_from_matrix(rows)
-    conn = geometry.christoffel(entry.algebra, perturbed)
-    curv = geometry.curvature(entry.algebra, conn, perturbed)
+    gamma = geometry.christoffel(entry.algebra, perturbed)
+    curv = geometry.curvature(entry.algebra, gamma, perturbed)
     if linalg.is_zero_matrix(curv.ricci):
         failures.append("mutation control: perturbed metric stayed Ricci-flat")
 
@@ -259,11 +259,11 @@ def test_5_invariants_suite(curvatures):
                     if not f.form.apply(Vector(u), Vector(z)).is_zero():
                         failures.append(f"w(C1,Z)=0: {name} {f.id}")
 
-    for (name, sid), (metric, conn, curv) in curvatures.items():
+    for (name, sid), (metric, gamma, curv) in curvatures.items():
         entry = catalog.get(name)
-        if not geometry.is_torsion_free(entry.algebra, conn):
+        if not geometry.is_torsion_free(entry.algebra, gamma):
             failures.append(f"torsion: {name} {sid}")
-        if not geometry.is_metric_connection(conn, metric):
+        if not geometry.is_metric_connection(gamma, metric):
             failures.append(f"nabla g: {name} {sid}")
         if not geometry.first_bianchi_holds(curv):
             failures.append(f"bianchi: {name} {sid}")

@@ -219,8 +219,10 @@ class TestMutationControl:
             (_j_of_dimension_5, "structure J1 has dimension 5, not 6"),
             (lambda obj: obj["structures"][0]["J"].__setitem__("dim", 7),
              "row count must match dim"),
+            (lambda obj: obj["structures"][0]["J"]["rows"][2].pop(),
+             "ragged matrix: row 3 has 5 entries, not 6"),
         ],
-        ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field"],
+        ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)
@@ -265,9 +267,9 @@ class TestDenominatorsCovered:
                 stored = set()
                 for cond in s.side_conditions + entry.form(s.form_id).side_conditions:
                     stored |= set(_factors(parse_expr(cond)._num))
-                metric, conn, curv = curvatures[name, s.id]
+                metric, gamma, curv = curvatures[name, s.id]
                 values = [x for row in s.J.rows + metric.g_inv for x in row]
-                values += [*conn.gamma.values(), *curv.up.values(), *curv.down.values()]
+                values += [*gamma.values(), *curv.up.values(), *curv.down.values()]
                 for den in {x._den for x in values}:
                     for expr, f in _factors(den).items():
                         if expr not in stored:

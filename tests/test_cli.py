@@ -100,6 +100,14 @@ class TestVerify:
         lib_status = {e.name: e.ok for e in full_validation.entries}
         assert cli_status == lib_status
 
+    @pytest.mark.parametrize("argv", [("--all", "--form", "zz"), ("g21", "--all"), ()])
+    def test_ignored_flags_are_usage_errors(self, capsys, argv):
+        rc, out, err = invoke(capsys, "verify", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: verify takes an entry name, optionally with --form,"
+                       " or --all alone\n")
+
 
     @pytest.mark.parametrize(
         "g10_text,fragment",
@@ -345,6 +353,31 @@ class TestExport:
     def test_unknown_format_is_usage_error(self, capsys):
         rc, _, err = invoke(capsys, "export", "g21", "--format", "yaml")
         assert rc == 2
+
+
+class TestIncompatibleStructure:
+    @pytest.mark.parametrize(
+        "name,k,argv",
+        [
+            ("g21", 0, ("curvature", "g21", "--form", "w2")),
+            ("g21", 0, ("export", "g21", "--format", "latex")),
+            # g12 J1 is sound, so a partial export would print it first
+            ("g12", 1, ("export", "g12", "--format", "latex")),
+        ],
+    )
+    def test_is_a_verification_failure(self, capsys, monkeypatch, tmp_path, name, k, argv):
+        # J + E_11 is still loaded, but omega(X, JY) is not symmetric
+        shutil.copy(DATA / "expectations.json", tmp_path)
+        obj = json.loads((DATA / f"{name}.json").read_text())
+        s = obj["structures"][k]
+        s["J"]["rows"][0][0] = f"{s['J']['rows'][0][0]}+1"
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
+        rc, out, err = invoke(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err == (f"error: {name} {s['id']} on {s['form']}: omega(X, JY) is not symmetric:"
+                       " the pair is not compatible\n")
 
 
 class TestUsage:

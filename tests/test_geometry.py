@@ -5,9 +5,7 @@ from fractions import Fraction
 
 from nilkaehler import catalog, linalg
 from nilkaehler.geometry import (
-    Connection,
     associated_metric,
-    apply_curvature,
     christoffel,
     covariant_derivative,
     curvature,
@@ -27,7 +25,7 @@ from nilkaehler.geometry import (
     type246_structure_check,
 )
 from nilkaehler.liealg import LieAlgebra, Vector
-from nilkaehler.scalar import ParamBinding, Scalar, as_scalar, parse_expr
+from nilkaehler.scalar import ZERO, ParamBinding, Scalar, as_scalar, parse_expr
 from nilkaehler.tensors import Endomorphism, TwoForm, is_compatible
 
 G21 = LieAlgebra.from_terms(6, [(1, 2, 4, 1), (1, 4, 6, 1), (2, 3, 6, 1)])
@@ -153,13 +151,12 @@ class TestAssociatedMetric:
 class TestChristoffel:
     def test_abelian_connection_vanishes(self):
         m = associated_metric(W_STD, J_STD)
-        conn = christoffel(ABELIAN, m)
-        assert conn.gamma == {}
+        assert christoffel(ABELIAN, m) == {}
 
     def test_g21_frozen_table(self):
         # canonical structure at psi11=0, psi12=-1; all six nonzero entries
         m = associated_metric(W2_G21, J21_A1)
-        conn = christoffel(G21, m)
+        gamma = christoffel(G21, m)
         expected = {
             (1, 0, 3): -1,
             (1, 1, 2): -1,
@@ -168,38 +165,34 @@ class TestChristoffel:
             (3, 0, 5): -1,
             (3, 1, 4): -1,
         }
-        got = conn.gamma
-        assert set(got) == set(expected)
+        assert set(gamma) == set(expected)
         for key, value in expected.items():
-            assert got[key] == as_scalar(value)
+            assert gamma[key] == as_scalar(value)
 
     def test_center_rows_vanish(self):
         # nabla_X Y = 0 when X, Y lie in the center (e5, e6 here)
         m = associated_metric(W2_G21, J21_FAMILY)
-        conn = christoffel(G21, m)
-        for i in (4, 5):
-            for j in (4, 5):
-                for k in range(6):
-                    assert conn.entry(i, j, k).is_zero()
+        gamma = christoffel(G21, m)
+        assert not any(i in (4, 5) and j in (4, 5) for i, j, _ in gamma)
 
     def test_torsion_free_symbolically(self):
         m = associated_metric(W2_G21, J21_FAMILY)
-        conn = christoffel(G21, m)
-        assert is_torsion_free(G21, conn)
+        assert is_torsion_free(G21, christoffel(G21, m))
 
     def test_metric_parallel_symbolically(self):
         m = associated_metric(W2_G21, J21_FAMILY)
-        conn = christoffel(G21, m)
-        assert is_metric_connection(conn, m)
+        assert is_metric_connection(christoffel(G21, m), m)
 
     def test_covariant_derivative_bilinear(self):
         m = associated_metric(W2_G21, J21_A1)
-        conn = christoffel(G21, m)
+        gamma = christoffel(G21, m)
         e1 = G21.basis_vector(0)
         e2 = G21.basis_vector(1)
-        lhs = covariant_derivative(conn, e1 + e2, e2)
-        rhs = covariant_derivative(conn, e1, e2) + covariant_derivative(conn, e2, e2)
+        lhs = covariant_derivative(gamma, e1 + e2, e2)
+        rhs = covariant_derivative(gamma, e1, e2) + covariant_derivative(gamma, e2, e2)
         assert tuple(lhs) == tuple(rhs)
+        # nabla_X Y - nabla_Y X = [X, Y] fixes which argument is X
+        assert covariant_derivative(gamma, e2, e1) == G21.basis_vector(3).scale(-1)
 
 
 class TestCurvature:
@@ -245,7 +238,7 @@ class TestCurvature:
         assert curv.is_flat()
 
     def test_g16_j0_components(self):
-        m, conn, curv = full_curvature(G16, W2_G16, J0_G16)
+        m, _, curv = full_curvature(G16, W2_G16, J0_G16)
         got = {idx: v for idx, v in nonzero_up_components(curv)}
         assert got == {
             (0, 1, 0, 5): as_scalar(1),
@@ -267,31 +260,31 @@ class TestCurvature:
         assert ric[5][5] == as_scalar(1)
 
     def test_full_curvature_fills_everything(self):
-        m, conn, curv = full_curvature(G21, W2_G21, J21_FAMILY)
+        m, _, curv = full_curvature(G21, W2_G21, J21_FAMILY)
         assert curv.down == lower_curvature(curv.up, m)
         assert curv.ricci == ricci(curv.up, m.dim)
         assert curv.norm == curvature_norm(curv.down, m)
         assert curv.norm.is_zero()
 
-    def test_apply_curvature_matches_components(self):
-        m, conn, curv = full_curvature(G21, W2_G21, J21_FAMILY)
-        e1, e2 = G21.basis_vector(0), G21.basis_vector(1)
-        v = apply_curvature(curv, e1, e2, e1)
-        assert v.components[4] == sc("psi12*psi11")
-        assert v.components[5] == sc("psi11^2+1")
+    def test_contracting_r_matches_components(self):
+        _, _, curv = full_curvature(G21, W2_G21, J21_FAMILY)
+        e1, e2 = G21.basis_vector(0).components, G21.basis_vector(1).components
+        # R(e1, e2)e1, one slot at a time
+        v = linalg.contract(linalg.contract(linalg.contract(curv.up, 0, e1), 0, e2), 0, e1)
+        assert v == {(4,): sc("psi12*psi11"), (5,): sc("psi11^2+1")}
         # first argument from the center kills everything
-        assert apply_curvature(curv, G21.basis_vector(4), e1, e2).is_zero()
+        assert linalg.contract(curv.up, 0, G21.basis_vector(4).components) == {}
 
 
 class TestInvariantChecksCatchOneEntry:
     """On g21 J1 each invariant check holds, and fails after one entry changes."""
 
     def test_torsion_and_metric_connection(self, curvatures):
-        metric, conn, _ = curvatures["g21", "J1"]
+        metric, gamma, _ = curvatures["g21", "J1"]
         alg = catalog.get("g21").algebra
-        assert is_torsion_free(alg, conn) and is_metric_connection(conn, metric)
-        key = next(k for k in conn.gamma if k[0] != k[1])
-        bad = Connection({**conn.gamma, key: conn.gamma[key] + 1})
+        assert is_torsion_free(alg, gamma) and is_metric_connection(gamma, metric)
+        key = next(k for k in gamma if k[0] != k[1])
+        bad = {**gamma, key: gamma[key] + 1}
         assert not is_torsion_free(alg, bad)
         assert not is_metric_connection(bad, metric)
 
@@ -451,19 +444,97 @@ class TestBindingCommutesWithThePipeline:
         conditions = [parse_expr(c) for c in s.side_conditions + f.side_conditions]
         params = sorted(s.J.free_params() | f.form.free_params())
         seeded = _admissible_binding(random.Random(f"{name}/{sid}"), params, conditions)
-        metric, conn, curv = curvatures[name, sid]
-        for tensor in (conn.gamma, curv.up, curv.down):
+        metric, gamma, curv = curvatures[name, sid]
+        for tensor in (gamma, curv.up, curv.down):
             assert not any(v.is_zero() for v in tensor.values())
             assert all(t in range(6) for idx in tensor for t in idx)
         assert all(curv.up_component(j, i, k, t) == -v for (i, j, k, t), v in curv.up.items())
         for binding in (s.binding(), seeded):
-            bound_metric, bound_conn, bound_curv = full_curvature(
+            bound_metric, bound_gamma, bound_curv = full_curvature(
                 entry.algebra, f.form.substitute(binding), s.J.substitute(binding))
             assert bound_metric.g_inv == _bind(metric.g_inv, binding)
-            assert bound_conn.gamma == _bind(conn.gamma, binding)
+            assert bound_gamma == _bind(gamma, binding)
             assert bound_curv.up == _bind(curv.up, binding)
             assert bound_curv.down == _bind(curv.down, binding)
             assert bound_curv.ricci == _bind(curv.ricci, binding)
             assert bound_curv.norm == curv.norm.substitute(binding)
             g, g_inv = bound_metric.g, bound_metric.g_inv
             assert linalg.mat_mul(g, g_inv) == linalg.identity(bound_metric.dim)
+
+
+# two splits that span g but mix the levels: in the first, B lies in
+# span(e3..e6) and Z does not, and e5 is in B + Z but not in Z; in the
+# second, Z lies in span(e3..e6) and B does not
+SPLITS_SHEARED = (
+    ([Vector.of([1, 0, 1, 0, 0, 0]), Vector.of([0, 1, 0, 0, -1, 0])],
+     [Vector.of([0, 0, 1, 0, 0, 1]), Vector.of([0, 0, 0, 0, 1, 0])],
+     [Vector.of([1, 0, 0, 1, 0, 0]), Vector.of([0, 0, 0, 0, 0, 1])]),
+    ([Vector.of([1, 0, 1, 0, 0, 0]), Vector.of([0, 1, 0, 0, -1, 0])],
+     [Vector.of([0, 0, 1, 0, 0, 1]), Vector.of([1, 0, 0, 1, 0, 0])],
+     [Vector.of([0, 0, 0, 1, 1, 0]), Vector.of([0, 0, 0, 0, 0, 1])]),
+)
+
+
+def _evaluate(tensor, *vectors):
+    """Gamma(X, Y) or R(X, Y)Z by multilinear extension of the stored components."""
+    out = [ZERO] * vectors[0].dim
+    for idx, v in tensor.items():
+        coords = [u.components[i] for u, i in zip(vectors, idx)]
+        if not any(c.is_zero() for c in coords):
+            for c in coords:
+                v = c * v
+            out[idx[-1]] = out[idx[-1]] + v
+    return Vector(tuple(out))
+
+
+def _pointwise_conclusions(alg, w, J, split):
+    """The conclusions of ``type246_structure_check`` by evaluating nabla on
+    pairs and R on triples of split and basis vectors: the reference for its
+    contractions."""
+    a, b, z = (tuple(part) for part in split)
+    bz, everything = b + z, a + b + z
+    bz_span, z_span = linalg.span(bz), linalg.span(z)
+    _, gamma, curv = full_curvature(alg, w, J)
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+
+    def nabla(x, y):
+        return _evaluate(gamma, x, y)
+
+    def R(x, y, t):
+        return _evaluate(curv.up, x, y, t)
+
+    return {
+        "nabla_a_a_in_b_plus_z": all(bz_span.contains(nabla(x, y)) for x in a for y in a),
+        "nabla_a_b_in_z": all(z_span.contains(nabla(x, y)) and z_span.contains(nabla(y, x))
+                              for x in a for y in b),
+        "nabla_a_z_vanishes": all(nabla(x, y).is_zero() and nabla(y, x).is_zero()
+                                  for x in a for y in z),
+        "nabla_flat_on_b_plus_z": all(nabla(x, y).is_zero() for x in bz for y in bz),
+        "curvature_kills_b_plus_z": all(R(x, u, v).is_zero() and R(u, v, x).is_zero()
+                                        for x in bz for u in basis for v in basis),
+        "curvature_values_in_z": all(z_span.contains(R(x, y, t))
+                                     for x in everything for y in everything for t in everything),
+    }
+
+
+TYPE246_FAMILIES = [(name, sid) for name, sid in FAMILIES
+                    if catalog.get(name).algebra_type == (2, 4, 6)]
+
+
+@pytest.mark.parametrize("name,sid", TYPE246_FAMILIES)
+def test_split_check_matches_pointwise_evaluation(name, sid):
+    entry = catalog.get(name)
+    s = entry.structure(sid)
+    f = entry.form(s.form_id)
+    conditions = [parse_expr(c) for c in s.side_conditions + f.side_conditions]
+    params = sorted(s.J.free_params() | f.form.free_params())
+    seeded = _admissible_binding(random.Random(f"split/{name}/{sid}"), params, conditions)
+    # the Euclidean pair is no pseudo-Kahler structure: R is far from sparse
+    for w, J in [(f.form, s.J), (f.form.substitute(seeded), s.J.substitute(seeded)),
+                 (W_STD, J_STD)]:
+        for split in (SPLIT_STD, *SPLITS_SHEARED):
+            got = type246_structure_check(entry.algebra, w, J, split).as_dict()
+            assert got["hypotheses"]["split_is_a_basis"]
+            conclusions = _pointwise_conclusions(entry.algebra, w, J, split)
+            ok = all(got["hypotheses"].values()) and all(conclusions.values())
+            assert got == {"hypotheses": got["hypotheses"], "conclusions": conclusions, "ok": ok}

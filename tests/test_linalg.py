@@ -1,6 +1,7 @@
 """Fraction-field elimination: rref, inverse, nullspace, spans, det, signature."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -249,3 +250,32 @@ def test_constant_pivots_give_no_condition(text):
     assert len(conditions) == 0
     m = linalg.as_matrix([[text, 1], [0, "x"]])
     assert [str(c) for c in linalg.rref(m)[2]] == ["x"]
+
+
+TENSOR_VALUES = [Scalar.from_int(1), Scalar.from_int(-1), Scalar.from_int(2),
+                 Scalar.from_fraction(Fraction(1, 2)), x, x + 1, -x, Scalar.sqrt2()]
+
+
+@st.composite
+def tensor_slot_vector(draw):
+    """A sparse tensor of 3 or 4 indices over range(3), a slot and a vector."""
+    rank, n = draw(st.sampled_from([3, 4])), 3
+    index = st.tuples(*[st.integers(0, n - 1)] * rank)
+    t = draw(st.dictionaries(index, st.sampled_from(TENSOR_VALUES), max_size=12))
+    slot = draw(st.integers(0, rank - 1))
+    vec = draw(st.lists(st.sampled_from([ZERO] + TENSOR_VALUES), min_size=n, max_size=n))
+    return t, rank, slot, vec
+
+
+@given(tensor_slot_vector())
+@settings(max_examples=200, deadline=None)
+def test_contract_is_the_dense_sum(case):
+    t, rank, slot, vec = case
+    dense = {}
+    for rest in product(range(len(vec)), repeat=rank - 1):
+        total = ZERO
+        for i, vi in enumerate(vec):
+            total = total + vi * t.get(rest[:slot] + (i,) + rest[slot:], ZERO)
+        if not total.is_zero():
+            dense[rest] = total
+    assert linalg.contract(t, slot, vec) == dense

@@ -2,6 +2,8 @@
 
 import math
 import operator
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,6 @@ from nilkaehler.scalar import (
     Scalar,
     ScalarSyntaxError,
     _canonical,
-    _eval_poly,
     _R0,
     _ring_for,
     as_scalar,
@@ -405,6 +406,30 @@ def _outcome(thunk):
         return OverflowError
 
 
+def _check_q_sqrt2_evaluate(got, A, B):
+    # against A + B*sqrt(2) in 60-digit decimals: a value whose terms fit in
+    # a float never overflows, whatever the size of its ints, and is within
+    # 4 ulp of the larger term (a/d, b/d, sqrt(2.0), the product and the sum
+    # each round once)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(A.numerator) / A.denominator
+        b_sqrt2 = Decimal(B.numerator) / B.denominator * Decimal(2).sqrt()
+        largest = max(abs(a), abs(b_sqrt2))
+        if largest >= Decimal(sys.float_info.max) / 2:
+            return
+        value = got.evaluate()
+        assert abs(Decimal(value) - (a + b_sqrt2)) <= 4 * Decimal(math.ulp(float(largest)))
+
+
+def test_q_sqrt2_evaluate_does_not_overflow_on_large_ints():
+    x = (Fraction(10**400) + Scalar.sqrt2()) / Fraction(10**399)
+    assert max(map(abs, x._p)) > 10**308
+    assert x.evaluate() == 10.0
+    tiny = Fraction(2.2250738585e-311)
+    _check_q_sqrt2_evaluate(tiny * Scalar.sqrt2(), Fraction(0), tiny)
+
+
 def _check_against_reference(got, reference, want):
     A, B = want
     assert got == reference
@@ -421,12 +446,8 @@ def _check_against_reference(got, reference, want):
     value = _outcome(lambda: float(A) + float(B) * math.sqrt(2.0))
     if value is not OverflowError and abs(value) > 1e-9:
         assert got.sign() == (1 if value > 0 else -1)
-    # evaluate, bit for bit as the polynomial sum would give it (both
-    # overflow alike when an int is beyond the float range)
     if B:
-        sqrt2 = {"s": math.sqrt(2.0)}
-        assert _outcome(got.evaluate) == _outcome(
-            lambda: _eval_poly(got._num, sqrt2) / _eval_poly(got._den, sqrt2))
+        _check_q_sqrt2_evaluate(got, A, B)
         assert not got.is_constant() and got.free_params() == frozenset()
     else:
         assert _outcome(got.evaluate) == _outcome(lambda: float(A))
