@@ -50,8 +50,6 @@ class Expectation:
     up_components: Mapping[Idx4, str]
     down_components: Mapping[Idx4, str]
     flat: bool
-    ricci_zero: bool
-    norm: str
     metric: MetricExpectation | None
 
 
@@ -132,8 +130,6 @@ def _expectations(dirpath: str) -> Mapping[tuple[str, str], Expectation]:
             down_components={tuple(c["idx"]): c["value"]
                              for c in rec["down_components"]},
             flat=bool(rec["flat"]),
-            ricci_zero=bool(rec["ricci_zero"]),
-            norm=rec["norm"],
             metric=metric,
         )
     return table

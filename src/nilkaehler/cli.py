@@ -126,18 +126,11 @@ def _parse_binding(pairs: list[str], allowed: frozenset[str]) -> ParamBinding:
     return ParamBinding(values)
 
 
-def _check_side_conditions(
-    conditions, binding: ParamBinding
-) -> list[str]:
-    """Evaluate nonvanishing constraints; fully bound zeros are errors."""
-    texts = []
+def _check_side_conditions(conditions: tuple[str, ...], binding: ParamBinding) -> None:
+    """Raise UsageError when the binding makes a stored condition vanish."""
     for cond in conditions:
-        sc = parse_expr(cond) if isinstance(cond, str) else cond
-        bound = sc.substitute(binding)
-        if bound.is_zero():
+        if parse_expr(cond).substitute(binding).is_zero():
             raise UsageError(f"binding violates side condition {cond} != 0")
-        texts.append(f"{cond} != 0")
-    return texts
 
 
 def _full_curvature(e: catalog.CatalogEntry, s: catalog.StructureEntry):

@@ -25,7 +25,7 @@ from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
 from .linalg import Components, _accumulate, contract
 from .scalar import ZERO, ParamBinding, Scalar
-from .tensors import Endomorphism, TwoForm
+from .tensors import Endomorphism, TwoForm, almost_complex_residual
 
 _HALF = Scalar.from_fraction(Fraction(1, 2))
 
@@ -100,7 +100,9 @@ def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
     The result is symmetric exactly when (omega, J) is a compatible pair,
     so an asymmetric product is rejected rather than silently symmetrized.
     In matrices g = omega J^T, so J^2 = -I gives g^-1 = -J^T omega^-1: only
-    the sparse omega is inverted, and g g^-1 = I is checked exactly.
+    the sparse omega is inverted, and J^2 = -I is checked exactly by
+    ``almost_complex_residual``, equivalent to g g^-1 = I because
+    g g^-1 = -omega (J^2)^T omega^-1.
     """
     if w.dim != J.dim:
         raise ValueError("form and endomorphism dimensions differ")
@@ -111,9 +113,9 @@ def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
         w_inv = linalg.invert(w.omega)
     except ValueError:
         raise ValueError(f"{w!r} is degenerate: the associated metric is singular") from None
-    g_inv = linalg.mat_scale(-1, linalg.mat_mul(linalg.transpose(J.rows), w_inv))
-    if linalg.mat_mul(g, g_inv) != linalg.identity(w.dim):
+    if not linalg.is_zero_matrix(almost_complex_residual(J)):
         raise ValueError("J is not almost complex: J^2 != -I, so -J^T omega^-1 is not g^-1")
+    g_inv = linalg.mat_scale(-1, linalg.mat_mul(linalg.transpose(J.rows), w_inv))
     return Metric(g=g, g_inv=g_inv)
 
 
@@ -365,8 +367,10 @@ def type246_structure_check(
     bz_span, z_span = linalg.span(bz), linalg.span(z)
     series = liealg.ascending_series(alg)
 
-    def pairing(xs, ys) -> linalg.Matrix:
-        return linalg.as_matrix([[w.apply(x, y) for y in ys] for x in xs])
+    def pairs_nondegenerately(xs, ys) -> bool:
+        # full rank over the fraction field, i.e. a nonzero determinant
+        m = tuple(tuple(w.apply(x, y) for y in ys) for x in xs)
+        return len(linalg.rref(m)[1]) == len(m)
 
     hypotheses = (
         ("algebra_type_is_2_4_6", tuple(len(term) for term in series) == (2, 4, 6)),
@@ -380,8 +384,8 @@ def type246_structure_check(
         ("a_isotropic", all(w.apply(x, y).is_zero() for x, y in combinations(a, 2))),
         ("z_isotropic", all(w.apply(x, y).is_zero() for x, y in combinations(z, 2))),
         ("a_z_pairing_nondegenerate",
-         len(a) == len(z) and not linalg.det(pairing(a, z)).is_zero()),
-        ("omega_nondegenerate_on_b", not linalg.det(pairing(b, b)).is_zero()),
+         len(a) == len(z) and pairs_nondegenerately(a, z)),
+        ("omega_nondegenerate_on_b", pairs_nondegenerately(b, b)),
     )
 
     _, gamma, curv = full_curvature(alg, w, J)

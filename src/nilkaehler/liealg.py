@@ -6,7 +6,10 @@ is the nonzero C_ij^k, stored for both orders of the pair (C_ji^k is
 The JSON interchange format (see ``from_json_dict``) is 1-based, matching
 the printed basis labels e1..e6.  The terms of the central series are
 ``linalg.Span`` values: the ascending terms come straight from
-``linalg.nullspace`` and the descending ones from ``linalg.span``.
+``linalg.nullspace`` and the descending ones from ``linalg.span``.  Each
+ascending step reduces the brackets [P e_i, e_j] against the previous
+term with ``Span.reduce``; the remainders are the constraints whose
+nullspace is the next term.
 """
 
 from __future__ import annotations
@@ -206,23 +209,13 @@ def _membership_constraints(
     the image [Jx, e_j] instead of [x, e_j].
     """
     n = alg.dim
+    # row i of the transpose is P e_i; ad[i][j, m] is the m-th component of [P e_i, e_j]
+    images = linalg.transpose(pre) if pre is not None else linalg.identity(n)
+    ad = [linalg.contract(alg.constants, 0, x) for x in images]
     rows: list[Row] = []
     for j in range(n):
-        # column i of B is [e_i, e_j]
-        b = [[alg.structure_constant(i, j, m) for i in range(n)] for m in range(n)]
-        if pre is not None:
-            b = [list(r) for r in linalg.mat_mul(tuple(tuple(r) for r in b), pre)]
-        # residual of B x after clearing against the subspace pivots,
-        # touching only entries where both factors are nonzero
-        for basis_row, pc in zip(subspace.rows, subspace.pivots):
-            coeffs = [(i, c) for i, c in enumerate(b[pc]) if not c.is_zero()]
-            for m, x in enumerate(basis_row):
-                if x.is_zero():
-                    continue
-                row = b[m]
-                for i, c in coeffs:
-                    row[i] = row[i] - x * c
-        rows.extend(tuple(row) for row in b)
+        columns = [subspace.reduce(t.get((j, m), ZERO) for m in range(n)) for t in ad]
+        rows.extend(zip(*columns))
     return tuple(rows)
 
 

@@ -5,11 +5,14 @@ return side conditions: the sign-normalised primitive parts of the pivot
 numerators that were assumed nonzero.  A part free of parameters never
 generates a condition, and constant pivots are preferred during pivot
 selection so that conditions appear only when forced by symbolic entries.
+A square matrix is nonsingular exactly when it has full rank over the
+fraction field, ``len(rref(m)[1]) == len(m)``; no determinant is formed.
 
 A subspace is a ``Span``, a basis reduced at its pivot columns.  It is
 built once, by ``span`` from constant rows (one ``rref``) or by
-``nullspace`` (symbolic entries allowed, conditions returned), and testing
-membership then runs no elimination.
+``nullspace`` (symbolic entries allowed, conditions returned).
+``Span.reduce`` clears a vector against the pivots, the one routine that
+reads the reduced basis, so membership runs no elimination.
 
 A tensor is ``Components``: a mapping from an index tuple to a nonzero
 Scalar.  An absent index is a zero component, and an antisymmetric tensor
@@ -182,8 +185,8 @@ class Span:
 
     Invariant: row r has a 1 at ``pivots[r]`` and every other row has a 0
     there.  A vector v is then sum_r v[pivots[r]] rows[r] when it lies in
-    the span, so membership clears v against the pivots and runs no
-    elimination.
+    the span, so ``reduce`` subtracts that sum and membership asks whether
+    the remainder is zero.
     """
 
     rows: tuple[Row, ...]
@@ -195,13 +198,17 @@ class Span:
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
-    def contains(self, v: Iterable[Scalar]) -> bool:
+    def reduce(self, v: Iterable[Scalar]) -> Row:
+        """v with every pivot cleared: zero exactly when v lies in the span."""
         rest = list(v)
         for row, col in zip(self.rows, self.pivots):
             f = rest[col]
             if not f.is_zero():
                 rest = [x - f * y for x, y in zip(rest, row)]
-        return all(x.is_zero() for x in rest)
+        return tuple(rest)
+
+    def contains(self, v: Iterable[Scalar]) -> bool:
+        return all(x.is_zero() for x in self.reduce(v))
 
 
 def require_bound(rows: Iterable[Iterable[Scalar]]) -> None:
@@ -245,34 +252,11 @@ def nullspace(m: Matrix) -> tuple[Span, SideConditions]:
 def invert(m: Matrix) -> Matrix:
     """Exact inverse; raises ValueError when singular as a symbolic matrix."""
     n = len(m)
-    augmented = tuple(row + identity(n)[i] for i, row in enumerate(m))
+    augmented = tuple(row + unit for row, unit in zip(m, identity(n)))
     reduced, pivots, _ = rref(augmented)
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced[:n])
-
-
-def det(m: Matrix) -> Scalar:
-    """Determinant via fraction-field elimination (exact, no conditions)."""
-    rows = [list(row) for row in m]
-    n = len(rows)
-    result = ONE
-    for col in range(n):
-        p = _pick_pivot(rows, col, col)
-        if p is None:
-            return ZERO
-        if p != col:
-            rows[col], rows[p] = rows[p], rows[col]
-            result = -result
-        pivot = rows[col][col]
-        result = result * pivot
-        inv = ONE / pivot
-        for i in range(col + 1, n):
-            if rows[i][col].is_zero():
-                continue
-            f = rows[i][col] * inv
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return result
 
 
 def symmetric_signature(m: Iterable[Iterable[ScalarLike]]) -> tuple[int, int]:

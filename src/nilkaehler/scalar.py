@@ -449,24 +449,22 @@ class Scalar:
         return _canonical(R.from_dict(num) * den_d, R.from_dict(den) * num_d, R)
 
     def evaluate(self, binding: "ParamBinding | Mapping | None" = None) -> float:
-        """Float value; every parameter must be bound (``s`` is sqrt(2))."""
+        """Float value; every parameter must be bound (``s`` is sqrt(2)).
+
+        A parametric value is substituted exactly first, so only a constant
+        is ever rounded to float.
+        """
+        if self._q is not None:
+            binding = ParamBinding.coerce(binding or {})
+            missing = self.free_params() - set(binding)
+            if missing:
+                raise ValueError(f"unbound parameters: {sorted(missing)}")
+            return self.substitute(binding).evaluate()
         if self._p is None:
             return self._n / self._d
-        if self._q is None:
-            # int true division: an int beyond the float range cannot overflow
-            a, b, d = self._p
-            return a / d + (b / d) * math.sqrt(2.0)
-        binding = ParamBinding.coerce(binding or {})
-        missing = self.free_params() - set(binding)
-        if missing:
-            raise ValueError(f"unbound parameters: {sorted(missing)}")
-        values = {n: float(binding[n]) for n in binding}
-        values[SQRT2_NAME] = math.sqrt(2.0)
-        num = _eval_poly(self._p, values)
-        den = _eval_poly(self._q, values)
-        if den == 0.0:
-            raise ZeroDivisionError("denominator vanishes under binding")
-        return num / den
+        # int true division: an int beyond the float range cannot overflow
+        a, b, d = self._p
+        return a / d + (b / d) * math.sqrt(2.0)
 
     def __float__(self) -> float:
         return self.evaluate({})
@@ -575,18 +573,6 @@ def _substitute_poly(p, bind: dict[str, Fraction]):
         acc[key] = acc.get(key, 0) + c
     common = math.prod(b ** top[i] for i, _, b in bound)
     return {m: c for m, c in acc.items() if c}, common
-
-
-def _eval_poly(p, values: dict[str, float]) -> float:
-    names = p.ring._scalar_names
-    total = 0.0
-    for monom, coeff in p.terms():
-        term = float(int(coeff))
-        for i, e in enumerate(monom):
-            if e:
-                term *= values[names[i]] ** e
-        total += term
-    return total
 
 
 # -- binding ------------------------------------------------------------

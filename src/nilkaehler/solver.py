@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg, tensors
 from .liealg import LieAlgebra
-from .scalar import Scalar
+from .scalar import ZERO, Scalar
 from .tensors import Endomorphism, TwoForm
 
 
@@ -82,7 +82,7 @@ def compat_nullspace(w: TwoForm) -> LinearSolution:
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            coeffs = [Scalar.from_int(0)] * (n * n)
+            coeffs = [ZERO] * (n * n)
             for b in range(n):
                 coeffs[i * n + b] = coeffs[i * n + b] + w.entry(b, j)
                 coeffs[j * n + b] = coeffs[j * n + b] + w.entry(i, b)

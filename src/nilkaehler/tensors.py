@@ -216,17 +216,22 @@ def is_closed(alg: LieAlgebra, w: TwoForm) -> bool:
 
 
 def nondegenerate(w: TwoForm) -> bool:
-    return not linalg.det(w.omega).is_zero()
+    """Full rank over the fraction field, i.e. det(omega) != 0."""
+    return len(linalg.rref(w.omega)[1]) == w.dim
 
 
 # -- the three pseudo-Kaehler residuals --------------------------------------
 
 
 def compat_residual(w: TwoForm, J: Endomorphism) -> linalg.Matrix:
-    """Matrix with entry (i, j) = omega_kj J_i^k + omega_is J_j^s."""
-    jw = linalg.mat_mul(J.rows, w.omega)
-    wjt = linalg.mat_mul(w.omega, linalg.transpose(J.rows))
-    return linalg.mat_add(jw, wjt)
+    """Matrix with entry (i, j) = omega_kj J_i^k + omega_is J_j^s.
+
+    That is J omega + omega J^T = P - P^T with P = J omega, because omega
+    is antisymmetric: omega J^T = -(J omega)^T.
+    """
+    p = linalg.mat_mul(J.rows, w.omega)
+    return tuple(tuple(x - y for x, y in zip(row, col))
+                 for row, col in zip(p, linalg.transpose(p)))
 
 
 def is_compatible(w: TwoForm, J: Endomorphism) -> bool:

@@ -141,6 +141,18 @@ class TestAssociatedMetric:
         with pytest.raises(ValueError, match=r"TwoForm\(e1\^e2 \+ e3\^e4\) is degenerate"):
             associated_metric(w, J_STD)
 
+    def test_error_messages_keep_their_order(self):
+        # 2J is not almost complex; with a degenerate omega the product is
+        # still symmetric, and degeneracy is reported before J^2 != -I
+        two_j = Endomorphism([[2 * x for x in row] for row in J_STD.rows])
+        with pytest.raises(ValueError) as exc:
+            associated_metric(W_STD, two_j)
+        assert str(exc.value) == (
+            "J is not almost complex: J^2 != -I, so -J^T omega^-1 is not g^-1")
+        degenerate = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1)])
+        with pytest.raises(ValueError, match="is degenerate"):
+            associated_metric(degenerate, two_j)
+
     def test_metric_from_matrix_validates(self):
         with pytest.raises(ValueError, match="symmetric"):
             metric_from_matrix([[0, 1], [0, 0]])

@@ -1,7 +1,8 @@
-"""Fraction-field elimination: rref, inverse, nullspace, spans, det, signature."""
+"""Fraction-field elimination: rref, rank, inverse, nullspace, spans, signature."""
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -55,27 +56,46 @@ def test_transpose_involution():
     assert linalg.transpose(linalg.transpose(m)) == m
 
 
-# ---------------------------------------------------------------- det
+# ---------------------------------------------------------------- full rank
 
 
-def test_det_3x3_leibniz_oracle():
-    m = frac_matrix([[2, 0, 1], [1, 3, -1], [0, 5, 4]])
-    # a(ei-fh) - b(di-fg) + c(dh-eg)
-    expected = 2 * (3 * 4 - (-1) * 5) - 0 + 1 * (1 * 5 - 3 * 0)
-    assert linalg.det(m) == Scalar.from_int(expected)
+def full_rank(m):
+    """Nonsingular over the fraction field: every row has a pivot."""
+    return len(linalg.rref(m)[1]) == len(m)
 
 
-def test_det_symbolic():
-    m = linalg.as_matrix([[x, 1], [1, x]])
-    assert linalg.det(m) == parse_expr("x^2 - 1")
-    assert linalg.det(linalg.as_matrix([[x, y], [x, y]])) == ZERO
+def leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
-@given(int_matrix(3), int_matrix(3))
-@settings(max_examples=30, deadline=None)
-def test_det_is_multiplicative(a, b):
-    ma, mb = frac_matrix(a), frac_matrix(b)
-    assert linalg.det(linalg.mat_mul(ma, mb)) == linalg.det(ma) * linalg.det(mb)
+@st.composite
+def square_maybe_singular(draw):
+    """A 3x3 integer matrix whose last row is, half of the time, a
+    combination of the other two."""
+    rows = draw(int_matrix(3))
+    if draw(st.booleans()):
+        a, b = draw(int_entries), draw(int_entries)
+        rows[2] = [a * p + b * q for p, q in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(square_maybe_singular())
+@settings(max_examples=60, deadline=None)
+def test_full_rank_exactly_when_leibniz_det_is_nonzero(rows):
+    assert full_rank(frac_matrix(rows)) == (leibniz_det(rows) != 0)
+
+
+def test_full_rank_symbolic():
+    # det [[x, 1], [1, x]] = x^2 - 1 is a nonzero function; [[x, y], [x, y]] has rank 1
+    assert full_rank(linalg.as_matrix([[x, 1], [1, x]]))
+    rank_one = linalg.as_matrix([[x, y], [x, y]])
+    assert len(linalg.rref(rank_one)[1]) == 1
+    assert not full_rank(rank_one)
 
 
 # ---------------------------------------------------------------- rref
@@ -125,7 +145,7 @@ def test_nullspace_of_identity_is_trivial():
 @settings(max_examples=30, deadline=None)
 def test_inverse_times_matrix_is_identity(entries):
     m = frac_matrix(entries)
-    assume(not linalg.det(m).is_zero())
+    assume(full_rank(m))
     assert linalg.mat_mul(m, linalg.invert(m)) == linalg.identity(3)
     assert len(linalg.rref(m)[2]) == 0  # numeric pivots never add conditions
 
@@ -185,6 +205,17 @@ def test_span_contains_exactly_when_the_rank_stays(case):
     assert span.contains(v) == (len(linalg.span(rows + (v,))) == len(span))
 
 
+@given(rows_and_vector())
+@settings(max_examples=60, deadline=None)
+def test_span_reduce_leaves_the_part_outside_the_span(case):
+    rows, v = frac_matrix(case[0]), linalg.as_row(case[1])
+    span = linalg.span(rows)
+    rest = span.reduce(v)
+    assert all(rest[c].is_zero() for c in span.pivots)
+    assert all(e.is_zero() for e in rest) == span.contains(v)
+    assert span.contains([a - b for a, b in zip(v, rest)])
+
+
 def test_span_refuses_free_parameters():
     with pytest.raises(ValueError, match="unbound parameters: x, y"):
         linalg.span(linalg.as_matrix([[x, 1], [0, y]]))
@@ -233,7 +264,7 @@ def test_signature_is_congruence_invariant(signs, a, c):
     b = linalg.as_matrix(
         [[p + q * s for p, q in zip(ra, rc)] for ra, rc in zip(a, c)]
     )
-    assume(not linalg.det(b).is_zero())
+    assume(full_rank(b))
     d = linalg.as_matrix(
         [[sign if i == j else 0 for j in range(4)] for i, sign in enumerate(signs)]
     )

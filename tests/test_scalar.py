@@ -189,6 +189,14 @@ def test_evaluate_requires_full_binding():
     assert v.evaluate({"x": 1, "y": 4}) == 0.25
     with pytest.raises(ValueError):
         v.evaluate({"x": 1})
+    with pytest.raises(ZeroDivisionError):
+        v.evaluate({"x": 1, "y": 0})
+
+
+def test_parametric_evaluate_does_not_overflow_on_large_ints():
+    # the coefficients exceed the float range; the bound value is about 10
+    v = (parse_expr("a") + Fraction(10**400)) / Fraction(10**399)
+    assert v.evaluate({"a": 1}) == 10.0
 
 
 def test_constants_hash_as_the_equal_number():

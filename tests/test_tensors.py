@@ -377,3 +377,28 @@ def _definition_cases():
 def test_sparse_tensors_match_their_definitions(alg, w, J):
     assert nijenhuis(alg, J) == _nijenhuis_by_definition(alg, J)
     assert exterior_d(alg, w) == _d_by_definition(alg, w)
+
+
+def _compat_by_definition(w, J):
+    """J omega + omega J^T: entry (i, j) is omega_kj J_i^k + omega_is J_j^s."""
+    return linalg.mat_add(linalg.mat_mul(J.rows, w.omega),
+                          linalg.mat_mul(w.omega, linalg.transpose(J.rows)))
+
+
+def _stored_forms_with_dyadic_J():
+    """Every stored form, with parameters free, and a seeded dyadic J."""
+    return [
+        pytest.param(f.form, Endomorphism(_dyadic(random.Random(f"compat/{name}/{f.id}"), 6)),
+                     id=f"{name}-{f.id}")
+        for name in catalog.NAMES
+        for f in catalog.get(name).forms
+    ]
+
+
+@pytest.mark.parametrize(
+    "w,J",
+    [pytest.param(*c.values[1:], id=c.id) for c in _definition_cases()]
+    + _stored_forms_with_dyadic_J(),
+)
+def test_compat_residual_matches_its_definition(w, J):
+    assert compat_residual(w, J) == _compat_by_definition(w, J)
