@@ -184,7 +184,7 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
         )
     except KeyError as exc:
         raise ValueError(f"catalog entry {name} lacks the key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"catalog entry {name} is malformed: {exc}") from exc
 
 
@@ -242,7 +242,7 @@ def _components_match(
 ) -> bool:
     if set(got) != set(want):
         return False
-    return all((got[idx] - parse_expr(txt)).is_zero() for idx, txt in want.items())
+    return all(got[idx] == parse_expr(txt) for idx, txt in want.items())
 
 
 def _validate_structure(
@@ -287,7 +287,7 @@ def _validate_structure(
                 if txt is None:
                     ok = ok and bound.is_zero()
                 else:
-                    ok = ok and (bound - parse_expr(txt)).is_zero()
+                    ok = ok and bound == parse_expr(txt)
         checks.append((f"{s.id} metric", ok))
     return checks
 

@@ -133,10 +133,16 @@ def _check_side_conditions(conditions: tuple[str, ...], binding: ParamBinding) -
             raise UsageError(f"binding violates side condition {cond} != 0")
 
 
-def _full_curvature(e: catalog.CatalogEntry, s: catalog.StructureEntry):
-    """``geometry.full_curvature`` of a stored structure; no metric is a failure."""
+def _full_curvature(
+    e: catalog.CatalogEntry, s: catalog.StructureEntry, binding: ParamBinding | None = None
+):
+    """``geometry.full_curvature`` of a stored structure, at ``binding`` when
+    one is given; no metric is a failure."""
+    w, J = e.form(s.form_id).form, s.J
+    if binding:
+        w, J = w.substitute(binding), J.substitute(binding)
     try:
-        return geometry.full_curvature(e.algebra, e.form(s.form_id).form, s.J)
+        return geometry.full_curvature(e.algebra, w, J)
     except ValueError as exc:
         raise VerificationFailure(f"{e.name} {s.id} on {s.form_id}: {exc}") from exc
 
@@ -206,7 +212,7 @@ def _expectation_lines(
         value = got.get(idx, ZERO)
         if down_ok is None:
             verdict = "not checked"
-        elif down_ok or (value - parse_expr(txt)).is_zero():
+        elif down_ok or value == parse_expr(txt):
             verdict = "matched"
         else:
             verdict = f"computed {value}"
@@ -283,9 +289,7 @@ def cmd_curvature(args) -> int:
     for s in structures:
         binding = _parse_binding(args.bind, frozenset(s.params))
         _check_side_conditions(s.side_conditions, binding)
-        _, _, curv = _full_curvature(e, s)
-        if binding:
-            curv = curv.substitute(binding)
+        _, _, curv = _full_curvature(e, s, binding)
         report = geometry.curvature_report(curv)
         if binding:
             report["binding"] = {k: str(v) for k, v in sorted(binding.items())}
@@ -302,7 +306,7 @@ def cmd_solve_linear(args) -> int:
     obj = _load_json(args.form_file)
     try:
         w = TwoForm.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad form file: {exc}") from exc
     solution = solver.compat_nullspace(w)
     print(json.dumps({
@@ -318,7 +322,7 @@ def cmd_search(args) -> int:
     try:
         alg = LieAlgebra.from_json_dict(alg_obj)
         w = TwoForm.from_json_dict(form_obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad input file: {exc}") from exc
     try:
         result = solver.newton_search(

@@ -64,35 +64,6 @@ class Curvature:
     def is_flat(self) -> bool:
         return not self.up
 
-    def substitute(self, binding: ParamBinding) -> "Curvature":
-        """Every field at ``binding``; components that vanish there are dropped."""
-
-        def bind(components: Components) -> Components:
-            return _accumulate((idx, v.substitute(binding)) for idx, v in components.items())
-
-        return Curvature(
-            up=bind(self.up),
-            down=bind(self.down),
-            ricci=tuple(tuple(x.substitute(binding) for x in row) for row in self.ricci),
-            norm=self.norm.substitute(binding),
-        )
-
-
-def metric_from_matrix(rows: Sequence[Sequence]) -> Metric:
-    """Package a raw symmetric matrix as a Metric (with exact inverse).
-
-    Rejects asymmetric input and singular matrices.  This is the entry
-    point for metrics that do not come from a (omega, J) pair, e.g. the
-    deliberately wrong control metrics used in tests.
-    """
-    g = linalg.as_matrix(rows)
-    n, m = linalg.shape(g)
-    if n != m:
-        raise ValueError("metric matrix must be square")
-    if g != linalg.transpose(g):
-        raise ValueError("metric matrix must be symmetric")
-    return Metric(g=g, g_inv=linalg.invert(g))
-
 
 def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
     """g_ij = sum_s omega_is J_j^s, i.e. g(X, Y) = omega(X, JY).

@@ -4,7 +4,7 @@ The structure constants are ``linalg.Components``: ``constants[i, j, k]``
 is the nonzero C_ij^k, stored for both orders of the pair (C_ji^k is
 -C_ij^k).  All Python-level indices are 0-based.
 The JSON interchange format (see ``from_json_dict``) is 1-based, matching
-the printed basis labels e1..e6.  The terms of the central series are
+the printed basis e1..e6.  The terms of the central series are
 ``linalg.Span`` values: the ascending terms come straight from
 ``linalg.nullspace`` and the descending ones from ``linalg.span``.  Each
 ascending step reduces the brackets [P e_i, e_j] against the previous
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import linalg
 from .scalar import ZERO, Scalar, ScalarLike, as_scalar
@@ -56,13 +56,10 @@ class Vector:
 
 
 class LieAlgebra:
-    """dim, the structure constants C_ij^k, basis labels."""
+    """dim and the structure constants C_ij^k; the basis prints as e1..e{dim}."""
 
     def __init__(
-        self,
-        dim: int,
-        constants: Mapping[tuple[int, int], Mapping[int, ScalarLike]],
-        labels: Sequence[str] | None = None,
+        self, dim: int, constants: Mapping[tuple[int, int], Mapping[int, ScalarLike]]
     ):
         """``constants`` maps each pair i < j to the components of [e_i, e_j]."""
         if dim <= 0:
@@ -78,23 +75,15 @@ class LieAlgebra:
                 c = as_scalar(c)
                 terms += [((i, j, k), c), ((j, i, k), -c)]
         self.constants: linalg.Components = linalg._accumulate(terms)
-        self.basis_labels = (
-            tuple(labels) if labels else tuple(f"e{i + 1}" for i in range(dim))
-        )
-        if len(self.basis_labels) != dim:
-            raise ValueError("label count must match dimension")
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_terms(
-        cls,
-        dim: int,
-        terms: Iterable[tuple[int, int, int, ScalarLike]],
-        labels: Sequence[str] | None = None,
-        check: bool = True,
+        cls, dim: int, terms: Iterable[tuple[int, int, int, ScalarLike]]
     ) -> "LieAlgebra":
-        """Build from 1-based (i, j, k, c) items, as written in data files."""
+        """Build from 1-based (i, j, k, c) items, as written in data files;
+        a failure of the Jacobi identity raises ValueError."""
         table: dict[tuple[int, int], dict[int, Scalar]] = {}
         for i, j, k, c in terms:
             c = as_scalar(c)
@@ -107,17 +96,18 @@ class LieAlgebra:
             if k - 1 in row:
                 raise ValueError(f"duplicate bracket component ({i}, {j}, {k})")
             row[k - 1] = c
-        alg = cls(dim, table, labels)
-        if check:
-            bad = jacobi_check(alg)
-            if bad:
-                raise ValueError(f"Jacobi identity fails on triples {bad}")
+        alg = cls(dim, table)
+        bad = jacobi_check(alg)
+        if bad:
+            raise ValueError(f"Jacobi identity fails on triples {bad}")
         return alg
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "LieAlgebra":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a Lie algebra must be a JSON object, not {type(obj).__name__}")
         terms = [(b["i"], b["j"], b["k"], b["c"]) for b in obj.get("brackets", [])]
-        return cls.from_terms(int(obj["dim"]), terms, check=True)
+        return cls.from_terms(int(obj["dim"]), terms)
 
     def to_json_dict(self) -> dict:
         brackets = [
@@ -140,10 +130,9 @@ class LieAlgebra:
         parts = []
         for (i, j), group in groupby(upper, key=lambda item: item[0][:2]):
             terms = " + ".join(
-                f"{'' if c.is_one() else f'({c})*'}{self.basis_labels[k]}"
-                for (_, _, k), c in group
+                f"{'' if c.is_one() else f'({c})*'}e{k + 1}" for (_, _, k), c in group
             )
-            parts.append(f"[{self.basis_labels[i]}, {self.basis_labels[j]}] = {terms}")
+            parts.append(f"[e{i + 1}, e{j + 1}] = {terms}")
         inner = "; ".join(parts) if parts else "abelian"
         return f"LieAlgebra(dim={self.dim}, {inner})"
 

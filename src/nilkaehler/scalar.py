@@ -506,24 +506,14 @@ class Scalar:
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
-        if self._p is None:
-            return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
-        if self._q is None:
-            # as the polynomial (b*s + a)/d prints
-            a, b, d = self._p
-            num = ("-" if b < 0 else "") + ("s" if abs(b) == 1 else f"{abs(b)}*s")
-            if a:
-                num += f" + {a}" if a > 0 else f" - {-a}"
-                if d != 1:
-                    num = f"({num})"
-            return num if d == 1 else f"{num}/{d}"
-        num = _poly_text(self._p)
-        if self._q == 1:
+        p, q = self._num, self._den
+        num = _poly_text(p)
+        if q == 1:
             return num
-        if len(self._p) > 1:
+        if len(p) > 1:
             num = f"({num})"
-        den = _poly_text(self._q)
-        if not _atomic_denominator(self._q):
+        den = _poly_text(q)
+        if not _atomic_denominator(q):
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -807,6 +797,6 @@ def parse_expr(text: str) -> Scalar:
     """Parse an expression string into a canonical Scalar."""
     try:
         return _Parser(text).parse()
-    except ScalarSyntaxError as exc:
+    except (ScalarSyntaxError, ZeroDivisionError) as exc:
         exc.args = (f"{exc.args[0]} in {text!r}",)
         raise

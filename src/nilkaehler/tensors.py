@@ -62,6 +62,8 @@ class TwoForm:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "TwoForm":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a 2-form must be a JSON object, not {type(obj).__name__}")
         terms = [(t["i"], t["j"], t["c"]) for t in obj.get("terms", [])]
         return cls.from_terms(int(obj["dim"]), terms)
 
@@ -149,9 +151,6 @@ class Endomorphism:
 
     def entry(self, i: int, k: int) -> Scalar:
         return self.rows[i][k]
-
-    def image_of_basis(self, i: int) -> Vector:
-        return Vector(self.rows[i])
 
     def apply(self, v: Vector) -> Vector:
         # (Jv)_k = sum_i v_i J_i^k
@@ -304,7 +303,7 @@ def is_abelian_J(alg: LieAlgebra, J: Endomorphism) -> bool:
     """True when [JX, JY] = [X, Y] on all basis pairs."""
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            lhs = liealg.bracket(alg, J.image_of_basis(i), J.image_of_basis(j))
+            lhs = liealg.bracket(alg, Vector(J.rows[i]), Vector(J.rows[j]))
             rhs = Vector.of(
                 [alg.structure_constant(i, j, k) for k in range(alg.dim)]
             )

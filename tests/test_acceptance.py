@@ -176,7 +176,8 @@ def test_2_ricci_flat_with_mutation_control(curvatures):
     rows = [[metric.g[i][j].substitute(b) for j in range(6)] for i in range(6)]
     rows[2][5] = rows[2][5] + ONE
     rows[5][2] = rows[5][2] + ONE
-    perturbed = geometry.metric_from_matrix(rows)
+    g = linalg.as_matrix(rows)
+    perturbed = geometry.Metric(g=g, g_inv=linalg.invert(g))
     gamma = geometry.christoffel(entry.algebra, perturbed)
     curv = geometry.curvature(entry.algebra, gamma, perturbed)
     if linalg.is_zero_matrix(curv.ricci):

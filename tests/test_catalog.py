@@ -221,8 +221,13 @@ class TestMutationControl:
              "row count must match dim"),
             (lambda obj: obj["structures"][0]["J"]["rows"][2].pop(),
              "ragged matrix: row 3 has 5 entries, not 6"),
+            (lambda obj: obj["structures"][0]["J"]["rows"][0].__setitem__(1, "1/(psi12-psi12)"),
+             "division by the zero polynomial (at position 1) in '1/(psi12-psi12)'"),
+            (lambda obj: obj["forms"][0].__setitem__("form", [1, 2]),
+             "a 2-form must be a JSON object, not list"),
         ],
-        ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged"],
+        ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
+             "division-by-zero", "form-not-an-object"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)

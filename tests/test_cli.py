@@ -130,10 +130,23 @@ class TestVerify:
                 _g10_text(lambda obj: obj["forms"][0]["form"].__setitem__("dim", 7)),
                 "catalog entry g10 is malformed: form w1 has dimension 7, not 6",
                 id="form-dimension"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["J"]["rows"][0].__setitem__(
+                    1, "1/(psi12-psi12)")),
+                "catalog entry g10 is malformed: division by the zero polynomial"
+                " (at position 1) in '1/(psi12-psi12)'",
+                id="division-by-zero"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"][0].__setitem__("form", [1, 2])),
+                "catalog entry g10 is malformed: a 2-form must be a JSON object, not list",
+                id="form-not-an-object"),
         ],
     )
-    @pytest.mark.parametrize("argv", [("verify", "g10"), ("export", "g10", "--format", "latex")],
-                             ids=["verify", "export-latex"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("show", "g10"), ("verify", "g10"), ("export", "g10", "--format", "latex")],
+        ids=["show", "verify", "export-latex"],
+    )
     def test_catalog_load_failure_is_usage_error(
         self, capsys, monkeypatch, tmp_path, g10_text, fragment, argv
     ):
@@ -262,6 +275,29 @@ class TestCurvature:
         assert rc == 2
         assert fragment in err
 
+    @pytest.mark.parametrize(
+        "argv,up,down",
+        [
+            (("g12", "--form", "w1", "--structure", "J3", "--bind", "lambda=3"),
+             {(1, 2, 1, 5): "23/3", (1, 2, 1, 6): "-23*s/2", (1, 2, 2, 5): "23*s/6",
+              (1, 2, 2, 6): "-23"},
+             {(1, 2, 1, 2): "23*s/2"}),
+            (("g10", "--form", "w1", "--bind", "psi11=3/2", "psi12=-2/3"),
+             {(1, 2, 1, 5): "-27873/4928", (1, 2, 1, 6): "-40261/4928",
+              (1, 2, 2, 5): "15485/11088", (1, 2, 2, 6): "3097/1232"},
+             {(1, 2, 1, 2): "-3097/1848"}),
+        ],
+        ids=["g12-J3-sqrt2", "g10-J1-fractions"],
+    )
+    def test_bound_report_is_pinned(self, capsys, argv, up, down):
+        # the family's curvature computed at the binding, printed exactly
+        rc, out, _ = invoke(capsys, "curvature", *argv)
+        assert rc == 0
+        report = json.loads(out)
+        assert {tuple(c["idx"]): c["value"] for c in report["nonzero_up"]} == up
+        assert {tuple(c["idx"]): c["value"] for c in report["nonzero_down"]} == down
+        assert report["ricci_zero"] is True and report["norm"] == "0"
+
 
 class TestSolveAndSearch:
     def test_solve_linear_standard_symplectic(self, capsys, tmp_path):
@@ -305,6 +341,33 @@ class TestSolveAndSearch:
         rc, out, _ = invoke(capsys, "search", str(alg), str(form), "--starts", "10")
         assert rc == 1
         assert json.loads(out)["status"] == "failed"
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (("solve-linear", {"dim": 6, "terms": [{"i": 1, "j": 2, "c": "1/0"}]}),
+             "bad form file: division by zero in rational literal (at position 2) in '1/0'"),
+            (("solve-linear", [1, 2]), "bad form file: a 2-form must be a JSON object, not list"),
+            (("search", ABELIAN, [1, 2]),
+             "bad input file: a 2-form must be a JSON object, not list"),
+            (("search", [1, 2], W_STD),
+             "bad input file: a Lie algebra must be a JSON object, not list"),
+            (("search", {"dim": 6, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "2/(1-1)"}]},
+              W_STD),
+             "bad input file: division by the zero polynomial (at position 1) in '2/(1-1)'"),
+        ],
+        ids=["solve-zero-denominator", "solve-form-list", "search-form-list",
+             "search-algebra-list", "search-zero-division"],
+    )
+    def test_malformed_input_file_is_usage_error(self, capsys, tmp_path, argv, fragment):
+        command, *objects = argv
+        paths = [tmp_path / f"input{k}.json" for k in range(len(objects))]
+        for path, obj in zip(paths, objects):
+            path.write_text(json.dumps(obj))
+        rc, out, err = invoke(capsys, command, *map(str, paths))
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {fragment}\n"
 
     @pytest.mark.parametrize(
         "flag,fragment",

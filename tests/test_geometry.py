@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from nilkaehler import catalog, linalg
 from nilkaehler.geometry import (
+    Metric,
     associated_metric,
     christoffel,
     covariant_derivative,
@@ -16,7 +17,6 @@ from nilkaehler.geometry import (
     is_metric_connection,
     is_torsion_free,
     lower_curvature,
-    metric_from_matrix,
     pair_symmetric,
     nonzero_down_components,
     nonzero_up_components,
@@ -153,12 +153,6 @@ class TestAssociatedMetric:
         with pytest.raises(ValueError, match="is degenerate"):
             associated_metric(degenerate, two_j)
 
-    def test_metric_from_matrix_validates(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            metric_from_matrix([[0, 1], [0, 0]])
-        with pytest.raises(ValueError):
-            metric_from_matrix([[1, 0], [0, 0]])
-
 
 class TestChristoffel:
     def test_abelian_connection_vanishes(self):
@@ -264,7 +258,8 @@ class TestCurvature:
     def test_identity_metric_control_has_nonzero_ricci(self):
         # no compatible pair produces a definite metric on a nonabelian
         # nilpotent algebra, so this must escape the Ricci-flat family
-        m = metric_from_matrix(linalg.identity(6))
+        g = linalg.identity(6)
+        m = Metric(g=g, g_inv=linalg.invert(g))
         ric = curvature(G21, christoffel(G21, m), m).ricci
         assert not linalg.is_zero_matrix(ric)
         assert ric[0][0] == as_scalar(-1)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "nilkaehler").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted(p for d in ("src/nilkaehler", "tests", "bench") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -171,6 +171,11 @@ class TestConstruction:
         assert again.to_json_dict() == blob
         assert blob["brackets"][0] == {"i": 1, "j": 2, "k": 4, "c": "1"}
 
+    def test_repr_names_the_basis_e1_to_en(self):
+        assert repr(LieAlgebra.from_terms(3, [(2, 1, 3, 2)])) == (
+            "LieAlgebra(dim=3, [e1, e2] = (-2)*e3)")
+        assert repr(LieAlgebra(2, {})) == "LieAlgebra(dim=2, abelian)"
+
     def test_structure_constant_bounds(self):
         with pytest.raises(ValueError):
             LieAlgebra(6, {(0, 7): {1: 1}})

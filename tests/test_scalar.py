@@ -40,6 +40,15 @@ def test_parse_rational_function():
     assert str(v) == "(psi11^2 + 1)/psi12"
 
 
+@pytest.mark.parametrize(
+    "text,printed",
+    [("-3/4", "-3/4"), ("7", "7"), ("(s + 1)/2", "(s + 1)/2"), ("(-s - 1)/3", "(-s - 1)/3"),
+     ("(3*s - 5)/4", "(3*s - 5)/4"), ("1/(s + 1)", "s - 1")],
+)
+def test_a_constant_prints_as_its_polynomials(text, printed):
+    assert str(parse_expr(text)) == printed
+
+
 def test_parse_cancels_common_factor():
     assert parse_expr("(x^2-1)/(x-1)") == parse_expr("x+1")
 
