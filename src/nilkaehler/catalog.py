@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -72,9 +71,7 @@ class StructureEntry:
     expected: Expectation | None
 
     def binding(self) -> ParamBinding:
-        return ParamBinding(
-            {k: Fraction(v) for k, v in self.canonical_binding.items()}
-        )
+        return ParamBinding(self.canonical_binding)
 
 
 @dataclass(frozen=True)
@@ -114,24 +111,27 @@ def _expectations(dirpath: str) -> Mapping[tuple[str, str], Expectation]:
     with open(os.path.join(dirpath, "expectations.json")) as fh:
         records = json.load(fh)
     table = {}
-    for rec in records:
-        metric = None
-        if "metric" in rec:
-            metric = MetricExpectation(
-                binding=dict(rec["metric"]["binding"]),
-                entries={
-                    tuple(c["idx"]): c["value"]
-                    for c in rec["metric"]["entries"]
-                },
+    try:
+        for rec in records:
+            metric = None
+            if "metric" in rec:
+                metric = MetricExpectation(
+                    binding=dict(rec["metric"]["binding"]),
+                    entries={
+                        tuple(c["idx"]): c["value"]
+                        for c in rec["metric"]["entries"]
+                    },
+                )
+            table[(rec["entry"], rec["structure"])] = Expectation(
+                up_components={tuple(c["idx"]): c["value"]
+                               for c in rec["up_components"]},
+                down_components={tuple(c["idx"]): c["value"]
+                                 for c in rec["down_components"]},
+                flat=bool(rec["flat"]),
+                metric=metric,
             )
-        table[(rec["entry"], rec["structure"])] = Expectation(
-            up_components={tuple(c["idx"]): c["value"]
-                           for c in rec["up_components"]},
-            down_components={tuple(c["idx"]): c["value"]
-                             for c in rec["down_components"]},
-            flat=bool(rec["flat"]),
-            metric=metric,
-        )
+    except KeyError as exc:
+        raise ValueError(f"a record of expectations.json lacks the key {exc.args[0]!r}") from exc
     return table
 
 
@@ -142,8 +142,8 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
-    expectations = _expectations(dirpath)
     try:
+        expectations = _expectations(dirpath)
         forms = tuple(
             FormEntry(
                 id=f["id"],
@@ -276,8 +276,7 @@ def _validate_structure(
     if exp.flat:
         checks.append((f"{s.id} flat", curv.is_flat()))
     if exp.metric is not None:
-        binding = ParamBinding(
-            {k: Fraction(v) for k, v in exp.metric.binding.items()})
+        binding = ParamBinding(exp.metric.binding)
         ok = True
         n = entry.algebra.dim
         for i in range(n):

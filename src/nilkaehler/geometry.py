@@ -9,7 +9,8 @@ Christoffel symbols and curvature are ``linalg.Components``, as the
 structure constants are: Gamma (from ``christoffel``), ``Curvature.up``
 and ``Curvature.down`` map index tuples to their nonzero components only,
 and an absent index is a zero component, which ``Curvature.up_component``
-and ``down_component`` read as ``ZERO``.  ``linalg.contract`` evaluates a
+and ``down_component`` read as ``ZERO``.  ``linalg.transform`` raises or
+lowers one index through g^-1 or g, and ``linalg.contract`` evaluates a
 tensor on a vector, one slot at a time.
 """
 
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 
 from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
-from .linalg import Components, _accumulate, contract
+from .linalg import Components, _accumulate, contract, transform
 from .scalar import ZERO, ParamBinding, Scalar
 from .tensors import Endomorphism, TwoForm, almost_complex_residual
 
@@ -95,29 +96,15 @@ def christoffel(alg: LieAlgebra, metric: Metric) -> Components:
 
     Basis form: 2 g_kn Gamma_ij^n solves
         Gamma_ij^n = 1/2 g^{kn} (g_pk C_ij^p + g_pj C_ki^p + g_ip C_kj^p).
+    With g symmetric, each L_abt = C_ab^p g_pt is the first term of
+    v[a, b, t], the second of v[b, t, a] and the third of v[t, b, a].
     """
-    n = alg.dim
-    if metric.dim != n:
+    if metric.dim != alg.dim:
         raise ValueError("metric dimension does not match the algebra")
-    g, g_inv = metric.g, metric.g_inv
-
-    def v_terms():
-        # v[i, j, k] = g_pk C_ij^p + g_pj C_ki^p + g_ip C_kj^p, g symmetric
-        for (a, b, p), c in alg.constants.items():
-            for t in range(n):
-                if not g[p][t].is_zero():
-                    gc = g[p][t] * c
-                    yield (a, b, t), gc      # g_pk C_ij^p
-                    yield (b, t, a), gc      # g_pj C_ki^p with (k,i)=(a,b)
-                    yield (t, b, a), gc      # g_ip C_kj^p with (k,j)=(a,b)
-
-    v = _accumulate(v_terms())
-    return _accumulate(
-        ((i, j, s), _HALF * g_inv[k][s] * val)
-        for (i, j, k), val in v.items()
-        for s in range(n)
-        if not g_inv[k][s].is_zero()
-    )
+    low = transform(alg.constants, 2, metric.g)
+    v = _accumulate(term for (a, b, t), x in low.items()
+                    for term in (((a, b, t), x), ((b, t, a), x), ((t, b, a), x)))
+    return {idx: _HALF * x for idx, x in transform(v, 2, metric.g_inv).items()}
 
 
 def covariant_derivative(gamma: Components, x: Vector, y: Vector) -> Vector:
@@ -158,13 +145,7 @@ def curvature(alg: LieAlgebra, gamma: Components, metric: Metric) -> Curvature:
 
 def lower_curvature(up: Components, metric: Metric) -> Components:
     """R_ijkl = R_ijk^s g_sl."""
-    g = metric.g
-    return _accumulate(
-        ((i, j, k, l), v * g[s][l])
-        for (i, j, k, s), v in up.items()
-        for l in range(len(g))
-        if not g[s][l].is_zero()
-    )
+    return transform(up, 3, metric.g)
 
 
 def ricci(up: Components, n: int) -> linalg.Matrix:
@@ -224,18 +205,13 @@ def is_torsion_free(alg: LieAlgebra, gamma: Components) -> bool:
 
 
 def is_metric_connection(gamma: Components, metric: Metric) -> bool:
-    """nabla g = 0: sum_s (Gamma_ij^s g_sk + Gamma_ik^s g_js) = 0 for all i, j, k."""
-    g = metric.g
+    """nabla g = 0: t_ijk + t_ikj = 0 for all i, j, k, where t_ijk = Gamma_ij^s g_sk.
 
-    def terms():
-        for (i, j, s), v in gamma.items():
-            for k in range(len(g)):
-                if not g[s][k].is_zero():
-                    t = v * g[s][k]
-                    yield (i, j, k), t       # Gamma_ij^s g_sk
-                    yield (i, k, j), t       # Gamma_ik^s g_js with (k,j) swapped, g symmetric
-
-    return not _accumulate(terms())
+    The sum is symmetric in j and k, and a nonzero sum has a stored term, so
+    the stored keys of t are the only ones to check.
+    """
+    t = transform(gamma, 2, metric.g)
+    return all((v + t.get((i, k, j), ZERO)).is_zero() for (i, j, k), v in t.items())
 
 
 def first_bianchi_holds(curv: Curvature) -> bool:

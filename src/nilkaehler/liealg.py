@@ -138,34 +138,37 @@ class LieAlgebra:
 
 
 def bracket(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """[X, Y] via bilinear extension of the basis brackets."""
+    """[X, Y] = sum_ij x_i y_j C_ij^k e_k: C contracted with X, then Y."""
     if x.dim != alg.dim or y.dim != alg.dim:
         raise ValueError("vector dimension does not match the algebra")
-    out = [ZERO] * alg.dim
-    for (i, j, k), c in alg.constants.items():
-        if i > j:
-            continue
-        coeff = x.components[i] * y.components[j] - x.components[j] * y.components[i]
-        if not coeff.is_zero():
-            out[k] = out[k] + coeff * c
-    return Vector(tuple(out))
+    out = linalg.contract(linalg.contract(alg.constants, 0, x.components), 0, y.components)
+    return Vector(tuple(out.get((k,), ZERO) for k in range(alg.dim)))
 
 
 def jacobi_check(alg: LieAlgebra) -> list[tuple[int, int, int]]:
-    """Triples (i, j, k) where the Jacobi identity fails; empty means pass."""
-    violations = []
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(j + 1, alg.dim):
-                total = (
-                    bracket(alg, bracket(alg, basis[i], basis[j]), basis[k])
-                    + bracket(alg, bracket(alg, basis[j], basis[k]), basis[i])
-                    + bracket(alg, bracket(alg, basis[k], basis[i]), basis[j])
-                )
-                if not total.is_zero():
-                    violations.append((i, j, k))
-    return violations
+    """Sorted triples i < j < k where the Jacobi identity fails; empty means pass.
+
+    [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b] has the
+    components sum_p (C_ab^p C_pc^m + C_bc^p C_pa^m + C_ca^p C_pb^m), so
+    each product C_ab^p C_pc^m lands on (a, b, c), (b, c, a) and (c, a, b).
+    The sum vanishes on a triple with a repeated index, so c in {a, b} is
+    skipped.
+    """
+    by_first: dict[int, list[tuple[int, int, Scalar]]] = {}
+    for (p, c, m), v in alg.constants.items():
+        by_first.setdefault(p, []).append((c, m, v))
+
+    def terms():
+        for (a, b, p), u in alg.constants.items():
+            for c, m, v in by_first.get(p, ()):
+                if c != a and c != b:
+                    t = u * v
+                    yield (a, b, c, m), t
+                    yield (b, c, a, m), t
+                    yield (c, a, b, m), t
+
+    failing = linalg._accumulate(terms())
+    return sorted({idx[:3] for idx in failing if idx[0] < idx[1] < idx[2]})
 
 
 # -- central series ---------------------------------------------------------

@@ -17,7 +17,9 @@ reads the reduced basis, so membership runs no elimination.
 A tensor is ``Components``: a mapping from an index tuple to a nonzero
 Scalar.  An absent index is a zero component, and an antisymmetric tensor
 stores every image of a nonzero component, so no reader needs a sign rule.
-Every such mapping is built by ``_accumulate`` and evaluated by ``contract``.
+Every such mapping is built by ``_accumulate``, moved by ``transform`` (an
+index run through a matrix: raised, lowered or mapped by J) and evaluated by
+``contract`` (an index paired with a vector).
 """
 
 from __future__ import annotations
@@ -108,6 +110,13 @@ def contract(t: Components, slot: int, x: Sequence[Scalar]) -> Components:
     """sum_i x_i t[..., i, ...] with i at index ``slot``: that index removed."""
     return _accumulate((idx[:slot] + idx[slot + 1:], x[idx[slot]] * v)
                        for idx, v in t.items() if not x[idx[slot]].is_zero())
+
+
+def transform(t: Components, slot: int, m: Matrix) -> Components:
+    """sum_i t[..., i, ...] m[i][j] with j in place of i at index ``slot``."""
+    return _accumulate((idx[:slot] + (j,) + idx[slot + 1:], v * mij)
+                       for idx, v in t.items()
+                       for j, mij in enumerate(m[idx[slot]]) if not mij.is_zero())
 
 
 class SideConditions:

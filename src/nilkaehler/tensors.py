@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
-from .linalg import Components, _accumulate
+from .linalg import Components, _accumulate, _dot, mat_vec, transform
 from .scalar import ZERO, ParamBinding, Scalar, ScalarLike, as_scalar
 
 
@@ -84,15 +84,7 @@ class TwoForm:
         return self.omega[i][j]
 
     def apply(self, x: Vector, y: Vector) -> Scalar:
-        out = ZERO
-        for i, xi in enumerate(x.components):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y.components):
-                if yj.is_zero() or self.omega[i][j].is_zero():
-                    continue
-                out = out + xi * yj * self.omega[i][j]
-        return out
+        return _dot(x.components, mat_vec(self.omega, y.components))
 
     def substitute(self, binding: ParamBinding) -> "TwoForm":
         return TwoForm([[c.substitute(binding) for c in row] for row in self.omega])
@@ -134,6 +126,8 @@ class Endomorphism:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "Endomorphism":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"an endomorphism must be a JSON object, not {type(obj).__name__}")
         rows = obj["rows"]
         if len(rows) != int(obj["dim"]):
             raise ValueError("row count must match dim")
@@ -154,14 +148,7 @@ class Endomorphism:
 
     def apply(self, v: Vector) -> Vector:
         # (Jv)_k = sum_i v_i J_i^k
-        out = [ZERO] * self.dim
-        for i, vi in enumerate(v.components):
-            if vi.is_zero():
-                continue
-            for k, c in enumerate(self.rows[i]):
-                if not c.is_zero():
-                    out[k] = out[k] + vi * c
-        return Vector(tuple(out))
+        return Vector(mat_vec(linalg.transpose(self.rows), v.components))
 
     def substitute(self, binding: ParamBinding) -> "Endomorphism":
         return Endomorphism(
@@ -252,12 +239,7 @@ def nijenhuis(alg: LieAlgebra, J: Endomorphism) -> Components:
     """
     n = alg.dim
     rows = J.rows
-    M = _accumulate(
-        ((i, j, c), rows[i][a] * v)
-        for (a, j, c), v in alg.constants.items()
-        for i in range(n)
-        if not rows[i][a].is_zero()
-    )
+    M = transform(alg.constants, 0, linalg.transpose(rows))
 
     def terms():
         for (i, b, k), m in M.items():

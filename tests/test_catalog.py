@@ -225,14 +225,31 @@ class TestMutationControl:
              "division by the zero polynomial (at position 1) in '1/(psi12-psi12)'"),
             (lambda obj: obj["forms"][0].__setitem__("form", [1, 2]),
              "a 2-form must be a JSON object, not list"),
+            (lambda obj: obj["structures"][0].__setitem__("J", [1, 2]),
+             "an endomorphism must be a JSON object, not list"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
-             "division-by-zero", "form-not-an-object"],
+             "division-by-zero", "form-not-an-object", "J-not-an-object"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)
         report = catalog.self_validate(["g21"])
         assert report.failures() == [f"g21: load: catalog entry g21 is malformed: {message}"]
+
+    def test_expectation_without_a_key_is_a_load_failure(self, tmp_path, monkeypatch):
+        work = tmp_path / "data"
+        shutil.copytree(pathlib.Path(catalog.__file__).parent / "data", work)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+        exp_file = work / "expectations.json"
+        records = json.loads(exp_file.read_text())
+        next(rec for rec in records if rec["entry"] == "g21").pop("flat")
+        exp_file.write_text(json.dumps(records))
+        report = catalog.self_validate(["g21", "g24"])
+        assert report.failures() == [
+            f"{name}: load: catalog entry {name} is malformed:"
+            " a record of expectations.json lacks the key 'flat'"
+            for name in ("g21", "g24")
+        ]
 
     def test_env_override_round_trip(self, tmp_path, monkeypatch):
         src = pathlib.Path(catalog.__file__).parent / "data"

@@ -140,6 +140,10 @@ class TestVerify:
                 _g10_text(lambda obj: obj["forms"][0].__setitem__("form", [1, 2])),
                 "catalog entry g10 is malformed: a 2-form must be a JSON object, not list",
                 id="form-not-an-object"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__("J", [1, 2])),
+                "catalog entry g10 is malformed: an endomorphism must be a JSON object, not list",
+                id="J-not-an-object"),
         ],
     )
     @pytest.mark.parametrize(
@@ -160,6 +164,17 @@ class TestVerify:
         assert rc == 2
         assert out == "" and err.startswith("error: ")
         assert fragment in err
+
+    def test_expectation_without_a_key_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        records = json.loads((DATA / "expectations.json").read_text())
+        next(rec for rec in records if rec["entry"] == "g21").pop("flat")
+        (tmp_path / "expectations.json").write_text(json.dumps(records))
+        shutil.copy(DATA / "g21.json", tmp_path)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
+        rc, out, err = invoke(capsys, "show", "g21")
+        assert (rc, out) == (2, "")
+        assert err == ("error: catalog entry g21 is malformed:"
+                       " a record of expectations.json lacks the key 'flat'\n")
 
 
     @staticmethod

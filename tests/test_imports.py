@@ -1,4 +1,5 @@
-"""Every imported name is used: a small unused-import check on the ast."""
+"""Every imported name is used, and every private module-level name of the
+package is read somewhere in it: two small checks on the ast."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,57 @@ def test_the_check_finds_an_unused_import():
         "from fractions import Fraction\n"
     )
     assert unused_imports(source) == ["line 2: osp", "line 3: lcm"]
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and constants that no module reads.
+
+    A read is a loaded name or an attribute (``linalg._accumulate``); an
+    import of the name alone is not one.
+    """
+    defined: list[tuple[str, str, int]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [(n.id, n.lineno) for t in nodes for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, line) for name, line in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [f"{module} line {line}: {name}" for module, name, line in defined
+            if name not in read]
+
+
+def test_no_unused_private_names_in_the_package():
+    package = sorted((ROOT / "src/nilkaehler").glob("*.py"))
+    assert unused_private_names({p.name: p.read_text() for p in package}) == []
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_A, _B = 1, 2\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "class _Unused:\n"
+            "    _slot = 1\n"
+            "def _loop():\n"
+            "    pass\n"
+        ),
+        "b.py": "from a import _loop, _B\nimport a\nprint(a._helper(), _B)\n",
+    }
+    assert unused_private_names(sources) == [
+        "a.py line 2: _A", "a.py line 6: _Unused", "a.py line 8: _loop"]

@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+from itertools import combinations
 
-from nilkaehler import linalg
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nilkaehler import catalog, linalg
 from nilkaehler.liealg import (
     LieAlgebra,
     Vector,
@@ -81,6 +83,60 @@ class TestJacobi:
     def test_from_terms_rejects_non_jacobi(self):
         with pytest.raises(ValueError, match="Jacobi"):
             make(6, (1, 2, 4, 1), (1, 4, 6, 1), (2, 3, 6, 1), (3, 4, 1, 1))
+
+
+def _jacobi_by_brackets(alg):
+    """The reference: every triple i < j < k, as six dense brackets."""
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    failing = []
+    for i, j, k in combinations(range(alg.dim), 3):
+        x, y, z = basis[i], basis[j], basis[k]
+        total = (bracket(alg, bracket(alg, x, y), z) + bracket(alg, bracket(alg, y, z), x)
+                 + bracket(alg, bracket(alg, z, x), y))
+        if not total.is_zero():
+            failing.append((i, j, k))
+    return failing
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_jacobi_check_matches_the_bracket_loop_on_the_catalog(name):
+    alg = catalog.get(name).algebra
+    assert jacobi_check(alg) == _jacobi_by_brackets(alg) == []
+
+
+@st.composite
+def structure_constant_tables(draw):
+    """1-based (i, j, k, c) terms with i < j on a 4- or 5-dimensional algebra."""
+    dim = draw(st.integers(4, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(1, dim), st.integers(1, dim))
+                          .filter(lambda p: p[0] < p[1]), min_size=2, max_size=6, unique=True))
+    terms = [(i, j, draw(st.integers(1, dim)), draw(st.sampled_from([1, -1, 2, "1/2", "x"])))
+             for i, j in pairs]
+    return dim, terms
+
+
+@given(structure_constant_tables())
+@settings(max_examples=150, deadline=None)
+def test_jacobi_check_matches_the_bracket_loop(table):
+    dim, terms = table
+    rows: dict = {}
+    for i, j, k, c in terms:
+        rows.setdefault((i - 1, j - 1), {})[k - 1] = c
+    alg = LieAlgebra(dim, rows)
+    failing = _jacobi_by_brackets(alg)
+    assert jacobi_check(alg) == failing
+    if failing:
+        with pytest.raises(ValueError) as info:
+            LieAlgebra.from_terms(dim, terms)
+        assert str(info.value) == f"Jacobi identity fails on triples {failing}"
+    else:
+        assert LieAlgebra.from_terms(dim, terms).constants == alg.constants
+
+
+def test_jacobi_check_pins_a_non_lie_table():
+    with pytest.raises(ValueError) as info:
+        make(4, (1, 2, 3, 1), (2, 3, 4, 1), (1, 3, 2, 1), (3, 4, 1, 2))
+    assert str(info.value) == "Jacobi identity fails on triples [(0, 1, 3), (1, 2, 3)]"
 
 
 class TestSeries:

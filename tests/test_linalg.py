@@ -310,3 +310,26 @@ def test_contract_is_the_dense_sum(case):
         if not total.is_zero():
             dense[rest] = total
     assert linalg.contract(t, slot, vec) == dense
+
+
+@st.composite
+def tensor_slot_matrix(draw):
+    """A sparse tensor of 3 or 4 indices over range(3), a slot and a 3x3 matrix."""
+    t, rank, slot, _ = draw(tensor_slot_vector())
+    entry = st.sampled_from([ZERO, ZERO] + TENSOR_VALUES)
+    m = draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3))
+    return t, rank, slot, m
+
+
+@given(tensor_slot_matrix())
+@settings(max_examples=200, deadline=None)
+def test_transform_is_the_dense_sum(case):
+    t, rank, slot, m = case
+    dense = {}
+    for idx in product(range(len(m)), repeat=rank):
+        total = ZERO
+        for i, row in enumerate(m):
+            total = total + t.get(idx[:slot] + (i,) + idx[slot + 1:], ZERO) * row[idx[slot]]
+        if not total.is_zero():
+            dense[idx] = total
+    assert linalg.transform(t, slot, m) == dense
