@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import geometry, liealg, linalg, solver, tensors
-from .liealg import LieAlgebra, jacobi_check
-from .scalar import ParamBinding, parse_expr
+from .liealg import LieAlgebra, Vector, jacobi_check
+from .scalar import ParamBinding
 from .tensors import Endomorphism, TwoForm
 
 NAMES = (
@@ -34,7 +34,7 @@ Idx4 = tuple[int, int, int, int]
 class MetricExpectation:
     """Nonzero metric entries (1-based, upper triangle) at a binding."""
 
-    binding: Mapping[str, str]
+    binding: ParamBinding
     entries: Mapping[tuple[int, int], str]
 
 
@@ -43,7 +43,8 @@ class Expectation:
     """Computed curvature data a structure must reproduce exactly.
 
     Component indices are 1-based (i, j, k, s) with i < j; values are
-    canonical Scalar strings.  Components not listed are zero.
+    canonical Scalar strings, compared as text with ``str`` of the computed
+    value.  Components not listed are zero.
     """
 
     up_components: Mapping[Idx4, str]
@@ -67,11 +68,11 @@ class StructureEntry:
     J: Endomorphism
     params: tuple[str, ...]
     side_conditions: tuple[str, ...]
-    canonical_binding: Mapping[str, str]
+    canonical_binding: ParamBinding
     expected: Expectation | None
 
     def binding(self) -> ParamBinding:
-        return ParamBinding(self.canonical_binding)
+        return self.canonical_binding
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def _expectations(dirpath: str) -> Mapping[tuple[str, str], Expectation]:
             metric = None
             if "metric" in rec:
                 metric = MetricExpectation(
-                    binding=dict(rec["metric"]["binding"]),
+                    binding=ParamBinding(rec["metric"]["binding"]),
                     entries={
                         tuple(c["idx"]): c["value"]
                         for c in rec["metric"]["entries"]
@@ -160,12 +161,13 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
                 J=Endomorphism.from_json_dict(s["J"]),
                 params=tuple(s["params"]),
                 side_conditions=tuple(s["side_conditions"]),
-                canonical_binding=dict(s["canonical_binding"]),
+                canonical_binding=ParamBinding(s["canonical_binding"]),
                 expected=expectations.get((name, s["id"])),
             )
             for s in obj["structures"]
         )
         algebra = LieAlgebra.from_json_dict(obj["algebra"])
+        linalg.require_bound([algebra.constants.values()])  # the series need numbers
         form_ids = {f.id for f in forms}
         for f in forms:
             if f.form.dim != algebra.dim:
@@ -192,11 +194,6 @@ def get(name: str) -> CatalogEntry:
     if name not in NAMES:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(NAMES)}")
     return _load(_data_dir(), name)
-
-
-def list_entries() -> list[tuple[str, tuple[int, ...]]]:
-    """All catalog names with their ascending-series type tuples."""
-    return [(name, get(name).algebra_type) for name in NAMES]
 
 
 # -- validation ----------------------------------------------------------------
@@ -240,14 +237,22 @@ def _components_match(
     got: Mapping[tuple[int, ...], object],
     want: Mapping[tuple[int, ...], str],
 ) -> bool:
-    if set(got) != set(want):
+    return set(got) == set(want) and all(str(got[idx]) == txt for idx, txt in want.items())
+
+
+def _indefinite(metric: geometry.Metric, binding: ParamBinding) -> bool:
+    try:
+        p, q = geometry.signature(metric, binding)
+    except (ValueError, ZeroDivisionError):  # a free parameter, a pole or a singular g
         return False
-    return all(got[idx] == parse_expr(txt) for idx, txt in want.items())
+    return p > 0 and q > 0
 
 
 def _validate_structure(
     entry: CatalogEntry, s: StructureEntry
 ) -> list[tuple[str, bool]]:
+    """The residuals of ``s``; when they hold, the paper's claims on its
+    metric, Levi-Civita connection and curvature, and the stored values."""
     checks: list[tuple[str, bool]] = []
     w = entry.form(s.form_id).form
     report = solver.verify_family(entry.algebra, w, s.J, s.side_conditions)
@@ -255,9 +260,14 @@ def _validate_structure(
         checks.append((f"{s.id} {residual}", residual not in report.failures))
     if not report.ok:
         return checks
-    metric, _, curv = geometry.full_curvature(entry.algebra, w, s.J)
+    metric, gamma, curv = geometry.full_curvature(entry.algebra, w, s.J)
     checks.append((f"{s.id} ricci zero", linalg.is_zero_matrix(curv.ricci)))
     checks.append((f"{s.id} norm zero", curv.norm.is_zero()))
+    checks.append((f"{s.id} indefinite at canonical binding",
+                   _indefinite(metric, s.canonical_binding)))
+    checks.append((f"{s.id} torsion free", geometry.is_torsion_free(entry.algebra, gamma)))
+    checks.append((f"{s.id} first bianchi", geometry.first_bianchi_holds(curv)))
+    checks.append((f"{s.id} pair symmetric", geometry.pair_symmetric(curv)))
     exp = s.expected
     if exp is None:
         checks.append((f"{s.id} expectations present", False))
@@ -276,28 +286,31 @@ def _validate_structure(
     if exp.flat:
         checks.append((f"{s.id} flat", curv.is_flat()))
     if exp.metric is not None:
-        binding = ParamBinding(exp.metric.binding)
-        ok = True
         n = entry.algebra.dim
-        for i in range(n):
-            for j in range(i, n):
-                bound = metric.g[i][j].substitute(binding)
-                txt = exp.metric.entries.get((i + 1, j + 1))
-                if txt is None:
-                    ok = ok and bound.is_zero()
-                else:
-                    ok = ok and bound == parse_expr(txt)
+        try:
+            ok = all(
+                str(metric.g[i][j].substitute(exp.metric.binding))
+                == exp.metric.entries.get((i + 1, j + 1), "0")
+                for i in range(n) for j in range(i, n))
+        except ZeroDivisionError:  # the binding is a pole of g
+            ok = False
         checks.append((f"{s.id} metric", ok))
     return checks
 
 
 def validate_entry(entry: CatalogEntry) -> EntryValidation:
     """Recompute every invariant for one entry; failures are reported."""
+    alg = entry.algebra
     checks: list[tuple[str, bool]] = []
-    checks.append(("jacobi", jacobi_check(entry.algebra) == []))
+    checks.append(("jacobi", jacobi_check(alg) == []))
+    series = liealg.descending_series(alg)
+    derived = series[1] if len(series) > 1 else series[0]  # a perfect g is its own C^1
+    pairs = [(Vector(u), Vector(z)) for u in derived for z in liealg.center(alg)]
     for f in entry.forms:
-        checks.append((f"{f.id} closed", tensors.is_closed(entry.algebra, f.form)))
+        checks.append((f"{f.id} closed", tensors.is_closed(alg, f.form)))
         checks.append((f"{f.id} nondegenerate", tensors.nondegenerate(f.form)))
+        checks.append((f"{f.id} omega(C1, Z) = 0",
+                       all(f.form.apply(u, z).is_zero() for u, z in pairs)))
     for s in entry.structures:
         checks.extend(_validate_structure(entry, s))
     return EntryValidation(name=entry.name, checks=tuple(checks))

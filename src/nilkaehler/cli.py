@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import catalog, geometry, solver
+from . import catalog, geometry, solver, tensors
 from .liealg import LieAlgebra
 from .scalar import SQRT2_NAME, ZERO, ParamBinding, Scalar, parse_expr
 from .tensors import TwoForm
@@ -198,8 +198,9 @@ def _expectation_lines(
 ) -> list[str]:
     """The stored curvature claims of ``s``, each with its verdict.
 
-    A down component reads "matched" when it equals the computed one, else
-    the computed value; a computed component the data lacks is listed too.
+    A down component reads "matched" when its stored text is the computed
+    value's canonical text, else the computed value; a computed component
+    the data lacks is listed too.
     Claims of a structure whose residual checks failed are "not checked".
     """
     down_ok = passed.get(f"{s.id} down components")
@@ -212,7 +213,7 @@ def _expectation_lines(
         value = got.get(idx, ZERO)
         if down_ok is None:
             verdict = "not checked"
-        elif down_ok or value == parse_expr(txt):
+        elif down_ok or str(value) == txt:
             verdict = "matched"
         else:
             verdict = f"computed {value}"
@@ -324,6 +325,8 @@ def cmd_search(args) -> int:
         w = TwoForm.from_json_dict(form_obj)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad input file: {exc}") from exc
+    if not tensors.nondegenerate(w):
+        raise UsageError(f"the form {w!r} is degenerate")
     try:
         result = solver.newton_search(
             alg, w, tolerance=args.tol, max_starts=args.starts, seed=args.seed)

@@ -261,14 +261,8 @@ class SplitReport:
     hypotheses: tuple[tuple[str, bool], ...]
     conclusions: tuple[tuple[str, bool], ...]
 
-    def hypotheses_ok(self) -> bool:
-        return all(flag for _, flag in self.hypotheses)
-
-    def conclusions_ok(self) -> bool:
-        return all(flag for _, flag in self.conclusions)
-
     def ok(self) -> bool:
-        return self.hypotheses_ok() and self.conclusions_ok()
+        return all(flag for _, flag in self.hypotheses + self.conclusions)
 
     def failures(self) -> tuple[str, ...]:
         return tuple(

@@ -38,10 +38,6 @@ def as_matrix(rows: Iterable[Iterable[ScalarLike]]) -> Matrix:
     return tuple(tuple(as_scalar(x) for x in row) for row in rows)
 
 
-def as_row(entries: Iterable[ScalarLike]) -> Row:
-    return tuple(as_scalar(x) for x in entries)
-
-
 def zeros(nrows: int, ncols: int) -> Matrix:
     return tuple((ZERO,) * ncols for _ in range(nrows))
 

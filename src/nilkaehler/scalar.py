@@ -584,7 +584,10 @@ class ParamBinding(Mapping):
                 raise TypeError(
                     f"{name}={value!r}: parameter values must be exact rational,"
                     " not float")
-            norm[name] = Fraction(value)
+            try:
+                norm[name] = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"{name}={value}: zero denominator") from None
         self._values = norm
 
     @classmethod

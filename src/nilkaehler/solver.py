@@ -44,14 +44,6 @@ class LinearSolution:
     def dimension(self) -> int:
         return len(self.span)
 
-    @property
-    def basis(self) -> tuple[linalg.Matrix, ...]:
-        """The spanning solutions as dim x dim matrices."""
-        n = math.isqrt(len(self.span.rows[0])) if self.span else 0
-        return tuple(
-            tuple(flat[i * n:(i + 1) * n] for i in range(n)) for flat in self.span
-        )
-
     def contains(self, J: Endomorphism) -> bool:
         return self.span.contains(x for row in J.rows for x in row)
 
@@ -344,13 +336,16 @@ def newton_search(
     known, that is once it has converged and every earlier start has retired.
 
     Raises ``ValueError`` when ``max_starts < 1``, when ``tolerance`` is not
-    a positive finite number, or when ``initial_guess`` is not n x n.
+    a positive finite number, when the form's dimension is not the
+    algebra's, or when ``initial_guess`` is not n x n.
     """
     if max_starts < 1:
         raise ValueError(f"max_starts must be at least 1, got {max_starts}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
     n = alg.dim
+    if w.dim != n:
+        raise ValueError(f"the form has dimension {w.dim}, the algebra {n}")
     if initial_guess is not None and np.shape(initial_guess) != (n, n):
         raise ValueError(
             f"initial_guess must be {n} x {n}, got shape {np.shape(initial_guess)}")

@@ -220,10 +220,6 @@ def compat_residual(w: TwoForm, J: Endomorphism) -> linalg.Matrix:
                  for row, col in zip(p, linalg.transpose(p)))
 
 
-def is_compatible(w: TwoForm, J: Endomorphism) -> bool:
-    return linalg.is_zero_matrix(compat_residual(w, J))
-
-
 def almost_complex_residual(J: Endomorphism) -> linalg.Matrix:
     """J^2 + I; zero exactly when J is almost complex."""
     return linalg.mat_add(linalg.mat_mul(J.rows, J.rows), linalg.identity(J.dim))

@@ -1,13 +1,16 @@
 import json
 import pathlib
 import shutil
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from nilkaehler import catalog, geometry
-from nilkaehler.catalog import get, list_entries, validate_entry
-from nilkaehler.scalar import parse_expr
+from nilkaehler.catalog import CatalogEntry, FormEntry, StructureEntry, get, validate_entry
+from nilkaehler.liealg import LieAlgebra
+from nilkaehler.scalar import ONE, ZERO, ParamBinding, parse_expr
+from nilkaehler.tensors import Endomorphism, TwoForm
 
 
 EXPECTED_TYPES = {
@@ -51,10 +54,10 @@ CURVATURE_PARAMS = {
 class TestLoading:
     def test_thirteen_entries(self):
         assert len(catalog.NAMES) == 13
-        assert [name for name, _ in list_entries()] == list(catalog.NAMES)
+        assert [get(name).name for name in catalog.NAMES] == list(catalog.NAMES)
 
     def test_algebra_types(self):
-        assert dict(list_entries()) == EXPECTED_TYPES
+        assert {name: get(name).algebra_type for name in catalog.NAMES} == EXPECTED_TYPES
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
@@ -79,15 +82,40 @@ class TestLoading:
     def test_canonical_bindings_parse(self):
         for name in catalog.NAMES:
             for s in get(name).structures:
-                binding = s.binding()
-                assert set(binding) == set(s.canonical_binding)
-                for v in binding.values():
-                    assert isinstance(v, Fraction)
+                assert all(isinstance(v, Fraction) for v in s.binding().values())
 
     def test_every_structure_has_expectations(self):
         for name in catalog.NAMES:
             for s in get(name).structures:
                 assert s.expected is not None, (name, s.id)
+
+
+class TestMetadata:
+    """The stored parameters, bindings and side conditions agree with J and the form."""
+
+    @pytest.mark.parametrize(
+        "name,sid", [(n, s.id) for n in catalog.NAMES for s in get(n).structures])
+    def test_family_metadata(self, name, sid):
+        entry = get(name)
+        s = entry.structure(sid)
+        f = entry.form(s.form_id)
+        params = s.J.free_params() | f.form.free_params()
+        assert len(s.params) == len(set(s.params)) and set(s.params) == params
+        assert set(s.canonical_binding) == params
+        for cond in s.side_conditions + f.side_conditions:
+            value = parse_expr(cond)
+            assert value.free_params(), cond
+            assert not value.substitute(s.canonical_binding).is_zero(), cond
+
+    def test_stored_values_are_canonical_text(self):
+        records = json.loads((pathlib.Path(catalog.__file__).parent / "data"
+                              / "expectations.json").read_text())
+        texts = [c["value"] for rec in records
+                 for c in rec["up_components"] + rec["down_components"]]
+        texts += [c["value"] for rec in records if "metric" in rec
+                  for c in rec["metric"]["entries"]]
+        assert len(texts) == 88 + 85
+        assert [t for t in texts if str(parse_expr(t)) != t] == []
 
 
 class TestAdmitsFlags:
@@ -122,6 +150,97 @@ class TestSelfValidate:
         report = catalog.self_validate(["g24", "g25"])
         assert report.ok
         assert [e.name for e in report.entries] == ["g24", "g25"]
+
+
+W_STD = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1), (5, 6, 1)])
+J_STD = Endomorphism([  # J e1 = e2, J e3 = e4, J e5 = e6
+    [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+    [0, 0, -1, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0],
+])
+
+
+def _entry(algebra, form, J=None):
+    """An unstored entry with the form w1 and, given J, the structure J1 on it."""
+    structures = () if J is None else (
+        StructureEntry("J1", "w1", J, (), (), ParamBinding({}), None),)
+    return CatalogEntry("x", algebra, (FormEntry("w1", form, "yes", ()),), structures, "")
+
+
+def _corrupt_curvature(monkeypatch, corrupt):
+    """Make geometry.full_curvature return ``corrupt(alg, gamma, curv)``."""
+    full_curvature = geometry.full_curvature
+
+    def patched(alg, w, J):
+        metric, gamma, curv = full_curvature(alg, w, J)
+        return (metric, *corrupt(alg, gamma, curv))
+
+    monkeypatch.setattr(geometry, "full_curvature", patched)
+
+
+def _shift_gamma(alg, gamma, curv):
+    return {**gamma, (0, 1, 0): gamma.get((0, 1, 0), ZERO) + ONE}, curv
+
+
+def _drop_up(alg, gamma, curv):
+    # an i > j key, so the stored up components (i < j) still match
+    key = next(k for k in sorted(curv.up) if k[0] > k[1])
+    return gamma, replace(curv, up={k: v for k, v in curv.up.items() if k != key})
+
+
+def _drop_down(alg, gamma, curv):
+    key = next(k for k in sorted(curv.down) if k[0] > k[1] and k[:2] != k[2:])
+    return gamma, replace(curv, down={k: v for k, v in curv.down.items() if k != key})
+
+
+class TestClaimChecks:
+    """Each check of the paper's claims is reported for every family or
+    form, and a control makes it fail."""
+
+    @pytest.mark.parametrize(
+        "claim,count",
+        [("indefinite at canonical binding", 19), ("torsion free", 19),
+         ("first bianchi", 19), ("pair symmetric", 19), ("omega(C1, Z) = 0", 24)])
+    def test_reported_everywhere(self, full_validation, claim, count):
+        verdicts = [passed for e in full_validation.entries
+                    for label, passed in e.checks if label.endswith(" " + claim)]
+        assert verdicts == [True] * count
+
+    def test_report_size(self, full_validation):
+        assert sum(len(e.checks) for e in full_validation.entries) == 330
+
+    def test_a_definite_metric_is_not_indefinite(self):
+        # the flat Kaehler torus: g = omega(X, JY) is the identity
+        checks = dict(validate_entry(_entry(LieAlgebra(6, {}), W_STD, J_STD)).checks)
+        assert checks["J1 ricci zero"] and checks["J1 torsion free"]
+        assert checks["J1 indefinite at canonical binding"] is False
+
+    def test_a_binding_that_leaves_a_parameter_free_is_not_indefinite(
+            self, tmp_path, monkeypatch):
+        _edited_catalog(tmp_path, monkeypatch, "g21",
+                        lambda obj: obj["structures"][0]["canonical_binding"].pop("psi12"))
+        assert catalog.self_validate(["g21"]).failures() == [
+            "g21: J1 indefinite at canonical binding"]
+
+    @pytest.mark.parametrize(
+        "corrupt,label",
+        [(_shift_gamma, "torsion free"), (_drop_up, "first bianchi"),
+         (_drop_down, "pair symmetric")])
+    def test_a_corrupted_connection_or_curvature_fails(self, monkeypatch, corrupt, label):
+        _corrupt_curvature(monkeypatch, corrupt)
+        assert validate_entry(get("g21")).failures() == [f"J1 {label}"]
+
+    def test_a_form_pairing_the_derived_algebra_with_the_center_fails(self):
+        # [e1, e2] = e3, so C1 = <e3>, Z = <e3, ..., e6>, and omega(e3, e4) = 1
+        heisenberg = LieAlgebra.from_terms(6, [(1, 2, 3, 1)])
+        checks = dict(validate_entry(_entry(heisenberg, W_STD)).checks)
+        assert checks["w1 omega(C1, Z) = 0"] is False
+        assert checks["w1 nondegenerate"]
+
+    def test_a_perfect_algebra_is_its_own_derived_algebra(self):
+        # sl(2) + sl(2): the descending series stops at g, and the center is zero
+        sl2 = [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)]
+        alg = LieAlgebra.from_terms(6, sl2 + [(i + 3, j + 3, k + 3, c) for i, j, k, c in sl2])
+        assert dict(validate_entry(_entry(alg, W_STD)).checks)["w1 omega(C1, Z) = 0"]
 
 
 class TestCurvatureParameters:
@@ -227,29 +346,51 @@ class TestMutationControl:
              "a 2-form must be a JSON object, not list"),
             (lambda obj: obj["structures"][0].__setitem__("J", [1, 2]),
              "an endomorphism must be a JSON object, not list"),
+            (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi12", "1/0"),
+             "psi12=1/0: zero denominator"),
+            (lambda obj: obj["algebra"]["brackets"][0].__setitem__("c", "lambda"),
+             "unbound parameters: lambda"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
-             "division-by-zero", "form-not-an-object", "J-not-an-object"],
+             "division-by-zero", "form-not-an-object", "J-not-an-object",
+             "binding-division-by-zero", "parametric-algebra"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)
         report = catalog.self_validate(["g21"])
         assert report.failures() == [f"g21: load: catalog entry g21 is malformed: {message}"]
 
-    def test_expectation_without_a_key_is_a_load_failure(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(lambda rec: rec.pop("flat"), "a record of expectations.json lacks the key 'flat'"),
+         (lambda rec: rec["metric"]["binding"].__setitem__("psi12", "1/0"),
+          "psi12=1/0: zero denominator")],
+        ids=["missing-key", "metric-binding-division-by-zero"],
+    )
+    def test_bad_expectation_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         work = tmp_path / "data"
         shutil.copytree(pathlib.Path(catalog.__file__).parent / "data", work)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
         exp_file = work / "expectations.json"
         records = json.loads(exp_file.read_text())
-        next(rec for rec in records if rec["entry"] == "g21").pop("flat")
+        edit(next(rec for rec in records if rec["entry"] == "g21"))
         exp_file.write_text(json.dumps(records))
         report = catalog.self_validate(["g21", "g24"])
         assert report.failures() == [
-            f"{name}: load: catalog entry {name} is malformed:"
-            " a record of expectations.json lacks the key 'flat'"
+            f"{name}: load: catalog entry {name} is malformed: {message}"
             for name in ("g21", "g24")
         ]
+
+    def test_metric_binding_at_a_pole_is_a_failed_check(self, tmp_path, monkeypatch):
+        work = tmp_path / "data"
+        shutil.copytree(pathlib.Path(catalog.__file__).parent / "data", work)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+        exp_file = work / "expectations.json"
+        records = json.loads(exp_file.read_text())
+        # g_15 of g21 J1 is (psi11^2 + 1)/psi12
+        next(rec for rec in records if rec["entry"] == "g21")["metric"]["binding"] = {"psi12": "0"}
+        exp_file.write_text(json.dumps(records))
+        assert catalog.self_validate(["g21"]).failures() == ["g21: J1 metric"]
 
     def test_env_override_round_trip(self, tmp_path, monkeypatch):
         src = pathlib.Path(catalog.__file__).parent / "data"

@@ -144,6 +144,11 @@ class TestVerify:
                 _g10_text(lambda obj: obj["structures"][0].__setitem__("J", [1, 2])),
                 "catalog entry g10 is malformed: an endomorphism must be a JSON object, not list",
                 id="J-not-an-object"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["canonical_binding"].__setitem__(
+                    "psi12", "1/0")),
+                "catalog entry g10 is malformed: psi12=1/0: zero denominator",
+                id="binding-division-by-zero"),
         ],
     )
     @pytest.mark.parametrize(
@@ -165,16 +170,23 @@ class TestVerify:
         assert out == "" and err.startswith("error: ")
         assert fragment in err
 
-    def test_expectation_without_a_key_is_usage_error(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(lambda rec: rec.pop("flat"), "a record of expectations.json lacks the key 'flat'"),
+         (lambda rec: rec["metric"]["binding"].__setitem__("psi12", "1/0"),
+          "psi12=1/0: zero denominator")],
+        ids=["missing-key", "metric-binding-division-by-zero"],
+    )
+    @pytest.mark.parametrize("argv", [("show", "g21"), ("verify", "g21")], ids=["show", "verify"])
+    def test_bad_expectation_is_usage_error(self, capsys, monkeypatch, tmp_path, edit, message, argv):
         records = json.loads((DATA / "expectations.json").read_text())
-        next(rec for rec in records if rec["entry"] == "g21").pop("flat")
+        edit(next(rec for rec in records if rec["entry"] == "g21"))
         (tmp_path / "expectations.json").write_text(json.dumps(records))
         shutil.copy(DATA / "g21.json", tmp_path)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
-        rc, out, err = invoke(capsys, "show", "g21")
+        rc, out, err = invoke(capsys, *argv)
         assert (rc, out) == (2, "")
-        assert err == ("error: catalog entry g21 is malformed:"
-                       " a record of expectations.json lacks the key 'flat'\n")
+        assert err == f"error: catalog entry g21 is malformed: {message}\n"
 
 
     @staticmethod
@@ -370,9 +382,14 @@ class TestSolveAndSearch:
             (("search", {"dim": 6, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "2/(1-1)"}]},
               W_STD),
              "bad input file: division by the zero polynomial (at position 1) in '2/(1-1)'"),
+            (("search", ABELIAN, {"dim": 2, "terms": [{"i": 1, "j": 2, "c": "1"}]}),
+             "the form has dimension 2, the algebra 6"),
+            (("search", ABELIAN, {"dim": 6, "terms": [{"i": 1, "j": 2, "c": "1"}]}),
+             "the form TwoForm(e1^e2) is degenerate"),
         ],
         ids=["solve-zero-denominator", "solve-form-list", "search-form-list",
-             "search-algebra-list", "search-zero-division"],
+             "search-algebra-list", "search-zero-division", "search-dimension-mismatch",
+             "search-degenerate-form"],
     )
     def test_malformed_input_file_is_usage_error(self, capsys, tmp_path, argv, fragment):
         command, *objects = argv

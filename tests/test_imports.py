@@ -1,7 +1,9 @@
-"""Every imported name is used, and every private module-level name of the
-package is read somewhere in it: two small checks on the ast."""
+"""Every imported name is used, every private module-level name of the
+package is read somewhere in it, and the public functions that only tests
+read are a pinned set: three small checks on the ast."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,13 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: osp", "line 3: lcm"]
 
 
+def _reads(source: str) -> set[str]:
+    """Loaded names and attributes of ``source``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` functions, classes and constants that no module reads.
 
@@ -72,11 +81,7 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                 continue
             defined += [(module, name, line) for name, line in targets
                         if name.startswith("_") and not name.startswith("__")]
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+        read |= _reads(source)
     return [f"{module} line {line}: {name}" for module, name, line in defined
             if name not in read]
 
@@ -103,3 +108,44 @@ def test_the_check_finds_an_unused_private_name():
     }
     assert unused_private_names(sources) == [
         "a.py line 2: _A", "a.py line 6: _Unused", "a.py line 8: _loop"]
+
+
+def unread_public_functions(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` of each module-level public function of ``package``
+    that neither the package nor ``readers`` read."""
+    read = set().union(*map(_reads, [*package.values(), *readers]))
+    return [f"{module.removesuffix('.py')}.{node.name}"
+            for module, source in package.items() for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in read]
+
+
+# Public functions that only tests call.  A new one fails here: make it a
+# check the package runs, or move it into the tests.
+TEST_ONLY_FUNCTIONS = [
+    "geometry.is_metric_connection",  # nabla g = 0, symbolic: test 5
+    "tensors.is_nilpotent_J",  # the J-twisted ascending series: tests
+    "tensors.is_abelian_J",
+]
+
+
+def test_public_functions_only_tests_read_are_pinned():
+    package = {p.name: p.read_text() for p in sorted((ROOT / "src/nilkaehler").glob("*.py"))}
+    readers = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    readers += re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                          re.M | re.S)
+    assert unread_public_functions(package, readers) == TEST_ONLY_FUNCTIONS
+
+
+def test_the_check_finds_an_unread_public_function():
+    package = {
+        "a.py": (
+            "def used(): pass\n"
+            "def unused(): pass\n"
+            "def _private(): pass\n"
+            "class Kind:\n"
+            "    def method(self): pass\n"
+        ),
+        "b.py": "from a import unused\ndef run(): return used\n",
+    }
+    assert unread_public_functions(package, ["import b\nb.run()\n"]) == ["a.unused"]

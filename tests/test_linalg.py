@@ -19,6 +19,10 @@ def frac_matrix(rows):
     return linalg.as_matrix([[Fraction(v) for v in row] for row in rows])
 
 
+def as_row(entries):
+    return linalg.as_matrix([entries])[0]
+
+
 int_entries = st.integers(-5, 5)
 
 
@@ -122,7 +126,7 @@ def test_rank_counts_pivots():
 @settings(max_examples=60, deadline=None)
 def test_nullspace_vectors_are_annihilated(case):
     assume(case[0])  # a matrix without rows has no column count
-    m, v = frac_matrix(case[0]), linalg.as_row(case[1])
+    m, v = frac_matrix(case[0]), as_row(case[1])
     null, _ = linalg.nullspace(m)
     assert len(null) + len(linalg.span(m)) == len(v)
     for r in null:
@@ -191,16 +195,16 @@ def test_side_conditions_are_canonical(rows, expected):
 
 
 def test_in_row_span():
-    basis = linalg.span([linalg.as_row([1, 0, 1]), linalg.as_row([0, 1, 1])])
-    assert basis.contains(linalg.as_row([2, 3, 5]))
-    assert not basis.contains(linalg.as_row([0, 0, 1]))
-    assert linalg.span([]).contains(linalg.as_row([0, 0, 0]))
+    basis = linalg.span([as_row([1, 0, 1]), as_row([0, 1, 1])])
+    assert basis.contains(as_row([2, 3, 5]))
+    assert not basis.contains(as_row([0, 0, 1]))
+    assert linalg.span([]).contains(as_row([0, 0, 0]))
 
 
 @given(rows_and_vector())
 @settings(max_examples=60, deadline=None)
 def test_span_contains_exactly_when_the_rank_stays(case):
-    rows, v = frac_matrix(case[0]), linalg.as_row(case[1])
+    rows, v = frac_matrix(case[0]), as_row(case[1])
     span = linalg.span(rows)
     assert span.contains(v) == (len(linalg.span(rows + (v,))) == len(span))
 
@@ -208,7 +212,7 @@ def test_span_contains_exactly_when_the_rank_stays(case):
 @given(rows_and_vector())
 @settings(max_examples=60, deadline=None)
 def test_span_reduce_leaves_the_part_outside_the_span(case):
-    rows, v = frac_matrix(case[0]), linalg.as_row(case[1])
+    rows, v = frac_matrix(case[0]), as_row(case[1])
     span = linalg.span(rows)
     rest = span.reduce(v)
     assert all(rest[c].is_zero() for c in span.pivots)
@@ -226,8 +230,8 @@ def test_symbolic_nullspace_membership_needs_no_rank_decision():
     # identity of rational functions, decided without elimination
     null, conditions = linalg.nullspace(linalg.as_matrix([[x, 1]]))
     assert [str(c) for c in conditions] == ["x"]
-    assert null.contains(linalg.as_row([-1, x]))
-    assert not null.contains(linalg.as_row([1, 0]))
+    assert null.contains(as_row([-1, x]))
+    assert not null.contains(as_row([1, 0]))
 
 
 # ---------------------------------------------------------------- signature

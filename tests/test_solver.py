@@ -71,11 +71,12 @@ class TestCompatNullspace:
         sol = compat_nullspace(W_STD)
         assert isinstance(sol, LinearSolution)
         assert sol.dimension == 21
-        assert len(sol.basis) == 21
+        assert len(sol.span) == 21
 
     def test_basis_elements_solve_the_system(self):
         sol = compat_nullspace(W_STD)
-        for mat in sol.basis:
+        for flat in sol.span:
+            mat = [flat[6 * i:6 * i + 6] for i in range(6)]
             assert is_zero_matrix(compat_residual(W_STD, Endomorphism(mat)))
 
     def test_zero_map_in_span(self):
@@ -175,6 +176,11 @@ class TestNewtonSearch:
         a = newton_search(G23, W1_G23, max_starts=4, seed=11)
         b = newton_search(G23, W1_G23, max_starts=4, seed=11)
         assert a == b
+
+    def test_form_of_another_dimension_is_rejected(self):
+        w = TwoForm.from_terms(2, [(1, 2, 1)])
+        with pytest.raises(ValueError, match="the form has dimension 2, the algebra 6"):
+            newton_search(ABELIAN, w, max_starts=1, seed=0)
 
     def test_symbolic_form_is_rejected(self):
         w = TwoForm.from_terms(6, [(1, 6, 1), (2, 5, "lambda"), (3, 4, -1)])
