@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import geometry, liealg, linalg, solver, tensors
 from .liealg import LieAlgebra, Vector, jacobi_check
-from .scalar import ParamBinding
+from .scalar import ParamBinding, parse_expr
 from .tensors import Endomorphism, TwoForm
 
 NAMES = (
@@ -136,6 +136,17 @@ def _expectations(dirpath: str) -> Mapping[tuple[str, str], Expectation]:
     return table
 
 
+def _conditions(texts) -> tuple[str, ...]:
+    """Side conditions as their stored text, each checked to parse."""
+    if not isinstance(texts, list):
+        raise TypeError(f"side conditions must be a list, not {type(texts).__name__}")
+    for text in texts:
+        if not isinstance(text, str):
+            raise TypeError(f"side condition {text!r} is not a string")
+        parse_expr(text)
+    return tuple(texts)
+
+
 @lru_cache(maxsize=None)
 def _load(dirpath: str, name: str) -> CatalogEntry:
     with open(os.path.join(dirpath, f"{name}.json")) as fh:
@@ -150,7 +161,7 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
                 id=f["id"],
                 form=TwoForm.from_json_dict(f["form"]),
                 admits_J=f["admits_J"],
-                side_conditions=tuple(f.get("side_conditions", ())),
+                side_conditions=_conditions(f.get("side_conditions", [])),
             )
             for f in obj["forms"]
         )
@@ -160,7 +171,7 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
                 form_id=s["form"],
                 J=Endomorphism.from_json_dict(s["J"]),
                 params=tuple(s["params"]),
-                side_conditions=tuple(s["side_conditions"]),
+                side_conditions=_conditions(s["side_conditions"]),
                 canonical_binding=ParamBinding(s["canonical_binding"]),
                 expected=expectations.get((name, s["id"])),
             )

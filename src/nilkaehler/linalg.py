@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalar import ONE, ZERO, Scalar, ScalarLike, _canonical, as_scalar
+from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 Row = tuple[Scalar, ...]
@@ -127,8 +127,7 @@ class SideConditions:
         # numerator is; a part free of parameters never vanishes
         if not value.free_params():
             return
-        _, prim = value._num.primitive()
-        poly = _canonical(-prim if prim.LC < 0 else prim, prim.ring.one, prim.ring)
+        poly = value.primitive_numerator()
         if poly.free_params() and poly not in self._seen:
             self._seen.add(poly)
             self.items.append(poly)

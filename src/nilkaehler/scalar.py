@@ -1,26 +1,25 @@
 """Exact rational-function arithmetic in named parameters.
 
-A Scalar is a quotient of two integer-coefficient polynomials in a finite
-set of named parameters, held in a canonical reduced form:
+A Scalar is an element of Q(params)(sqrt 2): a quotient of two
+integer-coefficient polynomials in a finite set of named parameters,
+together with a sqrt(2) part.  The name ``s`` is reserved: it stands for
+the square root of two, so it cannot be bound to a value.
 
-* gcd(numerator, denominator) = 1 (including integer content),
-* the denominator's leading coefficient under graded-lex order is positive,
-* zero is 0/1,
-* the underlying polynomial ring mentions exactly the parameters that occur.
+A rational constant is stored as Python ints, numerator and denominator in
+lowest terms with a positive denominator.  Every other value is the triple
+(a, b, d), meaning (a + b*s)/d, with a, b and d free of ``s``:
 
-The name ``s`` is reserved: it stands for the square root of two.  Every
-result is reduced via s^2 -> 2, and denominators are rationalized so they
-never contain ``s``.  Because of that, ``s`` cannot be bound to a value.
+* gcd(a, b, d) = 1 (including integer content),
+* d's leading coefficient under graded-lex order is positive,
+* b is the int 0 when there is no sqrt(2) part,
+* the parts are ints for a constant of Q(sqrt 2), and otherwise
+  polynomials over the ring of exactly the parameters that occur.
 
-A value free of parameters other than ``s`` is a constant (a + b*s)/d of
-Q(sqrt 2), and it is stored as Python ints, never as polynomials: a
-rational constant (b = 0) as numerator and denominator in lowest terms with
-a positive denominator, any other as the triple (a, b, d) with
-gcd(a, b, d) = 1 and d > 0.  Their ``+``, ``-``, ``*`` and ``/`` with
-another constant use ints and ``math.gcd``; dividing by a + b*s multiplies
-by its conjugate, 1/(a + b*s) = (a - b*s)/(a^2 - 2 b^2).  An operation
-with a parametric value puts the constant into that value's polynomial
-ring, joined with ``s`` when the constant has it.
+The field has degree 2 over Q(params), so one set of formulas serves
+constants and parametric values alike: dividing by a + b*s multiplies by
+its conjugate, 1/(a + b*s) = (a - b*s)/(a^2 - 2 b^2).  Since d never
+contains ``s``, a common factor of a + b*s and d is free of ``s``, and the
+printed numerator a + b*s and denominator d are coprime.
 
 Equality, hashing and ``is_zero`` are therefore decidable by direct
 comparison of the stored ints or polynomials.  A rational constant hashes
@@ -57,78 +56,41 @@ _R0 = _ring_for(())
 _RS = _ring_for((SQRT2_NAME,))
 
 
-def _fold_sqrt2(p, R):
-    # reduce every monomial's s-exponent below 2 using s^2 = 2
-    idx = R._scalar_gen_index.get(SQRT2_NAME)
-    if idx is None:
-        return p
-    if all(m[idx] < 2 for m, _ in p.terms()):
-        return p
-    acc: dict[tuple, int] = {}
-    for monom, coeff in p.terms():
-        e = monom[idx]
-        if e >= 2:
-            coeff = coeff * (2 ** (e // 2))
-            monom = monom[:idx] + (e % 2,) + monom[idx + 1 :]
-        acc[monom] = acc.get(monom, 0) + coeff
-    return R.from_dict({m: c for m, c in acc.items() if c})
+def _ground(p) -> int:
+    # the int value of a constant polynomial, or of the int 0
+    return int(p.LC) if p else 0
 
 
-def _split_sqrt2(p, R):
-    # p = A + s*B with A, B free of s; requires folded input
-    idx = R._scalar_gen_index[SQRT2_NAME]
-    a: dict[tuple, int] = {}
-    b: dict[tuple, int] = {}
-    for monom, coeff in p.terms():
-        if monom[idx]:
-            b[monom[:idx] + (0,) + monom[idx + 1 :]] = coeff
-        else:
-            a[monom] = coeff
-    return R.from_dict(a), R.from_dict(b)
+def _reduce(a, b, d, R) -> "Scalar":
+    """The canonical Scalar (a + b*s)/d, for d != 0.
 
-
-def _shrink(num, den, R):
+    The parts are ints when R is None.  Otherwise a and d are polynomials
+    over R, and b is one too or the int 0.
+    """
+    if R is None:
+        return _quadratic(a, b, d)
+    if not b:
+        if not a:
+            return ZERO
+        b = 0
+    g = d.gcd(a)
+    if b and g != 1:
+        g = g.gcd(b)
+    if g != 1:
+        a, d = a.exquo(g), d.exquo(g)
+        if b:
+            b = b.exquo(g)
+    if d.LC < 0:
+        a, b, d = -a, -b, -d
     # move to the ring of exactly the occurring parameters
     names = R._scalar_names
-    used = set()
-    for poly in (num, den):
-        for monom, _ in poly.terms():
-            for i, e in enumerate(monom):
-                if e:
-                    used.add(i)
-    if len(used) == len(names):
-        return num, den, R
-    kept = tuple(names[i] for i in sorted(used))
-    target = _ring_for(kept)
-    return num.set_ring(target), den.set_ring(target), target
-
-
-def _canonical(num, den, R) -> "Scalar":
-    num = _fold_sqrt2(num, R)
-    den = _fold_sqrt2(den, R)
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return ZERO
-    if SQRT2_NAME in R._scalar_gen_index:
-        a, b = _split_sqrt2(den, R)
-        if b:
-            conj = a - R.gens[R._scalar_gen_index[SQRT2_NAME]] * b
-            num = _fold_sqrt2(num * conj, R)
-            den = _fold_sqrt2(den * conj, R)
-    g = num.gcd(den)
-    if g != 1:
-        num = num.exquo(g)
-        den = den.exquo(g)
-    if den.LC < 0:
-        num, den = -num, -den
-    num, den, R = _shrink(num, den, R)
-    if R is _R0:
-        return Scalar._const(int(num[()]), int(den[()]))
-    if R is _RS:
-        # (a + b*s)/d, b != 0: s occurs, and never in a denominator
-        return Scalar._const2(int(num.get((0,), 0)), int(num[(1,)]), int(den[(0,)]))
-    return Scalar._poly(num, den)
+    used = {i for p in (a, b, d) if p for m in p.itermonoms() for i, e in enumerate(m) if e}
+    if not used:
+        return _quadratic(_ground(a), _ground(b), _ground(d))
+    if len(used) < len(names):
+        R = _ring_for(tuple(names[i] for i in sorted(used)))
+        a, b, d = a.set_ring(R), b and b.set_ring(R), d.set_ring(R)
+    return Scalar._new(a, b, d, R)
 
 
 def _rational(n: int, d: int) -> "Scalar":
@@ -155,65 +117,61 @@ def _quadratic(a: int, b: int, d: int) -> "Scalar":
         a //= g
         b //= g
         d //= g
-    return Scalar._const2(a, b, d)
+    return Scalar._new(a, b, d, None)
 
 
-def _parts(x: "Scalar") -> tuple[int, int, int]:
-    # (a, b, d) of a constant x = (a + b*s)/d
-    return (x._n, 0, x._d) if x._p is None else x._p
+def _parts(x: "Scalar", R) -> tuple:
+    # (a, b, d) of x = (a + b*s)/d, any polynomial among them over R
+    if x._p is None:
+        return x._n, 0, x._d
+    if x._q is None or x._q is R:
+        return x._p
+    a, b, d = x._p
+    return a.set_ring(R), b and b.set_ring(R), d.set_ring(R)
 
 
-def _pow_sqrt2(a: int, b: int, e: int) -> tuple[int, int]:
+def _unify(x: "Scalar", y: "Scalar"):
+    # the parts of x and y over one ring, which is None when both are constants
+    Rx, Ry = x._q, y._q
+    if Rx is Ry or Ry is None:
+        R = Rx
+    elif Rx is None:
+        R = Ry
+    else:
+        R = _ring_for(tuple(sorted(set(Rx._scalar_names) | set(Ry._scalar_names))))
+    return _parts(x, R), _parts(y, R), R
+
+
+def _times(a1, b1, a2, b2) -> tuple:
+    # (a1 + b1*s)(a2 + b2*s) = a + b*s, with b the int 0 when b1 and b2 are
+    if not (b1 or b2):
+        return a1 * a2, 0
+    return a1 * a2 + 2 * b1 * b2, a1 * b2 + a2 * b1
+
+
+def _pow_sqrt2(a, b, e: int) -> tuple:
     # (a + b*s)^e = ra + rb*s for e >= 0, by repeated squaring
     ra, rb = 1, 0
     while e:
         if e & 1:
-            ra, rb = ra * a + 2 * rb * b, ra * b + rb * a
+            ra, rb = _times(ra, rb, a, b)
         e >>= 1
         if e:
-            a, b = a * a + 2 * b * b, 2 * a * b
+            a, b = _times(a, b, a, b)
     return ra, rb
 
 
-def _ring_of(x: "Scalar"):
-    # the ring of exactly the parameters (and s) that occur in x
-    if x._q is not None:
-        return x._p.ring
-    return _R0 if x._p is None else _RS
-
-
-def _in_ring(x: "Scalar", R):
-    # numerator and denominator of x as polynomials over R
-    if x._p is None:
-        return R.ground_new(x._n), R.ground_new(x._d)
-    if x._q is None:
-        a, b, d = x._p
-        return R.ground_new(a) + R.gens[R._scalar_gen_index[SQRT2_NAME]] * b, R.ground_new(d)
-    if x._p.ring is R:
-        return x._p, x._q
-    return x._p.set_ring(R), x._q.set_ring(R)
-
-
-def _unify(a: "Scalar", b: "Scalar"):
-    # a and b over one ring; at least one of them is parametric
-    Ra, Rb = _ring_of(a), _ring_of(b)
-    if Rb is Ra or Rb is _R0:
-        R = Ra
-    elif Ra is _R0:
-        R = Rb
-    else:
-        R = _ring_for(tuple(sorted(set(Ra._scalar_names) | set(Rb._scalar_names))))
-    return (*_in_ring(a, R), *_in_ring(b, R), R)
+def _terms(p) -> tuple:
+    return tuple((m, int(c)) for m, c in p.terms())
 
 
 class Scalar:
-    """Immutable exact rational function; see module docstring.
+    """Immutable exact value of Q(params)(sqrt 2); see module docstring.
 
-    A rational constant is the ints ``_n``/``_d`` with ``_p is None``.  A
-    constant (a + b*s)/d with b != 0 is the int triple ``_p = (a, b, d)``
-    with ``_n``, ``_d`` and ``_q`` None.  Any other value is the polynomials
-    ``_p``/``_q`` with ``_n`` and ``_d`` None.  So ``_p is None`` tells a
-    rational constant and ``_q is None`` a constant of Q(sqrt 2).
+    A rational constant is the ints ``_n``/``_d`` with ``_p is None``.  Any
+    other value is the triple ``_p = (a, b, d)`` with ``_n`` and ``_d``
+    None, and ``_q`` is the polynomial ring of its parameters, or None for
+    a constant of Q(sqrt 2), whose parts are ints.
     """
 
     __slots__ = ("_n", "_d", "_p", "_q", "_hash")
@@ -228,19 +186,11 @@ class Scalar:
         return self
 
     @classmethod
-    def _const2(cls, a: int, b: int, d: int) -> "Scalar":
-        self = object.__new__(cls)
-        self._n = self._d = self._q = None
-        self._p = (a, b, d)
-        self._hash = None
-        return self
-
-    @classmethod
-    def _poly(cls, num, den) -> "Scalar":
+    def _new(cls, a, b, d, ring) -> "Scalar":
         self = object.__new__(cls)
         self._n = self._d = None
-        self._p = num
-        self._q = den
+        self._p = (a, b, d)
+        self._q = ring
         self._hash = None
         return self
 
@@ -260,27 +210,30 @@ class Scalar:
         if name == SQRT2_NAME:
             return _SQRT2
         R = _ring_for((name,))
-        return cls._poly(R.gens[0], R.one)
-
-    @classmethod
-    def sqrt2(cls) -> "Scalar":
-        return _SQRT2
+        return cls._new(R.gens[0], 0, R.one, R)
 
     # -- inspection ----------------------------------------------------
 
     @property
     def _num(self):
-        """Numerator polynomial; built over ZZ or ZZ[s] for a constant."""
+        """Numerator polynomial a + b*s; over ZZ[s] and the parameters when b != 0."""
         if self._p is None:
             return _R0.ground_new(self._n)
-        return _in_ring(self, _RS)[0] if self._q is None else self._p
+        a, b, _ = self._p
+        R = self._q
+        if not b:
+            return a
+        if R is None:
+            return _RS.ground_new(a) + _RS.gens[0] * b
+        S = _ring_for(tuple(sorted((*R._scalar_names, SQRT2_NAME))))
+        return a.set_ring(S) + S.gens[S._scalar_gen_index[SQRT2_NAME]] * b.set_ring(S)
 
     @property
     def _den(self):
-        """Denominator polynomial; built over ZZ or ZZ[s] for a constant."""
+        """Denominator polynomial d; built over ZZ for a constant."""
         if self._p is None:
             return _R0.ground_new(self._d)
-        return _RS.ground_new(self._p[2]) if self._q is None else self._q
+        return _R0.ground_new(self._p[2]) if self._q is None else self._p[2]
 
     def is_zero(self) -> bool:
         return self._n == 0
@@ -294,22 +247,31 @@ class Scalar:
 
     def free_params(self) -> frozenset[str]:
         """Bindable parameter names occurring in this value (``s`` excluded)."""
-        if self._q is None:
-            return frozenset()
-        return frozenset(n for n in self._p.ring._scalar_names if n != SQRT2_NAME)
+        return frozenset() if self._q is None else frozenset(self._q._scalar_names)
 
     def as_fraction(self) -> Fraction:
         if self._p is not None:
             raise ValueError(f"not a rational constant: {self}")
         return Fraction(self._n, self._d)
 
+    def primitive_numerator(self) -> "Scalar":
+        """The numerator a + b*s over its integer content, with a positive
+        leading coefficient: nonzero values vanish exactly where it does."""
+        num = self._num
+        c = num.content()
+        if num.LC < 0:
+            c = -c
+        R = self._q
+        a, b, _ = _parts(self, R)
+        return _reduce(a, b, R.ground_new(c) if R else int(c), R)
+
     def sign(self) -> int:
         """-1, 0 or 1 for a constant a + b*sqrt(2); parameters raise ValueError.
 
         A constant's denominator is a positive integer (denominators are
-        rationalized and carry a positive leading coefficient), so the sign
-        is the numerator's.  For rational a, b of opposite signs it is the
-        sign of the term with the larger square, a^2 against 2 b^2; these
+        free of sqrt(2) and carry a positive leading coefficient), so the
+        sign is the numerator's.  For rational a, b of opposite signs it is
+        the sign of the term with the larger square, a^2 against 2 b^2; these
         never tie because sqrt(2) is irrational.
         """
         if self._p is None:
@@ -332,12 +294,9 @@ class Scalar:
             return self
         if self._p is None and other._p is None:
             return _rational(self._n * other._d + other._n * self._d, self._d * other._d)
-        if self._q is None and other._q is None:
-            a1, b1, d1 = _parts(self)
-            a2, b2, d2 = _parts(other)
-            return _quadratic(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-        n1, d1, n2, d2, R = _unify(self, other)
-        return _canonical(n1 * d2 + n2 * d1, d1 * d2, R)
+        (a1, b1, d1), (a2, b2, d2), R = _unify(self, other)
+        b = b1 * d2 + b2 * d1 if b1 or b2 else 0
+        return _reduce(a1 * d2 + a2 * d1, b, d1 * d2, R)
 
     __radd__ = __add__
 
@@ -362,12 +321,8 @@ class Scalar:
             return self
         if self._p is None and other._p is None:
             return _rational(self._n * other._n, self._d * other._d)
-        if self._q is None and other._q is None:
-            a1, b1, d1 = _parts(self)
-            a2, b2, d2 = _parts(other)
-            return _quadratic(a1 * a2 + 2 * b1 * b2, a1 * b2 + a2 * b1, d1 * d2)
-        n1, d1, n2, d2, R = _unify(self, other)
-        return _canonical(n1 * n2, d1 * d2, R)
+        (a1, b1, d1), (a2, b2, d2), R = _unify(self, other)
+        return _reduce(*_times(a1, b1, a2, b2), d1 * d2, R)
 
     __rmul__ = __mul__
 
@@ -381,14 +336,13 @@ class Scalar:
             return ZERO
         if self._p is None and other._p is None:
             return _rational(self._n * other._d, self._d * other._n)
-        if self._q is None and other._q is None:
+        (a1, b1, d1), (a2, b2, d2), R = _unify(self, other)
+        a, b, norm = a1 * d2, b1 and b1 * d2, a2
+        if b2:
             # times the conjugate a2 - b2*s over the norm a2^2 - 2 b2^2 != 0
-            a1, b1, d1 = _parts(self)
-            a2, b2, d2 = _parts(other)
-            return _quadratic((a1 * a2 - 2 * b1 * b2) * d2, (a2 * b1 - a1 * b2) * d2,
-                              (a2 * a2 - 2 * b2 * b2) * d1)
-        n1, d1, n2, d2, R = _unify(self, other)
-        return _canonical(n1 * d2, d1 * n2, R)
+            a, b = _times(a, b, a2, -b2)
+            norm = a2 * a2 - 2 * b2 * b2
+        return _reduce(a, b, d1 * norm, R)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return as_scalar(other) / self
@@ -396,10 +350,8 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         if self._p is None:
             return Scalar._const(-self._n, self._d) if self._n else ZERO
-        if self._q is None:
-            a, b, d = self._p
-            return Scalar._const2(-a, -b, d)
-        return Scalar._poly(-self._p, self._q)
+        a, b, d = self._p
+        return Scalar._new(-a, -b, d, self._q)
 
     def __pos__(self) -> "Scalar":
         return self
@@ -416,10 +368,8 @@ class Scalar:
         if self._p is None:
             # powers of coprime ints stay coprime, and d > 0
             return Scalar._const(self._n**exponent, self._d**exponent)
-        if self._q is None:
-            a, b, d = self._p
-            return _quadratic(*_pow_sqrt2(a, b, exponent), d**exponent)
-        return _canonical(self._p**exponent, self._q**exponent, self._p.ring)
+        a, b, d = self._p
+        return _reduce(*_pow_sqrt2(a, b, exponent), d**exponent, self._q)
 
     # -- substitution and evaluation ------------------------------------
 
@@ -428,25 +378,20 @@ class Scalar:
         binding = ParamBinding.coerce(binding)
         if self._q is None:
             return self
-        names = self._p.ring._scalar_names
+        names = self._q._scalar_names
         relevant = {n: binding[n] for n in names if n in binding}
         if not relevant:
             return self
-        num, num_d = _substitute_poly(self._p, relevant)
-        den, den_d = _substitute_poly(self._q, relevant)
-        if not den:
+        a, b, d = _substitute_poly(self._p, relevant)
+        if not d:
             raise ZeroDivisionError(
-                f"denominator {_poly_text(self._q)} vanishes under binding"
+                f"denominator {_poly_text(self._p[2])} vanishes under binding"
             )
         kept = tuple(n for n in names if n not in relevant)
         if not kept:
-            return _rational(num.get((), 0) * den_d, den[()] * num_d)
-        if kept == (SQRT2_NAME,):
-            # (a + b*s)/d: a denominator never contains s
-            return _quadratic(num.get((0,), 0) * den_d, num.get((1,), 0) * den_d,
-                              den[(0,)] * num_d)
+            return _quadratic(a.get((), 0), b.get((), 0), d[()])
         R = _ring_for(kept)
-        return _canonical(R.from_dict(num) * den_d, R.from_dict(den) * num_d, R)
+        return _reduce(R.from_dict(a), R.from_dict(b) if b else 0, R.from_dict(d), R)
 
     def evaluate(self, binding: "ParamBinding | Mapping | None" = None) -> float:
         """Float value; every parameter must be bound (``s`` is sqrt(2)).
@@ -480,10 +425,7 @@ class Scalar:
             return NotImplemented
         if self._p is None or other._p is None:
             return self._p is other._p and self._n == other._n and self._d == other._d
-        if self._q is None or other._q is None:
-            return self._q is other._q and self._p == other._p
-        return (self._p.ring is other._p.ring
-                and self._p == other._p and self._q == other._q)
+        return self._q is other._q and self._p == other._p
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -493,11 +435,8 @@ class Scalar:
             elif self._q is None:
                 self._hash = hash(self._p)
             else:
-                self._hash = hash((
-                    self._p.ring._scalar_names,
-                    tuple((m, int(c)) for m, c in self._p.terms()),
-                    tuple((m, int(c)) for m, c in self._q.terms()),
-                ))
+                a, b, d = self._p
+                self._hash = hash((self._q._scalar_names, _terms(a), b and _terms(b), _terms(d)))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -523,7 +462,7 @@ class Scalar:
 
 ZERO = Scalar._const(0, 1)
 ONE = Scalar._const(1, 1)
-_SQRT2 = Scalar._const2(0, 1, 1)
+_SQRT2 = Scalar._new(0, 1, 1, None)
 
 
 def as_scalar(value: ScalarLike) -> Scalar:
@@ -541,28 +480,33 @@ def as_scalar(value: ScalarLike) -> Scalar:
     raise TypeError(f"cannot interpret {type(value).__name__} as Scalar")
 
 
-def _substitute_poly(p, bind: dict[str, Fraction]):
-    """Put the rationals of ``bind`` into p.
+def _substitute_poly(parts, bind: dict[str, Fraction]) -> list[dict]:
+    """Put the rationals of ``bind`` into the parts (a, b, d) of one value.
 
-    Returns (integer coefficients by monomial in the unbound parameters,
-    common denominator).  Each bound value a/b is scaled by b to the
-    parameter's top degree in p, so every coefficient is an int.
+    Returns each part as integer coefficients by monomial in the unbound
+    parameters (b may be the int 0, and gives no coefficients).  Each bound
+    value u/v is scaled by v to the parameter's top degree over all three
+    parts, so every coefficient is an int and the parts share one scale,
+    which cancels in (a + b*s)/d.
     """
-    names = p.ring._scalar_names
+    names = parts[2].ring._scalar_names
     bound = [(i, bind[n].numerator, bind[n].denominator)
              for i, n in enumerate(names) if n in bind]
     kept_pos = [i for i, n in enumerate(names) if n not in bind]
-    top = {i: max(m[i] for m in p.itermonoms()) for i, _, _ in bound}
-    acc: dict[tuple, int] = {}
-    for monom, coeff in p.terms():
-        c = int(coeff)
-        for i, a, b in bound:
-            e = monom[i]
-            c *= a**e * b ** (top[i] - e)
-        key = tuple(monom[i] for i in kept_pos)
-        acc[key] = acc.get(key, 0) + c
-    common = math.prod(b ** top[i] for i, _, b in bound)
-    return {m: c for m, c in acc.items() if c}, common
+    present = [p for p in parts if p]
+    top = {i: max(m[i] for p in present for m in p.itermonoms()) for i, _, _ in bound}
+    out = []
+    for p in parts:
+        acc: dict[tuple, int] = {}
+        for monom, coeff in (p.items() if p else ()):
+            c = int(coeff)
+            for i, u, v in bound:
+                e = monom[i]
+                c *= u**e * v ** (top[i] - e)
+            key = tuple(monom[i] for i in kept_pos)
+            acc[key] = acc.get(key, 0) + c
+        out.append({m: c for m, c in acc.items() if c})
+    return out
 
 
 # -- binding ------------------------------------------------------------
@@ -698,8 +642,7 @@ class _Parser:
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := ('-')? atom ('^' uint)?
-    atom   := rational | ident | '(' expr ')'
-    rational := int ('/' uint)?
+    atom   := uint | ident | '(' expr ')'
     """
 
     def __init__(self, text: str):
@@ -712,8 +655,8 @@ class _Parser:
                 break
         self._i = 0
 
-    def _peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self._tokens[min(self._i + ahead, len(self._tokens) - 1)]
+    def _peek(self) -> tuple[str, str, int]:
+        return self._tokens[self._i]
 
     def _advance(self) -> tuple[str, str, int]:
         t = self._tokens[self._i]
@@ -771,18 +714,7 @@ class _Parser:
     def _atom(self) -> Scalar:
         kind, text, pos = self._advance()
         if kind == "int":
-            numerator = int(text)
-            # rational literal: int '/' uint, bound more tightly than term division
-            if self._peek()[0] == "/" and self._peek(1)[0] == "int":
-                self._advance()
-                _, dtext, dpos = self._advance()
-                denominator = int(dtext)
-                if denominator == 0:
-                    raise ZeroDivisionError(
-                        f"division by zero in rational literal (at position {dpos})"
-                    )
-                return Scalar.from_fraction(Fraction(numerator, denominator))
-            return Scalar.from_int(numerator)
+            return Scalar.from_int(int(text))
         if kind == "ident":
             return Scalar.param(text)
         if kind == "(":

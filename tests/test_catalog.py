@@ -350,10 +350,24 @@ class TestMutationControl:
              "psi12=1/0: zero denominator"),
             (lambda obj: obj["algebra"]["brackets"][0].__setitem__("c", "lambda"),
              "unbound parameters: lambda"),
+            (lambda obj: obj["structures"][0].__setitem__("side_conditions", ["psi12 +"]),
+             "unexpected end of input (at position 7) in 'psi12 +'"),
+            (lambda obj: obj["structures"][0].__setitem__("side_conditions",
+                                                          ["psi12/(psi11-psi11)"]),
+             "division by the zero polynomial (at position 5) in 'psi12/(psi11-psi11)'"),
+            (lambda obj: obj["structures"][0].__setitem__("side_conditions", [7]),
+             "side condition 7 is not a string"),
+            (lambda obj: obj["structures"][0].__setitem__("side_conditions", "psi12"),
+             "side conditions must be a list, not str"),
+            (lambda obj: obj["forms"][0].__setitem__("side_conditions", ["psi12 +"]),
+             "unexpected end of input (at position 7) in 'psi12 +'"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
-             "binding-division-by-zero", "parametric-algebra"],
+             "binding-division-by-zero", "parametric-algebra", "side-condition-syntax",
+             "side-condition-division-by-zero", "side-condition-not-a-string",
+             "side-conditions-not-a-list",
+             "form-side-condition-syntax"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)

@@ -149,6 +149,22 @@ class TestVerify:
                     "psi12", "1/0")),
                 "catalog entry g10 is malformed: psi12=1/0: zero denominator",
                 id="binding-division-by-zero"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__(
+                    "side_conditions", ["psi12 +"])),
+                "catalog entry g10 is malformed: unexpected end of input (at position 7)"
+                " in 'psi12 +'",
+                id="side-condition-syntax"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__(
+                    "side_conditions", ["psi12/(psi11-psi11)"])),
+                "catalog entry g10 is malformed: division by the zero polynomial"
+                " (at position 5) in 'psi12/(psi11-psi11)'",
+                id="side-condition-division-by-zero"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__("side_conditions", [7])),
+                "catalog entry g10 is malformed: side condition 7 is not a string",
+                id="side-condition-not-a-string"),
         ],
     )
     @pytest.mark.parametrize(
@@ -373,7 +389,7 @@ class TestSolveAndSearch:
         "argv,fragment",
         [
             (("solve-linear", {"dim": 6, "terms": [{"i": 1, "j": 2, "c": "1/0"}]}),
-             "bad form file: division by zero in rational literal (at position 2) in '1/0'"),
+             "bad form file: division by the zero polynomial (at position 1) in '1/0'"),
             (("solve-linear", [1, 2]), "bad form file: a 2-form must be a JSON object, not list"),
             (("search", ABELIAN, [1, 2]),
              "bad input file: a 2-form must be a JSON object, not list"),

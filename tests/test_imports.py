@@ -1,6 +1,6 @@
 """Every imported name is used, every private module-level name of the
-package is read somewhere in it, and the public functions that only tests
-read are a pinned set: three small checks on the ast."""
+package is read somewhere in it, and the public functions and methods that
+only tests read are a pinned set: three small checks on the ast."""
 
 import ast
 import re
@@ -110,20 +110,32 @@ def test_the_check_finds_an_unused_private_name():
         "a.py line 2: _A", "a.py line 6: _Unused", "a.py line 8: _loop"]
 
 
-def unread_public_functions(package: dict[str, str], readers: list[str]) -> list[str]:
-    """``module.name`` of each module-level public function of ``package``
-    that neither the package nor ``readers`` read."""
+def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` of each module-level public function, and
+    ``module.Class.name`` of each public method of a module-level class, of
+    ``package`` that neither the package nor ``readers`` read."""
     read = set().union(*map(_reads, [*package.values(), *readers]))
-    return [f"{module.removesuffix('.py')}.{node.name}"
-            for module, source in package.items() for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-            and node.name not in read]
+    unread = []
+    for module, source in package.items():
+        prefix = module.removesuffix(".py")
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{prefix}.{node.name}", n) for n in node.body]
+            else:
+                defs = [(prefix, node)]
+            unread += [f"{owner}.{n.name}" for owner, n in defs
+                       if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+                       and n.name not in read]
+    return unread
 
 
-# Public functions that only tests call.  A new one fails here: make it a
-# check the package runs, or move it into the tests.
-TEST_ONLY_FUNCTIONS = [
+# Public functions and methods that only tests call.  A new one fails here:
+# make it a check the package runs, or move it into the tests.
+TEST_ONLY_NAMES = [
     "geometry.is_metric_connection",  # nabla g = 0, symbolic: test 5
+    "geometry.SplitReport.as_dict",  # the report as plain data: tests
+    "liealg.Vector.scale",  # tests build vectors with it
+    "scalar.Scalar.as_fraction",  # the exact value of a rational constant: tests
     "tensors.is_nilpotent_J",  # the J-twisted ascending series: tests
     "tensors.is_abelian_J",
 ]
@@ -134,7 +146,7 @@ def test_public_functions_only_tests_read_are_pinned():
     readers = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
     readers += re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
                           re.M | re.S)
-    assert unread_public_functions(package, readers) == TEST_ONLY_FUNCTIONS
+    assert unread_public_names(package, readers) == TEST_ONLY_NAMES
 
 
 def test_the_check_finds_an_unread_public_function():
@@ -145,7 +157,11 @@ def test_the_check_finds_an_unread_public_function():
             "def _private(): pass\n"
             "class Kind:\n"
             "    def method(self): pass\n"
+            "    def called(self): pass\n"
+            "    def _helper(self): pass\n"
+            "    @property\n"
+            "    def size(self): pass\n"
         ),
-        "b.py": "from a import unused\ndef run(): return used\n",
+        "b.py": "from a import unused\ndef run(): return used, Kind().called(), Kind().size\n",
     }
-    assert unread_public_functions(package, ["import b\nb.run()\n"]) == ["a.unused"]
+    assert unread_public_names(package, ["import b\nb.run()\n"]) == ["a.unused", "a.Kind.method"]
