@@ -21,6 +21,16 @@ its conjugate, 1/(a + b*s) = (a - b*s)/(a^2 - 2 b^2).  Since d never
 contains ``s``, a common factor of a + b*s and d is free of ``s``, and the
 printed numerator a + b*s and denominator d are coprime.
 
+``_reduce`` divides out the full gcd(a, b, d); ``/``, ``**`` and
+``substitute`` call it.  ``+`` and ``*`` of parametric values follow
+Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1) and take a gcd only where a
+factor can cancel: a sum over g = gcd(d1, d2) divides out gcd(a, b, g), and
+a product cancels each numerator against the other denominator before it
+multiplies.  A product of two values that both have an sqrt(2) part takes
+the full gcd: ZZ[params][s] has no unique factorization over the primes of
+ZZ[params], so (x + s)/(x^2 - 2) * (x - s) = 1 cancels a factor that
+neither operand shares with the other's denominator.
+
 Equality, hashing and ``is_zero`` are therefore decidable by direct
 comparison of the stored ints or polynomials.  A rational constant hashes
 as the equal ``int`` or ``Fraction`` does.
@@ -69,20 +79,30 @@ def _reduce(a, b, d, R) -> "Scalar":
     """
     if R is None:
         return _quadratic(a, b, d)
-    if not b:
-        if not a:
-            return ZERO
-        b = 0
-    g = d.gcd(a)
+    if not (a or b):
+        return ZERO
+    return _finish(*_lowest(a, b, d, d), R)
+
+
+def _lowest(a, b, d, g) -> tuple:
+    # (a, b, d) over gcd(g, a, b), for g a divisor of d: every factor that
+    # can cancel must divide g
+    if g == 1:
+        return a, b, d
+    g = g.gcd(a)
     if b and g != 1:
         g = g.gcd(b)
-    if g != 1:
-        a, d = a.exquo(g), d.exquo(g)
-        if b:
-            b = b.exquo(g)
+    if g == 1:
+        return a, b, d
+    return a.exquo(g), b and b.exquo(g), d.exquo(g)
+
+
+def _finish(a, b, d, R) -> "Scalar":
+    # the Scalar (a + b*s)/d, for gcd(a, b, d) = 1: d's leading coefficient
+    # made positive, and the parts moved to the ring of exactly the
+    # occurring parameters
     if d.LC < 0:
         a, b, d = -a, -b, -d
-    # move to the ring of exactly the occurring parameters
     names = R._scalar_names
     used = {i for p in (a, b, d) if p for m in p.itermonoms() for i, e in enumerate(m) if e}
     if not used:
@@ -90,7 +110,7 @@ def _reduce(a, b, d, R) -> "Scalar":
     if len(used) < len(names):
         R = _ring_for(tuple(names[i] for i in sorted(used)))
         a, b, d = a.set_ring(R), b and b.set_ring(R), d.set_ring(R)
-    return Scalar._new(a, b, d, R)
+    return Scalar._new(a, b or 0, d, R)
 
 
 def _rational(n: int, d: int) -> "Scalar":
@@ -121,12 +141,15 @@ def _quadratic(a: int, b: int, d: int) -> "Scalar":
 
 
 def _parts(x: "Scalar", R) -> tuple:
-    # (a, b, d) of x = (a + b*s)/d, any polynomial among them over R
+    # (a, b, d) of x = (a + b*s)/d, as ints when R is None and otherwise as
+    # polynomials over R (b may be the int 0)
     if x._p is None:
-        return x._n, 0, x._d
-    if x._q is None or x._q is R:
+        return (x._n, 0, x._d) if R is None else (R.ground_new(x._n), 0, R.ground_new(x._d))
+    if x._q is R:
         return x._p
     a, b, d = x._p
+    if x._q is None:
+        return R.ground_new(a), R.ground_new(b), R.ground_new(d)
     return a.set_ring(R), b and b.set_ring(R), d.set_ring(R)
 
 
@@ -295,8 +318,22 @@ class Scalar:
         if self._p is None and other._p is None:
             return _rational(self._n * other._d + other._n * self._d, self._d * other._d)
         (a1, b1, d1), (a2, b2, d2), R = _unify(self, other)
-        b = b1 * d2 + b2 * d1 if b1 or b2 else 0
-        return _reduce(a1 * d2 + a2 * d1, b, d1 * d2, R)
+        if R is None:
+            b = b1 * d2 + b2 * d1 if b1 or b2 else 0
+            return _reduce(a1 * d2 + a2 * d1, b, d1 * d2, R)
+        # Henrici: with g = gcd(d1, d2), a prime of ZZ[params] dividing d and
+        # both parts of the numerator divides g, or else it would divide all
+        # three parts of one reduced operand
+        if d1 == d2:
+            g, a, b, d = d1, a1 + a2, b1 + b2, d1
+        else:
+            g = d1.gcd(d2)
+            e1, e2 = (d1, d2) if g == 1 else (d1.exquo(g), d2.exquo(g))
+            a, d = a1 * e2 + a2 * e1, d1 * e2
+            b = b1 * e2 + b2 * e1 if b1 or b2 else 0
+        if not (a or b):
+            return ZERO
+        return _finish(*_lowest(a, b, d, g), R)
 
     __radd__ = __add__
 
@@ -322,7 +359,16 @@ class Scalar:
         if self._p is None and other._p is None:
             return _rational(self._n * other._n, self._d * other._d)
         (a1, b1, d1), (a2, b2, d2), R = _unify(self, other)
-        return _reduce(*_times(a1, b1, a2, b2), d1 * d2, R)
+        if R is None or (b1 and b2):
+            # ZZ[params][s] has no unique factorization over the primes of
+            # ZZ[params]: (x + s)(x - s) = x^2 - 2 shares a factor with a
+            # denominator that neither factor does, so take the full gcd
+            return _reduce(*_times(a1, b1, a2, b2), d1 * d2, R)
+        # Henrici: cancel across first; then at most one factor has an s part,
+        # and a prime dividing d1*d2 divides neither part of the product
+        a1, b1, d2 = _lowest(a1, b1, d2, d2)
+        a2, b2, d1 = _lowest(a2, b2, d1, d1)
+        return _finish(*_times(a1, b1, a2, b2), d1 * d2, R)
 
     __rmul__ = __mul__
 

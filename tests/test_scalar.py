@@ -20,6 +20,8 @@ from nilkaehler.scalar import (
     _R0,
     _reduce,
     _ring_for,
+    _times,
+    _unify,
     as_scalar,
     parse_expr,
 )
@@ -516,3 +518,114 @@ def test_q_sqrt2_constants_are_stored_as_ints():
     entries = [x for row in J.rows for x in row]
     assert all(_held_as_ints(x) for x in entries)
     assert sum(x._p is not None for x in entries) == 6  # the sqrt(2) entries
+
+
+# ---------------------------------------------------------------- Henrici's rule
+
+
+def _full_gcd(symbol: str, x: Scalar, y: Scalar) -> Scalar:
+    # x op y from the full cross products, reduced by one gcd of all of them
+    (a1, b1, d1), (a2, b2, d2), R = _unify(x, -y if symbol == "-" else y)
+    if symbol == "*":
+        return _reduce(*_times(a1, b1, a2, b2), d1 * d2, R)
+    return _reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2, R)
+
+
+def _check_canonical(got: Scalar, reference: Scalar):
+    assert got == reference and got._q is reference._q
+    if got._p is not None:
+        assert [type(p) for p in got._p] == [type(p) for p in reference._p]
+    assert str(got) == str(reference)
+    assert hash(got) == hash(reference)
+    assert got.free_params() == reference.free_params()
+    assert got.is_constant() == reference.is_constant()
+    assert parse_expr(str(got)) == got
+
+
+# ZZ[x][s] has no unique factorization over the primes of ZZ[x], so a
+# product of two values that both have an s part takes the full gcd: without
+# it, each product but s*x/2 * s/x (whose constant result the int reduction
+# of Q(sqrt 2) catches) keeps a common factor
+@pytest.mark.parametrize("left, right, text", [
+    ("(x + s)/(x^2 - 2)", "x - s", "1"),
+    ("(x + s)/7", "(3 - s)*(x + 1)/(x + s)", "(-s*x - s + 3*x + 3)/7"),
+    ("s*x/2", "s/x", "1"),
+    ("s*x/2", "s*y/x", "y"),
+])
+def test_a_product_of_two_sqrt2_parts_takes_the_full_gcd(left, right, text):
+    x, y = parse_expr(left), parse_expr(right)
+    assert x._p[1] and y._p[1]
+    got = x * y
+    assert str(got) == text
+    _check_canonical(got, _full_gcd("*", x, y))
+    _check_canonical(got, parse_expr(text))
+
+
+def test_a_sum_or_product_moves_to_the_ring_of_its_parameters():
+    x, y, s = (Scalar.param(name) for name in "xys")
+    assert (x + y) + (-x) == y
+    assert ((x + y) + (-x)).free_params() == {"y"}
+    assert x / y * (y / x) == ONE
+    assert (x / y * (y / x)).is_constant()
+    assert ((x + s) - x)._q is None and str((x + s) - x) == "s"
+
+
+def _sum_of_terms(draw, names):
+    total = ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        term = Scalar.from_int(draw(st.integers(-4, 4)))
+        for name in names:
+            term = term * Scalar.param(name) ** draw(st.integers(0, 2))
+        total = total + term
+    return total
+
+
+OPERAND_KINDS = ("rational", "q_sqrt2", "parametric", "sqrt2_parametric")
+
+
+def _numerator(draw, kind):
+    if kind == "rational":
+        return Scalar.from_int(draw(st.integers(-9, 9)))
+    if kind == "q_sqrt2":
+        return draw(st.integers(-9, 9)) + draw(st.integers(-9, 9)) * Scalar.param("s")
+    return _sum_of_terms(draw, ("x", "y", "s") if kind == "sqrt2_parametric" else ("x", "y"))
+
+
+def _denominator(draw, kind):
+    if kind in ("rational", "q_sqrt2"):
+        return Scalar.from_int(draw(st.integers(1, 6)))
+    den = _sum_of_terms(draw, ("x", "y"))
+    assume(not den.is_zero())
+    return den
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two reduced operands of any kind whose denominators are equal, share
+    a drawn factor, or are drawn apart (and then mostly coprime).  Or the
+    second is z - x or z/x for a drawn z, so that x + y or x*y cancels
+    down to z."""
+    kinds = [draw(st.sampled_from(OPERAND_KINDS)) for _ in range(2)]
+    dens = [_denominator(draw, kind) for kind in kinds]
+    mode = draw(st.sampled_from(("equal", "shared", "apart", "difference", "quotient")))
+    if mode == "equal":
+        dens[1] = dens[0]
+    elif mode == "shared":
+        k = Scalar.from_int(draw(st.integers(1, 6)))
+        factor = k * _sum_of_terms(draw, ("x", "y"))
+        assume(not factor.is_zero())
+        dens = [d * (k if kind in ("rational", "q_sqrt2") else factor)
+                for d, kind in zip(dens, kinds)]
+    x, z = (_numerator(draw, kind) / d for kind, d in zip(kinds, dens))
+    if mode == "difference":
+        return x, z - x
+    if mode == "quotient" and x:
+        return x, z / x
+    return x, z
+
+
+@given(st.sampled_from("+-*"), operand_pairs())
+@settings(max_examples=300, deadline=None)
+def test_sums_and_products_match_the_full_gcd_reference(symbol, pair):
+    x, y = pair
+    _check_canonical(OPERATORS[symbol][0](x, y), _full_gcd(symbol, x, y))
