@@ -316,7 +316,8 @@ def validate_entry(entry: CatalogEntry) -> EntryValidation:
     checks.append(("jacobi", jacobi_check(alg) == []))
     series = liealg.descending_series(alg)
     derived = series[1] if len(series) > 1 else series[0]  # a perfect g is its own C^1
-    pairs = [(Vector(u), Vector(z)) for u in derived for z in liealg.center(alg)]
+    center = liealg.center(alg)
+    pairs = [(Vector(u), Vector(z)) for u in derived for z in center]
     for f in entry.forms:
         checks.append((f"{f.id} closed", tensors.is_closed(alg, f.form)))
         checks.append((f"{f.id} nondegenerate", tensors.nondegenerate(f.form)))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import catalog, geometry, solver, tensors
 from .liealg import LieAlgebra
-from .scalar import SQRT2_NAME, ZERO, ParamBinding, Scalar, parse_expr
+from .scalar import ZERO, ParamBinding, parse_expr
 from .tensors import TwoForm
 
 
@@ -35,57 +35,9 @@ _RATIONAL = re.compile(r"-?\d+(/\d+)?")
 # -- LaTeX ----------------------------------------------------------------
 
 
-def _latex_name(name: str) -> str:
-    if name.startswith("psi") and name[3:].isdigit():
-        return rf"\psi_{{{name[3:]}}}"
-    if name == "lambda":
-        return r"\lambda"
-    if name == SQRT2_NAME:
-        return r"\sqrt{2}"
-    return name
-
-
-def _latex_poly(poly) -> str:
-    if not poly:
-        return "0"
-    names = poly.ring._scalar_names
-    pieces = []
-    for k, (monom, coeff) in enumerate(poly.terms()):
-        c = int(coeff)
-        mag = abs(c)
-        factors = []
-        for i, e in enumerate(monom):
-            if not e:
-                continue
-            base = _latex_name(names[i])
-            factors.append(base if e == 1 else f"{base}^{e}" if e < 10 else f"{base}^{{{e}}}")
-        body = "".join(factors) if factors else str(mag)
-        if factors and mag != 1:
-            body = f"{mag}{body}"
-        if k == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(pieces)
-
-
-def latex_scalar(x: Scalar) -> str:
-    """Render as LaTeX; an all-negative numerator puts the minus outside."""
-    num = x._num
-    den = x._den
-    if den == 1:
-        return _latex_poly(num)
-    sign = ""
-    terms = num.terms()
-    if terms and all(int(c) < 0 for _, c in terms):
-        num = -num
-        sign = "-"
-    return sign + r"\frac{" + _latex_poly(num) + "}{" + _latex_poly(den) + "}"
-
-
 def latex_matrix(rows) -> str:
     body = r" \\ ".join(
-        " & ".join(latex_scalar(x) for x in row) for row in rows
+        " & ".join(x.latex() for x in row) for row in rows
     )
     return r"\begin{bmatrix} " + body + r" \end{bmatrix}"
 
@@ -364,7 +316,7 @@ def cmd_export(args) -> int:
             print(r"\[ R \equiv 0 \]")
         for idx, v in downs:
             one_based = tuple(t + 1 for t in idx)
-            print(r"\[ " + _form_idx(one_based) + " = " + latex_scalar(v) + r" \]")
+            print(r"\[ " + _form_idx(one_based) + " = " + v.latex() + r" \]")
     return 0
 
 

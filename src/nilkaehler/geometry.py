@@ -10,8 +10,9 @@ structure constants are: Gamma (from ``christoffel``), ``Curvature.up``
 and ``Curvature.down`` map index tuples to their nonzero components only,
 and an absent index is a zero component, which ``Curvature.up_component``
 and ``down_component`` read as ``ZERO``.  ``linalg.transform`` raises or
-lowers one index through g^-1 or g, and ``linalg.contract`` evaluates a
-tensor on a vector, one slot at a time.
+lowers one index through g^-1 or g, ``linalg.contract`` evaluates a
+tensor on a vector, one slot at a time, and ``linalg.compose`` sums the
+products Gamma Gamma and C Gamma of the curvature over their shared index.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
-from .linalg import Components, _accumulate, contract, transform
+from .linalg import Components, _accumulate, compose, contract, transform
 from .scalar import ZERO, ParamBinding, Scalar
 from .tensors import Endomorphism, TwoForm, almost_complex_residual
 
@@ -117,26 +118,14 @@ def curvature(alg: LieAlgebra, gamma: Components, metric: Metric) -> Curvature:
     """The complete Curvature of ``metric``, whose Levi-Civita connection is ``gamma``.
 
     R_ijk^s = Gamma_ip^s Gamma_jk^p - Gamma_jp^s Gamma_ik^p - C_ij^p Gamma_pk^s,
-    then lower_curvature, ricci and curvature_norm.
+    then lower_curvature, ricci and curvature_norm.  The sum over p of
+    Gamma_jk^p Gamma_ip^s lands on (i, j, k, s) and, negated, on (j, i, k, s).
     """
-    by_mid: dict[int, list[tuple[int, int, Scalar]]] = {}
-    by_first: dict[int, list[tuple[int, int, Scalar]]] = {}
-    for (i, j, k), val in gamma.items():
-        by_mid.setdefault(j, []).append((i, k, val))
-        by_first.setdefault(i, []).append((j, k, val))
-
-    def terms():
-        # Gamma_ip^s Gamma_jk^p, and its negative with i and j swapped
-        for (j, k, p), v1 in gamma.items():
-            for (i, s, v2) in by_mid.get(p, ()):
-                t = v2 * v1
-                yield (i, j, k, s), t
-                yield (j, i, k, s), -t
-        for (a, b, p), c in alg.constants.items():
-            for (k, s, val) in by_first.get(p, ()):
-                yield (a, b, k, s), -(c * val)
-
-    up = _accumulate(terms())
+    quadratic = compose(gamma, 2, gamma, 1)  # (j, k, i, s): Gamma_jk^p Gamma_ip^s
+    up = _accumulate(chain(
+        (term for (j, k, i, s), v in quadratic.items()
+         for term in (((i, j, k, s), v), ((j, i, k, s), -v))),
+        ((idx, -v) for idx, v in compose(alg.constants, 2, gamma, 0).items())))
     down = lower_curvature(up, metric)
     return Curvature(
         up=up, down=down, ricci=ricci(up, metric.dim), norm=curvature_norm(down, metric)
@@ -268,13 +257,6 @@ class SplitReport:
         return tuple(
             name for name, flag in self.hypotheses + self.conclusions if not flag
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "hypotheses": dict(self.hypotheses),
-            "conclusions": dict(self.conclusions),
-            "ok": self.ok(),
-        }
 
 
 def _as_vector(v, dim: int) -> Vector:

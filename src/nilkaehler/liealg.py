@@ -47,10 +47,6 @@ class Vector:
     def __sub__(self, other: "Vector") -> "Vector":
         return Vector(tuple(a - b for a, b in zip(self.components, other.components)))
 
-    def scale(self, c: ScalarLike) -> "Vector":
-        c = as_scalar(c)
-        return Vector(tuple(c * v for v in self.components))
-
     def __iter__(self):
         return iter(self.components)
 
@@ -150,24 +146,15 @@ def jacobi_check(alg: LieAlgebra) -> list[tuple[int, int, int]]:
 
     [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b] has the
     components sum_p (C_ab^p C_pc^m + C_bc^p C_pa^m + C_ca^p C_pb^m), so
-    each product C_ab^p C_pc^m lands on (a, b, c), (b, c, a) and (c, a, b).
-    The sum vanishes on a triple with a repeated index, so c in {a, b} is
-    skipped.
+    each sum over p of C_ab^p C_pc^m lands on (a, b, c), (b, c, a) and
+    (c, a, b).  The sum vanishes on a triple with a repeated index, so c in
+    {a, b} is skipped.
     """
-    by_first: dict[int, list[tuple[int, int, Scalar]]] = {}
-    for (p, c, m), v in alg.constants.items():
-        by_first.setdefault(p, []).append((c, m, v))
-
-    def terms():
-        for (a, b, p), u in alg.constants.items():
-            for c, m, v in by_first.get(p, ()):
-                if c != a and c != b:
-                    t = u * v
-                    yield (a, b, c, m), t
-                    yield (b, c, a, m), t
-                    yield (c, a, b, m), t
-
-    failing = linalg._accumulate(terms())
+    C = alg.constants
+    failing = linalg._accumulate(
+        term for (a, b, c, m), v in linalg.compose(C, 2, C, 0).items()
+        if c != a and c != b
+        for term in (((a, b, c, m), v), ((b, c, a, m), v), ((c, a, b, m), v)))
     return sorted({idx[:3] for idx in failing if idx[0] < idx[1] < idx[2]})
 
 

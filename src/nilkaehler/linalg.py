@@ -18,8 +18,9 @@ A tensor is ``Components``: a mapping from an index tuple to a nonzero
 Scalar.  An absent index is a zero component, and an antisymmetric tensor
 stores every image of a nonzero component, so no reader needs a sign rule.
 Every such mapping is built by ``_accumulate``, moved by ``transform`` (an
-index run through a matrix: raised, lowered or mapped by J) and evaluated by
-``contract`` (an index paired with a vector).
+index run through a matrix: raised, lowered or mapped by J), evaluated by
+``contract`` (an index paired with a vector) and multiplied by ``compose``
+(an index of one tensor paired with an index of another).
 """
 
 from __future__ import annotations
@@ -113,6 +114,16 @@ def transform(t: Components, slot: int, m: Matrix) -> Components:
     return _accumulate((idx[:slot] + (j,) + idx[slot + 1:], v * mij)
                        for idx, v in t.items()
                        for j, mij in enumerate(m[idx[slot]]) if not mij.is_zero())
+
+
+def compose(s: Components, si: int, t: Components, ti: int) -> Components:
+    """sum_p s[..., p, ...] t[..., p, ...], p at index ``si`` of s and ``ti``
+    of t: t's other indices in place of p."""
+    by_p: dict[int, list[tuple[tuple[int, ...], Scalar]]] = {}
+    for idx, v in t.items():
+        by_p.setdefault(idx[ti], []).append((idx[:ti] + idx[ti + 1:], v))
+    return _accumulate((idx[:si] + rest + idx[si + 1:], u * v)
+                       for idx, u in s.items() for rest, v in by_p.get(idx[si], ()))
 
 
 class SideConditions:

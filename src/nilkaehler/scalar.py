@@ -502,6 +502,16 @@ class Scalar:
             den = f"({den})"
         return f"{num}/{den}"
 
+    def latex(self) -> str:
+        """LaTeX text; an all-negative numerator puts the minus outside."""
+        p, q = self._num, self._den
+        if q == 1:
+            return _poly_text(p, latex=True)
+        sign = ""
+        if all(int(c) < 0 for _, c in p.terms()):
+            p, sign = -p, "-"
+        return sign + rf"\frac{{{_poly_text(p, latex=True)}}}{{{_poly_text(q, latex=True)}}}"
+
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
 
@@ -603,31 +613,41 @@ class ParamBinding(Mapping):
 # -- printing helpers -----------------------------------------------------
 
 
-def _monomial_factors(monom, names) -> list[str]:
-    return [
-        f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(monom) if e
-    ]
+def _latex_name(name: str) -> str:
+    if name.startswith("psi") and name[3:].isdigit():
+        return rf"\psi_{{{name[3:]}}}"
+    if name == "lambda":
+        return r"\lambda"
+    if name == SQRT2_NAME:
+        return r"\sqrt{2}"
+    return name
 
 
-def _poly_text(p) -> str:
+def _power(name: str, e: int, latex: bool) -> str:
+    if latex:
+        name = _latex_name(name)
+    if e == 1:
+        return name
+    return f"{name}^{{{e}}}" if latex and e >= 10 else f"{name}^{e}"
+
+
+def _poly_text(p, latex: bool = False) -> str:
+    """The terms of p in order: ``2*x^2 - y`` plain, ``2x^2-y`` in LaTeX."""
     if not p:
         return "0"
     names = p.ring._scalar_names
+    times, plus, minus = ("", "+", "-") if latex else ("*", " + ", " - ")
     pieces: list[str] = []
     for k, (monom, coeff) in enumerate(p.terms()):
         c = int(coeff)
-        factors = _monomial_factors(monom, names)
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
+        factors = [_power(names[i], e, latex) for i, e in enumerate(monom) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        body = times.join(factors)
         if k == 0:
             pieces.append(body if c > 0 else f"-{body}")
         else:
-            pieces.append(f" + {body}" if c > 0 else f" - {body}")
+            pieces.append(f"{plus}{body}" if c > 0 else f"{minus}{body}")
     return "".join(pieces)
 
 

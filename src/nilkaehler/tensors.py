@@ -179,22 +179,13 @@ def exterior_d(alg: LieAlgebra, w: TwoForm) -> Components:
     """dw(X,Y,Z) = w([X,Y],Z) - w([X,Z],Y) + w([Y,Z],X) on every basis triple.
 
     On basis vectors this is the cyclic sum C_ij^p w_pk + C_jk^p w_pi +
-    C_ki^p w_pj, so each C_ab^p w_pt lands on (a, b, t), (t, a, b) and
-    (b, t, a).  A triple with a repeated index sums to zero, so t in
-    {a, b} is skipped.
+    C_ki^p w_pj, so each sum over p of C_ab^p w_pt lands on (a, b, t),
+    (t, a, b) and (b, t, a).  A triple with a repeated index sums to zero,
+    so t in {a, b} is skipped.
     """
-    omega = w.omega
-
-    def terms():
-        for (a, b, p), c in alg.constants.items():
-            for t, wpt in enumerate(omega[p]):
-                if t != a and t != b and not wpt.is_zero():
-                    v = c * wpt
-                    yield (a, b, t), v
-                    yield (t, a, b), v
-                    yield (b, t, a), v
-
-    return _accumulate(terms())
+    return _accumulate(term for (a, b, t), v in transform(alg.constants, 2, w.omega).items()
+                       if t != a and t != b
+                       for term in (((a, b, t), v), ((t, a, b), v), ((b, t, a), v)))
 
 
 def is_closed(alg: LieAlgebra, w: TwoForm) -> bool:
@@ -278,13 +269,8 @@ def is_nilpotent_J(alg: LieAlgebra, J: Endomorphism) -> bool:
 
 
 def is_abelian_J(alg: LieAlgebra, J: Endomorphism) -> bool:
-    """True when [JX, JY] = [X, Y] on all basis pairs."""
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = liealg.bracket(alg, Vector(J.rows[i]), Vector(J.rows[j]))
-            rhs = Vector.of(
-                [alg.structure_constant(i, j, k) for k in range(alg.dim)]
-            )
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
+    """True when [JX, JY] = [X, Y] on all basis pairs: J_i^a J_j^b C_ab^k = C_ij^k."""
+    if J.dim != alg.dim:
+        raise ValueError("endomorphism dimension does not match the algebra")
+    Jt = linalg.transpose(J.rows)
+    return transform(transform(alg.constants, 0, Jt), 1, Jt) == alg.constants

@@ -198,7 +198,7 @@ class TestChristoffel:
         rhs = covariant_derivative(gamma, e1, e2) + covariant_derivative(gamma, e2, e2)
         assert tuple(lhs) == tuple(rhs)
         # nabla_X Y - nabla_Y X = [X, Y] fixes which argument is X
-        assert covariant_derivative(gamma, e2, e1) == G21.basis_vector(3).scale(-1)
+        assert covariant_derivative(gamma, e2, e1) == Vector.of([0, 0, 0, -1, 0, 0])
 
 
 class TestCurvature:
@@ -359,6 +359,15 @@ SPLIT_STD = (
 )
 
 
+def _as_dict(report):
+    """A SplitReport as plain data: named verdicts and the overall one."""
+    return {
+        "hypotheses": dict(report.hypotheses),
+        "conclusions": dict(report.conclusions),
+        "ok": report.ok(),
+    }
+
+
 class TestSplitCheck:
     def test_g21_canonical_split_passes(self):
         report = type246_structure_check(G21, W2_G21, J21_FAMILY, SPLIT_STD)
@@ -390,7 +399,7 @@ class TestSplitCheck:
 
     def test_report_shape(self):
         report = type246_structure_check(G21, W2_G21, J21_A1, SPLIT_STD)
-        d = report.as_dict()
+        d = _as_dict(report)
         assert d["ok"] is True
         assert set(d) == {"hypotheses", "conclusions", "ok"}
         assert all(isinstance(v, bool) for v in d["hypotheses"].values())
@@ -469,6 +478,38 @@ class TestBindingCommutesWithThePipeline:
             assert linalg.mat_mul(g, g_inv) == linalg.identity(bound_metric.dim)
 
 
+def _up_by_grouped_loop(alg, gamma):
+    """The reference: R_ijk^s term by term, with Gamma grouped by its middle
+    and by its first index."""
+    by_mid, by_first = {}, {}
+    for (i, j, k), val in gamma.items():
+        by_mid.setdefault(j, []).append((i, k, val))
+        by_first.setdefault(i, []).append((j, k, val))
+    terms = []
+    for (j, k, p), v1 in gamma.items():
+        for i, s, v2 in by_mid.get(p, ()):
+            terms += [((i, j, k, s), v2 * v1), ((j, i, k, s), -(v2 * v1))]
+    for (a, b, p), c in alg.constants.items():
+        for k, s, val in by_first.get(p, ()):
+            terms.append(((a, b, k, s), -(c * val)))
+    out = {}
+    for idx, v in terms:
+        out[idx] = out[idx] + v if idx in out else v
+    return {idx: v for idx, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("name,sid", FAMILIES)
+def test_curvature_matches_the_grouped_loop(curvatures, name, sid):
+    entry = catalog.get(name)
+    s = entry.structure(sid)
+    _, gamma, curv = curvatures[name, sid]
+    assert curv.up == _up_by_grouped_loop(entry.algebra, gamma)
+    b = s.binding()
+    _, gamma, curv = full_curvature(
+        entry.algebra, entry.form(s.form_id).form.substitute(b), s.J.substitute(b))
+    assert curv.up == _up_by_grouped_loop(entry.algebra, gamma)
+
+
 # two splits that span g but mix the levels: in the first, B lies in
 # span(e3..e6) and Z does not, and e5 is in B + Z but not in Z; in the
 # second, Z lies in span(e3..e6) and B does not
@@ -540,7 +581,7 @@ def test_split_check_matches_pointwise_evaluation(name, sid):
     for w, J in [(f.form, s.J), (f.form.substitute(seeded), s.J.substitute(seeded)),
                  (W_STD, J_STD)]:
         for split in (SPLIT_STD, *SPLITS_SHEARED):
-            got = type246_structure_check(entry.algebra, w, J, split).as_dict()
+            got = _as_dict(type246_structure_check(entry.algebra, w, J, split))
             assert got["hypotheses"]["split_is_a_basis"]
             conclusions = _pointwise_conclusions(entry.algebra, w, J, split)
             ok = all(got["hypotheses"].values()) and all(conclusions.values())

@@ -337,3 +337,32 @@ def test_transform_is_the_dense_sum(case):
         if not total.is_zero():
             dense[idx] = total
     assert linalg.transform(t, slot, m) == dense
+
+
+@st.composite
+def two_tensors_and_slots(draw):
+    """Two sparse tensors of 2 to 4 indices over range(3) and a slot of each."""
+    def tensor():
+        rank = draw(st.integers(2, 4))
+        index = st.tuples(*[st.integers(0, 2)] * rank)
+        return draw(st.dictionaries(index, st.sampled_from(TENSOR_VALUES), max_size=10)), rank
+
+    (s, rs), (t, rt) = tensor(), tensor()
+    return s, rs, draw(st.integers(0, rs - 1)), t, rt, draw(st.integers(0, rt - 1))
+
+
+@given(two_tensors_and_slots())
+@settings(max_examples=200, deadline=None)
+def test_compose_is_the_dense_sum(case):
+    s, rs, si, t, rt, ti = case
+    dense = {}
+    for idx in product(range(3), repeat=rs + rt - 2):
+        head, rest, tail = idx[:si], idx[si:si + rt - 1], idx[si + rt - 1:]
+        total = ZERO
+        for p in range(3):
+            u = s.get(head + (p,) + tail, ZERO)
+            v = t.get(rest[:ti] + (p,) + rest[ti:], ZERO)
+            total = total + u * v
+        if not total.is_zero():
+            dense[idx] = total
+    assert linalg.compose(s, si, t, ti) == dense

@@ -309,6 +309,12 @@ class TestAbelianJ:
         ])
         assert not is_abelian_J(G24, j)
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_a_j_of_another_dimension_is_refused(self, n):
+        j = Endomorphism([[1 if c == r else 0 for c in range(n)] for r in range(n)])
+        with pytest.raises(ValueError, match="dimension does not match"):
+            is_abelian_J(G21, j)
+
 
 def test_derived_subalgebra_pairs_trivially_with_center():
     # omega(C1 g, Z) = 0 for the symplectic forms stored on g21
@@ -376,6 +382,25 @@ def _definition_cases():
 def test_sparse_tensors_match_their_definitions(alg, w, J):
     assert nijenhuis(alg, J) == _nijenhuis_by_definition(alg, J)
     assert exterior_d(alg, w) == _d_by_definition(alg, w)
+
+
+def _d_by_cyclic_loop(alg, w):
+    """The reference: each C_ab^p w_pt on (a, b, t), (t, a, b) and (b, t, a),
+    term by term."""
+    out = {}
+    for (a, b, p), c in alg.constants.items():
+        for t, wpt in enumerate(w.omega[p]):
+            if t != a and t != b and not wpt.is_zero():
+                for idx in ((a, b, t), (t, a, b), (b, t, a)):
+                    out[idx] = out[idx] + c * wpt if idx in out else c * wpt
+    return {idx: v for idx, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("alg,w", [
+    pytest.param(catalog.get(name).algebra, f.form, id=f"{name}-{f.id}")
+    for name in catalog.NAMES for f in catalog.get(name).forms])
+def test_exterior_d_matches_the_cyclic_loop(alg, w):
+    assert exterior_d(alg, w) == _d_by_cyclic_loop(alg, w)
 
 
 def _compat_by_definition(w, J):
