@@ -269,9 +269,11 @@ def _validate_structure(
     report = solver.verify_family(entry.algebra, w, s.J, s.side_conditions)
     for residual in report.checked:
         checks.append((f"{s.id} {residual}", residual not in report.failures))
-    if not report.ok:
+    metric = report.metric
+    if not report.ok or metric is None:  # a degenerate form has no metric
         return checks
-    metric, gamma, curv = geometry.full_curvature(entry.algebra, w, s.J)
+    gamma = geometry.christoffel(entry.algebra, metric)
+    curv = geometry.curvature(entry.algebra, gamma, metric)
     checks.append((f"{s.id} ricci zero", linalg.is_zero_matrix(curv.ricci)))
     checks.append((f"{s.id} norm zero", curv.norm.is_zero()))
     checks.append((f"{s.id} indefinite at canonical binding",

@@ -67,29 +67,41 @@ class Curvature:
         return not self.up
 
 
-def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
-    """g_ij = sum_s omega_is J_j^s, i.e. g(X, Y) = omega(X, JY).
+_PAIR_ERRORS = {  # the conditions of pair_metric, in the order it names them
+    "compatibility": "omega(X, JY) is not symmetric: the pair is not compatible",
+    "nondegenerate": "{w!r} is degenerate: the associated metric is singular",
+    "almost_complex": "J is not almost complex: J^2 != -I, so -J^T omega^-1 is not g^-1",
+}
 
-    The result is symmetric exactly when (omega, J) is a compatible pair,
-    so an asymmetric product is rejected rather than silently symmetrized.
-    In matrices g = omega J^T, so J^2 = -I gives g^-1 = -J^T omega^-1: only
-    the sparse omega is inverted, and J^2 = -I is checked exactly by
-    ``almost_complex_residual``, equivalent to g g^-1 = I because
-    g g^-1 = -omega (J^2)^T omega^-1.
-    """
+
+def pair_metric(w: TwoForm, J: Endomorphism) -> tuple[tuple[str, ...], Metric | None]:
+    """The conditions of _PAIR_ERRORS that (omega, J) fails, and, when none
+    fails, its Metric g(X, Y) = omega(X, JY).  With P = J omega, g = omega J^T
+    = -P^T, so g - g^T = P - P^T is ``compat_residual``; J^2 = -I, checked by
+    ``almost_complex_residual``, gives g^-1 = -J^T omega^-1 (only the sparse
+    omega is inverted) and is equivalent to g g^-1 = -omega (J^2)^T omega^-1 = I."""
     if w.dim != J.dim:
         raise ValueError("form and endomorphism dimensions differ")
-    g = linalg.mat_mul(w.omega, linalg.transpose(J.rows))
-    if g != linalg.transpose(g):
-        raise ValueError("omega(X, JY) is not symmetric: the pair is not compatible")
+    p = linalg.mat_mul(J.rows, w.omega)
+    failed = [] if p == linalg.transpose(p) else ["compatibility"]
     try:
         w_inv = linalg.invert(w.omega)
     except ValueError:
-        raise ValueError(f"{w!r} is degenerate: the associated metric is singular") from None
+        failed.append("nondegenerate")
     if not linalg.is_zero_matrix(almost_complex_residual(J)):
-        raise ValueError("J is not almost complex: J^2 != -I, so -J^T omega^-1 is not g^-1")
+        failed.append("almost_complex")
+    if failed:
+        return tuple(failed), None
     g_inv = linalg.mat_scale(-1, linalg.mat_mul(linalg.transpose(J.rows), w_inv))
-    return Metric(g=g, g_inv=g_inv)
+    return (), Metric(g=linalg.mat_scale(-1, p), g_inv=g_inv)  # -P = -P^T, P symmetric
+
+
+def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:
+    """The Metric of ``pair_metric``; the first failed condition raises ValueError."""
+    failed, metric = pair_metric(w, J)
+    if metric is None:
+        raise ValueError(_PAIR_ERRORS[failed[0]].format(w=w))
+    return metric
 
 
 def christoffel(alg: LieAlgebra, metric: Metric) -> Components:

@@ -39,10 +39,6 @@ def as_matrix(rows: Iterable[Iterable[ScalarLike]]) -> Matrix:
     return tuple(tuple(as_scalar(x) for x in row) for row in rows)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return tuple((ZERO,) * ncols for _ in range(nrows))
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)

@@ -632,7 +632,7 @@ def _power(name: str, e: int, latex: bool) -> str:
 
 
 def _poly_text(p, latex: bool = False) -> str:
-    """The terms of p in order: ``2*x^2 - y`` plain, ``2x^2-y`` in LaTeX."""
+    r"""The terms of p in order: ``2*x^2 - y`` plain, ``2x^2-y`` in LaTeX (``\lambda x``)."""
     if not p:
         return "0"
     names = p.ring._scalar_names
@@ -643,7 +643,9 @@ def _poly_text(p, latex: bool = False) -> str:
         factors = [_power(names[i], e, latex) for i, e in enumerate(monom) if e]
         if abs(c) != 1 or not factors:
             factors.insert(0, str(abs(c)))
-        body = times.join(factors)
+        body = factors[0] + "".join(
+            (" " if a[0] == "\\" and a[-1].isalpha() and b[0].isalpha() else times) + b
+            for a, b in zip(factors, factors[1:]))
         if k == 0:
             pieces.append(body if c > 0 else f"-{body}")
         else:

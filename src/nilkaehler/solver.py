@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import linalg, tensors
+from . import geometry, linalg, tensors
 from .liealg import LieAlgebra
 from .scalar import ZERO, Scalar
 from .tensors import Endomorphism, TwoForm
@@ -85,11 +85,12 @@ def compat_nullspace(w: TwoForm) -> LinearSolution:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    """Residual verdict for one parameterized structure."""
+    """Residual verdict for one structure, with the metric of ``geometry.pair_metric`` or None."""
 
     ok: bool
     failures: tuple[str, ...]
     side_conditions: tuple[str, ...]
+    metric: geometry.Metric | None = None
 
     @property
     def checked(self) -> tuple[str, ...]:
@@ -108,13 +109,13 @@ def verify_family(
     """Check the three defining residuals symbolically, parameters left free.
 
     Failure names the offending component: compatibility, almost_complex,
-    or integrability.  Integrability is not checked when J^2 != -I.
+    or integrability.  Integrability is not checked when J^2 != -I.  Raises
+    ``ValueError`` when the form's or J's dimension is not the algebra's.
     """
-    failures = []
-    if not linalg.is_zero_matrix(tensors.compat_residual(w, J)):
-        failures.append("compatibility")
-    if not linalg.is_zero_matrix(tensors.almost_complex_residual(J)):
-        failures.append("almost_complex")
+    if w.dim != alg.dim or J.dim != alg.dim:
+        raise ValueError(f"the form has dimension {w.dim} and J {J.dim}, the algebra {alg.dim}")
+    failed, metric = geometry.pair_metric(w, J)
+    failures = [name for name in failed if name != "nondegenerate"]
     if "almost_complex" not in failures and not tensors.is_integrable(alg, J):
         # with J^2 != -I the Nijenhuis values are not meaningful anyway
         failures.append("integrability")
@@ -122,6 +123,7 @@ def verify_family(
         ok=not failures,
         failures=tuple(failures),
         side_conditions=tuple(str(c) for c in side_conditions),
+        metric=metric,
     )
 
 

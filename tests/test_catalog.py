@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilkaehler import catalog, geometry
+from nilkaehler import catalog, geometry, linalg
 from nilkaehler.catalog import CatalogEntry, FormEntry, StructureEntry, get, validate_entry
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.scalar import ONE, ZERO, ParamBinding, parse_expr
@@ -167,14 +167,18 @@ def _entry(algebra, form, J=None):
 
 
 def _corrupt_curvature(monkeypatch, corrupt):
-    """Make geometry.full_curvature return ``corrupt(alg, gamma, curv)``."""
-    full_curvature = geometry.full_curvature
+    """Make geometry.christoffel and geometry.curvature return the two parts
+    of ``corrupt(alg, gamma, curv)``, curv being the curvature of the true gamma."""
+    christoffel, curvature = geometry.christoffel, geometry.curvature
+    corrupted = []
 
-    def patched(alg, w, J):
-        metric, gamma, curv = full_curvature(alg, w, J)
-        return (metric, *corrupt(alg, gamma, curv))
+    def patched_christoffel(alg, metric):
+        gamma = christoffel(alg, metric)
+        corrupted[:] = corrupt(alg, gamma, curvature(alg, gamma, metric))
+        return corrupted[0]
 
-    monkeypatch.setattr(geometry, "full_curvature", patched)
+    monkeypatch.setattr(geometry, "christoffel", patched_christoffel)
+    monkeypatch.setattr(geometry, "curvature", lambda alg, gamma, metric: corrupted[1])
 
 
 def _shift_gamma(alg, gamma, curv):
@@ -220,6 +224,27 @@ class TestClaimChecks:
                         lambda obj: obj["structures"][0]["canonical_binding"].pop("psi12"))
         assert catalog.self_validate(["g21"]).failures() == [
             "g21: J1 indefinite at canonical binding"]
+
+    def test_a_degenerate_form_has_no_curvature_checks(self):
+        # the pair passes its residuals, but omega has no inverse, so there is no metric
+        degenerate = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1)])
+        checks = validate_entry(_entry(LieAlgebra(6, {}), degenerate, J_STD)).checks
+        assert [label for label, ok in checks if not ok] == ["w1 nondegenerate"]
+        assert [label for label, _ in checks if label.startswith("J1 ")] == [
+            "J1 compatibility", "J1 almost_complex", "J1 integrability"]
+
+    def test_each_structure_squares_its_J_once(self, monkeypatch):
+        mat_mul, squared = linalg.mat_mul, []
+
+        def counting(a, b):
+            if a is b:
+                squared.append(a)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(linalg, "mat_mul", counting)
+        entry = get("g21")
+        assert validate_entry(entry).ok
+        assert squared == [s.J.rows for s in entry.structures]
 
     @pytest.mark.parametrize(
         "corrupt,label",

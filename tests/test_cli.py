@@ -491,6 +491,28 @@ class TestIncompatibleStructure:
                        " the pair is not compatible\n")
 
 
+class TestDegenerateForm:
+    def test_verify_reports_it_without_curvature_checks(self, capsys, monkeypatch, tmp_path):
+        # an abelian g10 whose form e1^e2 + e3^e4 the standard J preserves
+        shutil.copy(DATA / "expectations.json", tmp_path)
+        obj = json.loads((DATA / "g10.json").read_text())
+        obj["algebra"]["brackets"] = []
+        obj["forms"][0]["form"]["terms"] = [{"i": 1, "j": 2, "c": "1"}, {"i": 3, "j": 4, "c": "1"}]
+        obj["structures"][0]["J"]["rows"] = [  # J e1 = e2, J e3 = e4, J e5 = e6
+            ["0", "1", "0", "0", "0", "0"], ["-1", "0", "0", "0", "0", "0"],
+            ["0", "0", "0", "1", "0", "0"], ["0", "0", "-1", "0", "0", "0"],
+            ["0", "0", "0", "0", "0", "1"], ["0", "0", "0", "0", "-1", "0"]]
+        (tmp_path / "g10.json").write_text(json.dumps(obj))
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
+        rc, out, err = invoke(capsys, "verify", "g10")
+        assert (rc, err) == (1, "")
+        checks = [line for line in out.splitlines() if line.startswith("  ") and line[2] != " "]
+        assert checks == [
+            "  ok   jacobi", "  ok   w1 closed", "  FAIL w1 nondegenerate",
+            "  ok   w1 omega(C1, Z) = 0", "  ok   J1 compatibility",
+            "  ok   J1 almost_complex", "  ok   J1 integrability"]
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2

@@ -20,6 +20,7 @@ from nilkaehler.geometry import (
     pair_symmetric,
     nonzero_down_components,
     nonzero_up_components,
+    pair_metric,
     ricci,
     signature,
     type246_structure_check,
@@ -152,6 +153,29 @@ class TestAssociatedMetric:
         degenerate = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1)])
         with pytest.raises(ValueError, match="is degenerate"):
             associated_metric(degenerate, two_j)
+
+
+class TestPairMetric:
+    # J e1 = e3, J e2 = -e4: J^2 = -I, but omega(J e1, J e2) = -1 != omega(e1, e2)
+    SWAPPED = Endomorphism([
+        [0, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 0], [-1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0],
+    ])
+
+    @pytest.mark.parametrize("incompatible", [False, True])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_failed_conditions_are_named_in_order(self, incompatible, degenerate, doubled):
+        w = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1)]) if degenerate else W_STD
+        J = self.SWAPPED if incompatible else J_STD
+        if doubled:
+            J = Endomorphism([[2 * x for x in row] for row in J.rows])
+        failed, metric = pair_metric(w, J)
+        assert failed == tuple(name for name, fails in (
+            ("compatibility", incompatible), ("nondegenerate", degenerate),
+            ("almost_complex", doubled)) if fails)
+        euclidean = Metric(g=linalg.identity(6), g_inv=linalg.identity(6))
+        assert metric == (None if failed else euclidean)
 
 
 class TestChristoffel:

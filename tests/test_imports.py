@@ -110,22 +110,45 @@ def test_the_check_finds_an_unused_private_name():
         "a.py line 2: _A", "a.py line 6: _Unused", "a.py line 8: _loop"]
 
 
+def _function_reads(module: str, source: str) -> set[str]:
+    """``owner.name`` of each read of ``source`` that names its module: an
+    attribute of a name (``linalg.mat_mul``), a name bound by ``from owner
+    import`` and, for any other name, ``module`` itself."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: f"{node.module.rsplit('.', 1)[-1]}.{alias.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+                for alias in node.names}
+    reads = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            reads.add(f"{n.value.id}.{n.attr}")
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads.add(imported.get(n.id, f"{module}.{n.id}"))
+    return reads
+
+
 def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
     """``module.name`` of each module-level public function, and
     ``module.Class.name`` of each public method of a module-level class, of
-    ``package`` that neither the package nor ``readers`` read."""
-    read = set().union(*map(_reads, [*package.values(), *readers]))
+    ``package`` that neither the package nor ``readers`` read.
+
+    A function is read through its module only (``np.zeros`` is no read of
+    ``linalg.zeros``); a method is read by any attribute of its name."""
+    sources = {m.removesuffix(".py"): src for m, src in package.items()}
+    sources |= {f"<reader {i}>": src for i, src in enumerate(readers)}
+    read = set().union(*map(_reads, sources.values()))
+    qualified = set().union(*(_function_reads(m, src) for m, src in sources.items()))
     unread = []
     for module, source in package.items():
         prefix = module.removesuffix(".py")
         for node in ast.parse(source).body:
             if isinstance(node, ast.ClassDef):
-                defs = [(f"{prefix}.{node.name}", n) for n in node.body]
-            else:
-                defs = [(prefix, node)]
-            unread += [f"{owner}.{n.name}" for owner, n in defs
-                       if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
-                       and n.name not in read]
+                unread += [f"{prefix}.{node.name}.{n.name}" for n in node.body
+                           if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+                           and n.name not in read]
+            elif (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  and f"{prefix}.{node.name}" not in qualified):
+                unread.append(f"{prefix}.{node.name}")
     return unread
 
 
@@ -152,6 +175,9 @@ def test_the_check_finds_an_unread_public_function():
         "a.py": (
             "def used(): pass\n"
             "def unused(): pass\n"
+            "def zeros(): pass\n"
+            "def helper(): pass\n"
+            "def imported(): return helper()\n"
             "def _private(): pass\n"
             "class Kind:\n"
             "    def method(self): pass\n"
@@ -160,6 +186,13 @@ def test_the_check_finds_an_unread_public_function():
             "    @property\n"
             "    def size(self): pass\n"
         ),
-        "b.py": "from a import unused\ndef run(): return used, Kind().called(), Kind().size\n",
+        "b.py": (
+            "import a\n"
+            "import numpy as np\n"
+            "from a import unused, imported as alias\n"
+            "def run(): return a.used, np.zeros, alias(), Kind().called(), Kind().size\n"
+        ),
     }
-    assert unread_public_names(package, ["import b\nb.run()\n"]) == ["a.unused", "a.Kind.method"]
+    # a name read bare outside its module is not a read of it either
+    readers = ["import b\nb.run(unused, zeros)\n"]
+    assert unread_public_names(package, readers) == ["a.unused", "a.zeros", "a.Kind.method"]

@@ -56,7 +56,8 @@ def test_a_constant_prints_as_its_polynomials(text, printed):
     [("0", "0"), ("-3/4", r"-\frac{3}{4}"), ("1 + s", r"\sqrt{2}+1"),
      ("-(psi11^2+1)/psi12", r"-\frac{\psi_{11}^2+1}{\psi_{12}}"),
      ("2*x^10 - 3*psi3", r"2x^{10}-3\psi_{3}"), ("(x - s)/(2*y)", r"\frac{-\sqrt{2}+x}{2y}"),
-     ("(psi11*lambda - 1)/(2*lambda^2)", r"\frac{\lambda\psi_{11}-1}{2\lambda^2}")],
+     ("(psi11*lambda - 1)/(2*lambda^2)", r"\frac{\lambda\psi_{11}-1}{2\lambda^2}"),
+     ("2*lambda*x^10", r"2\lambda x^{10}"), ("lambda*y/(x+1)", r"\frac{\lambda y}{x+1}")],
 )
 def test_latex_walks_the_terms_that_str_prints(text, latex):
     assert parse_expr(text).latex() == latex

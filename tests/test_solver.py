@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilkaehler import catalog, solver, tensors
+from nilkaehler.geometry import associated_metric
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.linalg import is_zero_matrix
 from nilkaehler.scalar import ZERO, ParamBinding
@@ -137,6 +138,21 @@ class TestVerifyFamily:
         )
         report = verify_family(G21, W_STD, j_std)
         assert "integrability" in report.failures
+
+    def test_the_report_carries_the_metric_of_the_pair(self):
+        assert verify_family(G21, W2_G21, J21_FAMILY).metric == associated_metric(
+            W2_G21, J21_FAMILY)
+        assert verify_family(G16, W1_G16, J0_G16).metric is None
+
+    @pytest.mark.parametrize("w_dim,j_dim", [(6, 4), (6, 8), (4, 6)])
+    def test_a_dimension_other_than_the_algebras_is_refused(self, w_dim, j_dim):
+        w = TwoForm.from_terms(w_dim, [(1, 2, 1), (3, 4, 1)])
+        # J e1 = e2, J e2 = -e1, J e3 = e4, ...: a complex structure, of the wrong size
+        J = Endomorphism([[(i % 2 == 0 and k == i + 1) - (i % 2 == 1 and k == i - 1)
+                           for k in range(j_dim)] for i in range(j_dim)])
+        with pytest.raises(ValueError, match=f"form has dimension {w_dim} and J {j_dim}, "
+                                             "the algebra 6"):
+            verify_family(G21, w, J)
 
 
 class TestNewtonSearch:

@@ -169,7 +169,7 @@ class TestCompatibility:
         assert res[5][1] == Scalar.from_int(-2)
 
     def test_zero_J_compatible(self):
-        z = Endomorphism(linalg.zeros(6, 6))
+        z = Endomorphism(linalg.as_matrix([[0] * 6] * 6))
         assert linalg.is_zero_matrix(compat_residual(W2_G21, z))
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
