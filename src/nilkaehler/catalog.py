@@ -2,11 +2,13 @@
 symplectic forms, with their compatible complex-structure families and the
 expected curvature data.
 
-Entries load from the JSON files shipped under ``data/``; the environment
-variable NILKAEHLER_CATALOG points the loader at an alternate directory
-with the same layout.  Loading only parses; ``self_validate`` recomputes
-the mathematics and returns a report instead of raising, so a broken data
-file is a reported failure, not an import error.
+Each entry is one JSON file, ``data/<name>.json``: the algebra, its forms
+and its structures, and under each structure the curvature it must
+reproduce (``expected``).  The environment variable NILKAEHLER_CATALOG
+points the loader at an alternate directory of such files.  Loading only
+parses; ``self_validate`` recomputes the mathematics and returns a report
+instead of raising, so a broken data file is a reported failure, not an
+import error.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class StructureEntry:
     params: tuple[str, ...]
     side_conditions: tuple[str, ...]
     canonical_binding: ParamBinding
-    expected: Expectation | None
+    expected: Expectation
 
     def binding(self) -> ParamBinding:
         return self.canonical_binding
@@ -107,33 +109,23 @@ def _data_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "data")
 
 
-@lru_cache(maxsize=None)
-def _expectations(dirpath: str) -> Mapping[tuple[str, str], Expectation]:
-    with open(os.path.join(dirpath, "expectations.json")) as fh:
-        records = json.load(fh)
-    table = {}
-    try:
-        for rec in records:
-            metric = None
-            if "metric" in rec:
-                metric = MetricExpectation(
-                    binding=ParamBinding(rec["metric"]["binding"]),
-                    entries={
-                        tuple(c["idx"]): c["value"]
-                        for c in rec["metric"]["entries"]
-                    },
-                )
-            table[(rec["entry"], rec["structure"])] = Expectation(
-                up_components={tuple(c["idx"]): c["value"]
-                               for c in rec["up_components"]},
-                down_components={tuple(c["idx"]): c["value"]
-                                 for c in rec["down_components"]},
-                flat=bool(rec["flat"]),
-                metric=metric,
-            )
-    except KeyError as exc:
-        raise ValueError(f"a record of expectations.json lacks the key {exc.args[0]!r}") from exc
-    return table
+def _components(records) -> dict[tuple[int, ...], str]:
+    return {tuple(c["idx"]): c["value"] for c in records}
+
+
+def _expectation(obj) -> Expectation:
+    metric = None
+    if "metric" in obj:
+        metric = MetricExpectation(
+            binding=ParamBinding(obj["metric"]["binding"]),
+            entries=_components(obj["metric"]["entries"]),
+        )
+    return Expectation(
+        up_components=_components(obj["up_components"]),
+        down_components=_components(obj["down_components"]),
+        flat=bool(obj["flat"]),
+        metric=metric,
+    )
 
 
 def _conditions(texts) -> tuple[str, ...]:
@@ -155,13 +147,12 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
         except json.JSONDecodeError as exc:
             raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
     try:
-        expectations = _expectations(dirpath)
         forms = tuple(
             FormEntry(
                 id=f["id"],
                 form=TwoForm.from_json_dict(f["form"]),
                 admits_J=f["admits_J"],
-                side_conditions=_conditions(f.get("side_conditions", [])),
+                side_conditions=_conditions(f["side_conditions"]),
             )
             for f in obj["forms"]
         )
@@ -173,7 +164,7 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
                 params=tuple(s["params"]),
                 side_conditions=_conditions(s["side_conditions"]),
                 canonical_binding=ParamBinding(s["canonical_binding"]),
-                expected=expectations.get((name, s["id"])),
+                expected=_expectation(s["expected"]),
             )
             for s in obj["structures"]
         )
@@ -282,9 +273,6 @@ def _validate_structure(
     checks.append((f"{s.id} first bianchi", geometry.first_bianchi_holds(curv)))
     checks.append((f"{s.id} pair symmetric", geometry.pair_symmetric(curv)))
     exp = s.expected
-    if exp is None:
-        checks.append((f"{s.id} expectations present", False))
-        return checks
     got_up = _component_table(geometry.nonzero_up_components(curv))
     got_down = _component_table(geometry.nonzero_down_components(curv))
     # the paper: the curvature of every family depends on at most three parameters

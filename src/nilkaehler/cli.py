@@ -196,8 +196,6 @@ def _verify_entry(e: catalog.CatalogEntry, form_id: str | None) -> tuple[int, li
     for s in e.structures:
         if keep_ids is not None and s.id not in keep_ids:
             continue
-        if s.expected is None:
-            continue
         lines.extend(_expectation_lines(e, s, dict(validation.checks)))
         if s.side_conditions:
             lines.append(
@@ -298,8 +296,6 @@ def cmd_export(args) -> int:
     if args.format == "csv":
         print("entry,form,structure,kind,idx,value")
         for s in e.structures:
-            if s.expected is None:
-                continue
             for idx, txt in sorted(s.expected.up_components.items()):
                 print(f"{e.name},{s.form_id},{s.id},up,{' '.join(map(str, idx))},\"{txt}\"")
             for idx, txt in sorted(s.expected.down_components.items()):

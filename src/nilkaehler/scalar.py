@@ -272,11 +272,6 @@ class Scalar:
         """Bindable parameter names occurring in this value (``s`` excluded)."""
         return frozenset() if self._q is None else frozenset(self._q._scalar_names)
 
-    def as_fraction(self) -> Fraction:
-        if self._p is not None:
-            raise ValueError(f"not a rational constant: {self}")
-        return Fraction(self._n, self._d)
-
     def primitive_numerator(self) -> "Scalar":
         """The numerator a + b*s over its integer content, with a positive
         leading coefficient: nonzero values vanish exactly where it does."""
@@ -569,7 +564,7 @@ def _substitute_poly(parts, bind: dict[str, Fraction]) -> list[dict]:
 
 
 class ParamBinding(Mapping):
-    """Parameter values, held as exact rationals; floats are rejected."""
+    """Parameter values, held as exact rationals; floats and bools are rejected."""
 
     __slots__ = ("_values",)
 
@@ -580,10 +575,10 @@ class ParamBinding(Mapping):
                 raise ValueError(f"{SQRT2_NAME!r} is reserved for sqrt(2)")
             if not name.isidentifier():
                 raise ValueError(f"not a valid parameter name: {name!r}")
-            if isinstance(value, float):
+            if isinstance(value, (bool, float)):
                 raise TypeError(
                     f"{name}={value!r}: parameter values must be exact rational,"
-                    " not float")
+                    f" not {type(value).__name__}")
             try:
                 norm[name] = Fraction(value)
             except ZeroDivisionError:

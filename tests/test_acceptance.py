@@ -2,8 +2,8 @@
 
 Each test prints one summary line. The regression values in REGRESSIONS are
 frozen here on purpose: they must stay equal to what the geometry pipeline
-computes from the stored families, independently of the packaged
-expectations files. The same holds for CLOSURE_DEFECTS: the two stored forms
+computes from the stored families, independently of the expectations
+stored in the catalog. The same holds for CLOSURE_DEFECTS: the two stored forms
 that are not closed (g16 w2, g23 w3) are asserted by the exact value of their
 exterior derivative, so every check passes while the recorded defects stay
 exactly as narrow as they are.

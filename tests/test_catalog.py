@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 from nilkaehler import catalog, geometry, linalg
-from nilkaehler.catalog import CatalogEntry, FormEntry, StructureEntry, get, validate_entry
+from nilkaehler.catalog import (
+    CatalogEntry, Expectation, FormEntry, StructureEntry, get, validate_entry)
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.scalar import ONE, ZERO, ParamBinding, parse_expr
 from nilkaehler.tensors import Endomorphism, TwoForm
 
+
+DATA = pathlib.Path(catalog.__file__).parent / "data"
 
 EXPECTED_TYPES = {
     "g10": (2, 4, 6),
@@ -84,11 +87,6 @@ class TestLoading:
             for s in get(name).structures:
                 assert all(isinstance(v, Fraction) for v in s.binding().values())
 
-    def test_every_structure_has_expectations(self):
-        for name in catalog.NAMES:
-            for s in get(name).structures:
-                assert s.expected is not None, (name, s.id)
-
 
 class TestMetadata:
     """The stored parameters, bindings and side conditions agree with J and the form."""
@@ -108,8 +106,8 @@ class TestMetadata:
             assert not value.substitute(s.canonical_binding).is_zero(), cond
 
     def test_stored_values_are_canonical_text(self):
-        records = json.loads((pathlib.Path(catalog.__file__).parent / "data"
-                              / "expectations.json").read_text())
+        records = [s["expected"] for name in catalog.NAMES
+                   for s in json.loads((DATA / f"{name}.json").read_text())["structures"]]
         texts = [c["value"] for rec in records
                  for c in rec["up_components"] + rec["down_components"]]
         texts += [c["value"] for rec in records if "metric" in rec
@@ -160,9 +158,11 @@ J_STD = Endomorphism([  # J e1 = e2, J e3 = e4, J e5 = e6
 
 
 def _entry(algebra, form, J=None):
-    """An unstored entry with the form w1 and, given J, the structure J1 on it."""
+    """An unstored entry with the form w1 and, given J, the structure J1 on it,
+    expected flat."""
+    flat = Expectation(up_components={}, down_components={}, flat=True, metric=None)
     structures = () if J is None else (
-        StructureEntry("J1", "w1", J, (), (), ParamBinding({}), None),)
+        StructureEntry("J1", "w1", J, (), (), ParamBinding({}), flat),)
     return CatalogEntry("x", algebra, (FormEntry("w1", form, "yes", ()),), structures, "")
 
 
@@ -289,7 +289,7 @@ class TestCurvatureParameters:
 def _edited_catalog(tmp_path, monkeypatch, name, edit):
     """Point the catalog at a copy whose entry ``name`` has ``edit`` applied."""
     work = tmp_path / "data"
-    shutil.copytree(pathlib.Path(catalog.__file__).parent / "data", work)
+    shutil.copytree(DATA, work)
     path = work / f"{name}.json"
     obj = json.loads(path.read_text())
     edit(obj)
@@ -304,31 +304,23 @@ def _j_of_dimension_5(obj):
 
 class TestMutationControl:
     def test_deliberate_mutation_is_caught(self, tmp_path, monkeypatch):
-        src = pathlib.Path(catalog.__file__).parent / "data"
-        work = tmp_path / "data"
-        shutil.copytree(src, work)
+        hit = []
 
-        exp_file = work / "expectations.json"
-        records = json.loads(exp_file.read_text())
-        hit = 0
-        for rec in records:
-            if rec["entry"] == "g21":
-                for comp in rec["down_components"]:
-                    if comp["value"] == "-psi12":
-                        comp["value"] = "psi12"
-                        hit += 1
-        assert hit == 1
-        exp_file.write_text(json.dumps(records))
+        def flip_sign(obj):
+            for comp in obj["structures"][0]["expected"]["down_components"]:
+                if comp["value"] == "-psi12":
+                    comp["value"] = "psi12"
+                    hit.append(comp)
 
-        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+        _edited_catalog(tmp_path, monkeypatch, "g21", flip_sign)
+        assert len(hit) == 1
         report = catalog.self_validate(["g21"])
         assert not report.ok
         assert "g21: J1 down components" in report.failures()
 
     def test_malformed_entry_is_a_reported_failure(self, tmp_path, monkeypatch):
-        src = pathlib.Path(catalog.__file__).parent / "data"
         work = tmp_path / "data"
-        shutil.copytree(src, work)
+        shutil.copytree(DATA, work)
         g10 = work / "g10.json"
         obj = json.loads(g10.read_text())
         obj["structures"][0]["J"]["rows"][0][0] = "psi11 +"
@@ -373,6 +365,8 @@ class TestMutationControl:
              "an endomorphism must be a JSON object, not list"),
             (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi12", "1/0"),
              "psi12=1/0: zero denominator"),
+            (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi12", True),
+             "psi12=True: parameter values must be exact rational, not bool"),
             (lambda obj: obj["algebra"]["brackets"][0].__setitem__("c", "lambda"),
              "unbound parameters: lambda"),
             (lambda obj: obj["structures"][0].__setitem__("side_conditions", ["psi12 +"]),
@@ -389,7 +383,8 @@ class TestMutationControl:
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
-             "binding-division-by-zero", "parametric-algebra", "side-condition-syntax",
+             "binding-division-by-zero", "binding-bool", "parametric-algebra",
+             "side-condition-syntax",
              "side-condition-division-by-zero", "side-condition-not-a-string",
              "side-conditions-not-a-list",
              "form-side-condition-syntax"],
@@ -401,42 +396,109 @@ class TestMutationControl:
 
     @pytest.mark.parametrize(
         "edit,message",
-        [(lambda rec: rec.pop("flat"), "a record of expectations.json lacks the key 'flat'"),
-         (lambda rec: rec["metric"]["binding"].__setitem__("psi12", "1/0"),
-          "psi12=1/0: zero denominator")],
-        ids=["missing-key", "metric-binding-division-by-zero"],
+        [(lambda obj: obj["structures"][0]["expected"].pop("flat"), "lacks the key 'flat'"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["binding"].__setitem__(
+             "psi12", "1/0"), "is malformed: psi12=1/0: zero denominator"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["binding"].__setitem__(
+             "psi12", True),
+          "is malformed: psi12=True: parameter values must be exact rational, not bool"),
+         (lambda obj: obj["structures"][0].pop("expected"), "lacks the key 'expected'"),
+         (lambda obj: obj["forms"][1].__setitem__(
+             "side_condition", obj["forms"][1].pop("side_conditions")),
+          "lacks the key 'side_conditions'")],
+        ids=["missing-key", "metric-binding-division-by-zero", "metric-binding-bool",
+             "structure-without-expected", "form-side-conditions-misspelt"],
     )
     def test_bad_expectation_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
-        work = tmp_path / "data"
-        shutil.copytree(pathlib.Path(catalog.__file__).parent / "data", work)
-        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
-        exp_file = work / "expectations.json"
-        records = json.loads(exp_file.read_text())
-        edit(next(rec for rec in records if rec["entry"] == "g21"))
-        exp_file.write_text(json.dumps(records))
+        # the failure is the edited entry's alone
+        _edited_catalog(tmp_path, monkeypatch, "g21", edit)
         report = catalog.self_validate(["g21", "g24"])
-        assert report.failures() == [
-            f"{name}: load: catalog entry {name} is malformed: {message}"
-            for name in ("g21", "g24")
-        ]
+        assert report.failures() == [f"g21: load: catalog entry g21 {message}"]
+        assert report.entries[1].ok and len(report.entries[1].checks) > 1
 
     def test_metric_binding_at_a_pole_is_a_failed_check(self, tmp_path, monkeypatch):
-        work = tmp_path / "data"
-        shutil.copytree(pathlib.Path(catalog.__file__).parent / "data", work)
-        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
-        exp_file = work / "expectations.json"
-        records = json.loads(exp_file.read_text())
-        # g_15 of g21 J1 is (psi11^2 + 1)/psi12
-        next(rec for rec in records if rec["entry"] == "g21")["metric"]["binding"] = {"psi12": "0"}
-        exp_file.write_text(json.dumps(records))
+        def pole(obj):
+            # g_15 of g21 J1 is (psi11^2 + 1)/psi12
+            obj["structures"][0]["expected"]["metric"]["binding"] = {"psi12": "0"}
+
+        _edited_catalog(tmp_path, monkeypatch, "g21", pole)
         assert catalog.self_validate(["g21"]).failures() == ["g21: J1 metric"]
 
     def test_env_override_round_trip(self, tmp_path, monkeypatch):
-        src = pathlib.Path(catalog.__file__).parent / "data"
         work = tmp_path / "data"
-        shutil.copytree(src, work)
+        shutil.copytree(DATA, work)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
         assert catalog.self_validate(["g24"]).ok
+
+
+class _TrackedObject(dict):
+    """A JSON object that records the keys its reader asks for."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def items(self):  # a binding is read whole
+        self.read.update(self)
+        return super().items()
+
+
+def _unread_paths(node, path):
+    if isinstance(node, _TrackedObject):
+        for key, value in dict.items(node):
+            if key in node.read:
+                yield from _unread_paths(value, f"{path}.{key}")
+            else:
+                yield f"{path}.{key}"
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _unread_paths(value, f"{path}[{i}]")
+
+
+def unread_keys(monkeypatch, name: str) -> list[str]:
+    """Paths of the keys in the catalog file of ``name`` that loading it never reads."""
+    loaded = []
+    load = json.load
+
+    def tracked_load(fh):
+        loaded.append(load(fh, object_pairs_hook=_TrackedObject))
+        return loaded[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "load", tracked_load)
+        catalog._load.__wrapped__(catalog._data_dir(), name)  # uncached
+    return list(_unread_paths(loaded[0], name))
+
+
+class TestUnreadKeys:
+    """Lint: every key stored in the packaged catalog is one the loader reads."""
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_every_stored_key_is_read(self, monkeypatch, name):
+        assert unread_keys(monkeypatch, name) == []
+
+    def test_the_lint_finds_unread_keys(self, tmp_path, monkeypatch):
+        def add_unread(obj):
+            obj["algebra"]["brackets"][0]["note"] = "x"
+            obj["forms"][0]["side_condition"] = []
+            obj["structures"][0]["expected"]["ricci_zero"] = True
+            obj["structures"][0]["expected"]["down_components"][0]["form"] = "w2"
+
+        _edited_catalog(tmp_path, monkeypatch, "g21", add_unread)
+        assert unread_keys(monkeypatch, "g21") == [
+            "g21.algebra.brackets[0].note",
+            "g21.forms[0].side_condition",
+            "g21.structures[0].expected.down_components[0].form",
+            "g21.structures[0].expected.ricci_zero",
+        ]
 
 
 def _factors(poly) -> dict:

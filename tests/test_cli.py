@@ -1,6 +1,5 @@
 import json
 import pathlib
-import shutil
 from itertools import combinations
 
 import pytest
@@ -18,6 +17,14 @@ def _g10_text(edit):
     obj = json.loads((DATA / "g10.json").read_text())
     edit(obj)
     return json.dumps(obj)
+
+
+def _write_g21(directory, edit):
+    """Write into ``directory`` the stored g21.json with ``edit`` applied to
+    the expectation of its structure J1."""
+    obj = json.loads((DATA / "g21.json").read_text())
+    edit(obj["structures"][0]["expected"])
+    (directory / "g21.json").write_text(json.dumps(obj))
 
 
 def invoke(capsys, *argv):
@@ -165,6 +172,17 @@ class TestVerify:
                 _g10_text(lambda obj: obj["structures"][0].__setitem__("side_conditions", [7])),
                 "catalog entry g10 is malformed: side condition 7 is not a string",
                 id="side-condition-not-a-string"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["canonical_binding"].__setitem__(
+                    "psi12", True)),
+                "catalog entry g10 is malformed: psi12=True: parameter values must be"
+                " exact rational, not bool",
+                id="binding-bool"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"][0].__setitem__(
+                    "side_condition", obj["forms"][0].pop("side_conditions"))),
+                "catalog entry g10 lacks the key 'side_conditions'",
+                id="form-side-conditions-misspelt"),
         ],
     )
     @pytest.mark.parametrize(
@@ -178,7 +196,6 @@ class TestVerify:
         if g10_text is None:
             tmp_path = tmp_path / "missing"
         else:
-            shutil.copy(DATA / "expectations.json", tmp_path)
             (tmp_path / "g10.json").write_text(g10_text)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
         rc, out, err = invoke(capsys, *argv)
@@ -188,31 +205,28 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "edit,message",
-        [(lambda rec: rec.pop("flat"), "a record of expectations.json lacks the key 'flat'"),
-         (lambda rec: rec["metric"]["binding"].__setitem__("psi12", "1/0"),
-          "psi12=1/0: zero denominator")],
+        [(lambda exp: exp.pop("flat"), "lacks the key 'flat'"),
+         (lambda exp: exp["metric"]["binding"].__setitem__("psi12", "1/0"),
+          "is malformed: psi12=1/0: zero denominator")],
         ids=["missing-key", "metric-binding-division-by-zero"],
     )
     @pytest.mark.parametrize("argv", [("show", "g21"), ("verify", "g21")], ids=["show", "verify"])
     def test_bad_expectation_is_usage_error(self, capsys, monkeypatch, tmp_path, edit, message, argv):
-        records = json.loads((DATA / "expectations.json").read_text())
-        edit(next(rec for rec in records if rec["entry"] == "g21"))
-        (tmp_path / "expectations.json").write_text(json.dumps(records))
-        shutil.copy(DATA / "g21.json", tmp_path)
+        _write_g21(tmp_path, edit)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
         rc, out, err = invoke(capsys, *argv)
         assert (rc, out) == (2, "")
-        assert err == f"error: catalog entry g21 is malformed: {message}\n"
+        assert err == f"error: catalog entry g21 {message}\n"
 
 
     @staticmethod
-    def _g21_j1_wrong_value(rec):
-        rec["down_components"][0]["value"] = "-7*psi12"
-        rec["flat"] = True
+    def _g21_j1_wrong_value(exp):
+        exp["down_components"][0]["value"] = "-7*psi12"
+        exp["flat"] = True
 
     @staticmethod
-    def _g21_j1_missing_component(rec):
-        rec["down_components"] = []
+    def _g21_j1_missing_component(exp):
+        exp["down_components"] = []
 
     @pytest.mark.parametrize(
         "edit,expected",
@@ -232,12 +246,7 @@ class TestVerify:
     def test_failed_expectation_is_not_reported_matched(
         self, capsys, monkeypatch, tmp_path, edit, expected
     ):
-        records = json.loads((DATA / "expectations.json").read_text())
-        for rec in records:
-            if (rec["entry"], rec["structure"]) == ("g21", "J1"):
-                getattr(self, edit)(rec)
-        (tmp_path / "expectations.json").write_text(json.dumps(records))
-        shutil.copy(DATA / "g21.json", tmp_path)
+        _write_g21(tmp_path, getattr(self, edit))
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
         rc, out, _ = invoke(capsys, "verify", "g21")
         assert rc == 1
@@ -453,6 +462,9 @@ class TestExport:
         payload = json.loads(out)
         assert payload["name"] == "g21"
         assert {f["id"] for f in payload["forms"]} == {"w1", "w2"}
+        # the curvature each structure must reproduce is in the same file
+        assert payload["structures"][0]["expected"]["down_components"] == [
+            {"idx": [1, 2, 1, 2], "value": "-psi12"}]
 
     def test_csv_lists_curvature_rows(self, capsys):
         rc, out, _ = invoke(capsys, "export", "g21", "--format", "csv")
@@ -478,7 +490,6 @@ class TestIncompatibleStructure:
     )
     def test_is_a_verification_failure(self, capsys, monkeypatch, tmp_path, name, k, argv):
         # J + E_11 is still loaded, but omega(X, JY) is not symmetric
-        shutil.copy(DATA / "expectations.json", tmp_path)
         obj = json.loads((DATA / f"{name}.json").read_text())
         s = obj["structures"][k]
         s["J"]["rows"][0][0] = f"{s['J']['rows'][0][0]}+1"
@@ -494,7 +505,6 @@ class TestIncompatibleStructure:
 class TestDegenerateForm:
     def test_verify_reports_it_without_curvature_checks(self, capsys, monkeypatch, tmp_path):
         # an abelian g10 whose form e1^e2 + e3^e4 the standard J preserves
-        shutil.copy(DATA / "expectations.json", tmp_path)
         obj = json.loads((DATA / "g10.json").read_text())
         obj["algebra"]["brackets"] = []
         obj["forms"][0]["form"]["terms"] = [{"i": 1, "j": 2, "c": "1"}, {"i": 3, "j": 4, "c": "1"}]

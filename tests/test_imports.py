@@ -156,7 +156,6 @@ def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str
 # make it a check the package runs, or move it into the tests.
 TEST_ONLY_NAMES = [
     "geometry.is_metric_connection",  # nabla g = 0, symbolic: test 5
-    "scalar.Scalar.as_fraction",  # the exact value of a rational constant: tests
     "tensors.is_nilpotent_J",  # the J-twisted ascending series: tests
     "tensors.is_abelian_J",
 ]
