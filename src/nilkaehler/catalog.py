@@ -110,20 +110,32 @@ def _data_dir() -> str:
 
 
 def _components(records) -> dict[tuple[int, ...], str]:
-    return {tuple(c["idx"]): c["value"] for c in records}
+    table: dict[tuple[int, ...], str] = {}
+    for c in records:
+        idx = tuple(c["idx"])
+        if idx in table:
+            raise ValueError(f"the component {list(idx)} is given twice")
+        table[idx] = c["value"]
+    return table
 
 
 def _expectation(obj) -> Expectation:
     metric = None
     if "metric" in obj:
+        entries = _components(obj["metric"]["entries"])
+        for i, j in entries:
+            if i > j:
+                raise ValueError(f"the metric entry {[i, j]} lies below the diagonal")
         metric = MetricExpectation(
             binding=ParamBinding(obj["metric"]["binding"]),
-            entries=_components(obj["metric"]["entries"]),
+            entries=entries,
         )
+    if not isinstance(obj["flat"], bool):
+        raise ValueError(f"flat must be true or false, not {obj['flat']!r}")
     return Expectation(
         up_components=_components(obj["up_components"]),
         down_components=_components(obj["down_components"]),
-        flat=bool(obj["flat"]),
+        flat=obj["flat"],
         metric=metric,
     )
 

@@ -7,9 +7,11 @@ integrability) runs Levenberg-Marquardt from random starts, a block of
 starts at a time, each start with its own damping and retired on its own,
 and stops once the first verified start is known; a failure to converge is
 evidence of nonexistence, never a proof.  Every probe residual is quadratic
-in J, so its Jacobian is the exact polarization (f(J + E) - f(J - E))/2
-over the unit matrices E, and that Jacobian is affine in J: the float
-residual is the probe's single definition of the equations.
+in J, so its Jacobian is affine in J, D(J) = D(0) + sum_k J_k H_k, and
+D(0) and the H_k are assembled from omega, C and the index pattern.  The
+float residual stays the probe's single definition of the equations: the
+tests pin the assembled D(0) and H_k to the residual's own polarization
+(f(J + E) - f(J - E))/2 and second differences.
 """
 
 from __future__ import annotations
@@ -161,15 +163,36 @@ def _residual(X: np.ndarray, omega: np.ndarray, C: np.ndarray, iu, ju) -> np.nda
     return np.concatenate([p.reshape(*X.shape[:-2], -1) for p in parts], axis=-1)
 
 
-def _jacobian(X: np.ndarray, omega: np.ndarray, C: np.ndarray, iu, ju) -> np.ndarray:
-    """Exact Jacobian of the quadratic ``_residual``, by polarization.
+def _bilinear_terms(C: np.ndarray, iu, ju) -> tuple[np.ndarray, ...]:
+    """The bilinear part B of ``_residual`` on unit matrices, as entries
+    B(E_s, E_t)[r] = v (repeats add up), with s = a*n + b for E_ab.
 
-    For quadratic f, f(X + E) - f(X - E) = 2 Df(X)[E] with no remainder, so
-    the central difference along each of the n^2 unit matrices E is exact.
+    Row (i, l) of J^2 + I: B(E_ab, E_cd) = d_ia d_bc d_dl.  Row (i < j, k)
+    of the Nijenhuis tensor, one line per quadratic term of ``_residual``:
+        B(E_ab, E_cd) = d_ia d_jc C_bdk    (X_iu X_jv C_uvk)
+                      - d_ia C_bjc d_dk    (-X_iu C_ujm X_mk)
+                      + d_ja C_bic d_dk    (X_ju C_uim X_mk),
+    the last two being one term over the ordered pairs i != j, signed by
+    their order.  The compatibility rows are linear and have no B.
     """
-    E = np.eye(X.size).reshape(X.size, *X.shape)
-    args = (omega, C, iu, ju)
-    return (_residual(X + E, *args) - _residual(X - E, *args)).T / 2
+    n, pairs = C.shape[0], len(iu)
+    nij = pairs + n * n  # the first Nijenhuis row
+    x, y, z = (e[:, None, None] for e in np.nonzero(C))  # C_xyz != 0
+    c = C[x, y, z]
+    a, b, d = np.indices((n, n, n))
+    p = np.arange(pairs)
+    pair = np.zeros((n, n), dtype=int)
+    pair[iu, ju] = pair[ju, iu] = p
+    i, k = np.arange(n)[:, None], np.arange(n)
+    terms = (
+        (a * n + b, b * n + d, pairs + a * n + d, 1.0),
+        (iu * n + x, ju * n + y, nij + p * n + z, c),  # b, d, k = x, y, z
+        (i * n + x, z * n + k, nij + pair[i, y] * n + k, -np.sign(y - i) * c),  # b, j, c
+    )
+    s, t, r, v = map(np.concatenate, zip(*(
+        [e.ravel() for e in np.broadcast_arrays(*term)] for term in terms)))
+    nonzero = v != 0  # i = j in the last term
+    return s[nonzero], t[nonzero], r[nonzero], v[nonzero]
 
 
 # Starts iterated together.  A block holds one (BLOCK, 141, 36) Jacobian
@@ -184,29 +207,41 @@ HOPELESS_ITER, HOPELESS_NORM = 30, 1e-2
 class _LinearJacobian:
     """The probe Jacobian as an affine function of X, built once per search.
 
-    The residual is quadratic, so Df(X) = D(0) + sum_k x_k H_k, with D(0)
-    from ``_jacobian`` and H_k = D(E_k) - D(0) the second difference
-    H_k[:, j] = f(E_k + E_j) - f(E_k) - f(E_j) + f(0).  Only the entries
-    that some H_k touches depend on X, and D(0) is zero on them: the rows
-    that depend on X (J^2 + I, Nijenhuis) have no linear part, and the
-    linear compatibility rows do not depend on X.  ``__call__`` fills those
-    entries for a whole stack of starts with one matmul.
+    The residual is quadratic, so Df(X) = D(0) + sum_k x_k H_k, where
+    H_k[:, j] = B(E_k, E_j) + B(E_j, E_k) for the bilinear part B of the
+    residual, its second difference f(E_k + E_j) - f(E_k) - f(E_j) + f(0).
+    Both are assembled from omega, C and the index pattern, with no residual
+    evaluation; the tests pin them to ``_residual``'s own differences.  Only
+    the entries that some H_k touches depend on X, and D(0) is zero on them:
+    the rows that depend on X (J^2 + I, Nijenhuis) have no linear part, and
+    the linear compatibility rows do not depend on X.  ``__call__`` fills
+    those entries for a whole stack of starts with one matmul.
     """
 
     def __init__(self, omega: np.ndarray, C: np.ndarray, iu, ju) -> None:
-        n = omega.shape[0]
-        args = (omega, C, iu, ju)
-        zero = _jacobian(np.zeros((n, n)), *args)
-        self.shape = zero.shape
+        n, pairs = omega.shape[0], len(iu)
+        nn = n * n
+        # D(0) on the compatibility rows (i < j): (E_ab omega + omega E_ab^T)_ij
+        # = d_ia omega_bj + omega_ib d_ja
+        zero = np.zeros((pairs + nn + pairs * n, n, n))
+        zero[np.arange(pairs), iu] = omega[:, ju].T
+        zero[np.arange(pairs), ju] = omega[iu]
+        self.shape = (len(zero), nn)
         self.zero = zero.ravel()
-        E = np.eye(n * n).reshape(n * n, n, n)
-        f_0, f_E = _residual(np.zeros((n, n)), *args), _residual(E, *args)
-        # one k at a time: a batched second difference costs megabytes
-        H = np.empty((n * n, self.zero.size))
-        for k in range(n * n):
-            H[k] = (_residual(E[k] + E, *args) - f_E[k] - f_E + f_0).T.ravel()
-        self.live = np.flatnonzero(np.any(H != 0, axis=0))
-        self.H = H[:, self.live]
+        s, t, r, v = _bilinear_terms(C, iu, ju)
+        # B(E_s, E_t)[r] lands in H_s at column r*nn + t and in H_t at r*nn + s
+        k, j = np.concatenate([s, t]), np.concatenate([t, s])
+        col = np.concatenate([r, r]) * nn + j
+        # each column's place among the touched ones; np.unique would sort,
+        # and its sort kernels alone add half a megabyte of resident code
+        place = np.zeros(self.zero.size, dtype=int)
+        place[col] = 1
+        cols = np.flatnonzero(place)
+        place = np.cumsum(place) - 1
+        H = np.bincount(k * len(cols) + place[col], np.concatenate([v, v]), nn * len(cols))
+        H = H.reshape(nn, len(cols))
+        touched = H.any(axis=0)  # terms of opposite sign can cancel
+        self.live, self.H = cols[touched], H[:, touched]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         M = np.empty((len(X), self.zero.size))
@@ -215,13 +250,14 @@ class _LinearJacobian:
         return M.reshape(len(X), *self.shape)
 
 
-def _solve_damped(MtM: np.ndarray, Mtr: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _solve_damped(K: np.ndarray, Mtr: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Solutions of (M^T M + mu I) delta = -M^T r for a stack of starts.
 
-    A start whose system is not finite or is singular gets a nan step, so
-    it alone retires.
+    ``K`` holds the M^T M and takes the mu I in place.  A start whose
+    system is not finite or is singular gets a nan step, so it alone retires.
     """
-    K = MtM + mu[:, None, None] * np.eye(MtM.shape[-1])
+    diagonal = np.arange(K.shape[-1])
+    K[:, diagonal, diagonal] += mu[:, None]
     step = np.full(Mtr.shape, np.nan)
     ok = np.isfinite(K).all(axis=(1, 2)) & np.isfinite(Mtr).all(axis=(1, 2))
     try:

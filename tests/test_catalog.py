@@ -405,9 +405,18 @@ class TestMutationControl:
          (lambda obj: obj["structures"][0].pop("expected"), "lacks the key 'expected'"),
          (lambda obj: obj["forms"][1].__setitem__(
              "side_condition", obj["forms"][1].pop("side_conditions")),
-          "lacks the key 'side_conditions'")],
+          "lacks the key 'side_conditions'"),
+         (lambda obj: obj["structures"][0]["expected"]["up_components"].insert(
+             0, {"idx": [1, 2, 1, 5], "value": "psi12"}),
+          "is malformed: the component [1, 2, 1, 5] is given twice"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"].append(
+             {"idx": [5, 1], "value": "17"}),
+          "is malformed: the metric entry [5, 1] lies below the diagonal"),
+         (lambda obj: obj["structures"][0]["expected"].__setitem__("flat", "false"),
+          "is malformed: flat must be true or false, not 'false'")],
         ids=["missing-key", "metric-binding-division-by-zero", "metric-binding-bool",
-             "structure-without-expected", "form-side-conditions-misspelt"],
+             "structure-without-expected", "form-side-conditions-misspelt",
+             "repeated-component", "metric-below-diagonal", "flat-not-a-boolean"],
     )
     def test_bad_expectation_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         # the failure is the edited entry's alone

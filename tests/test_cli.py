@@ -207,8 +207,15 @@ class TestVerify:
         "edit,message",
         [(lambda exp: exp.pop("flat"), "lacks the key 'flat'"),
          (lambda exp: exp["metric"]["binding"].__setitem__("psi12", "1/0"),
-          "is malformed: psi12=1/0: zero denominator")],
-        ids=["missing-key", "metric-binding-division-by-zero"],
+          "is malformed: psi12=1/0: zero denominator"),
+         (lambda exp: exp["down_components"].append(dict(exp["down_components"][0])),
+          "is malformed: the component [1, 2, 1, 2] is given twice"),
+         (lambda exp: exp["metric"]["entries"].append({"idx": [5, 1], "value": "17"}),
+          "is malformed: the metric entry [5, 1] lies below the diagonal"),
+         (lambda exp: exp.__setitem__("flat", "false"),
+          "is malformed: flat must be true or false, not 'false'")],
+        ids=["missing-key", "metric-binding-division-by-zero", "repeated-component",
+             "metric-below-diagonal", "flat-not-a-boolean"],
     )
     @pytest.mark.parametrize("argv", [("show", "g21"), ("verify", "g21")], ids=["show", "verify"])
     def test_bad_expectation_is_usage_error(self, capsys, monkeypatch, tmp_path, edit, message, argv):

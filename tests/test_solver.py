@@ -188,6 +188,13 @@ class TestNewtonSearch:
         assert result.starts_tried == 20
         assert math.isinf(result.residual_norm)
 
+    def test_converges_on_a_form_with_inexact_float_entries(self):
+        # lambda = 1/3 has no exact float: second differences of the linear
+        # compatibility rows would read rounding noise as a dependence on X
+        entry = catalog.get("g12")
+        w = entry.form("w1").form.substitute(ParamBinding({"lambda": Fraction(1, 3)}))
+        assert newton_search(entry.algebra, w, max_starts=25, seed=1).converged
+
     def test_same_seed_same_outcome(self):
         a = newton_search(G23, W1_G23, max_starts=4, seed=11)
         b = newton_search(G23, W1_G23, max_starts=4, seed=11)
@@ -254,6 +261,23 @@ def _probe_args(alg, w):
     return solver._float_form(w), solver._float_brackets(alg), iu, ju
 
 
+def _polarized(X, args):
+    """Df(X) from ``solver._residual`` alone: (f(X + E) - f(X - E))/2 over the
+    unit matrices E, exact for a quadratic f; rows are residuals."""
+    E = np.eye(X.size).reshape(X.size, *X.shape)
+    return (solver._residual(X + E, *args) - solver._residual(X - E, *args)).T / 2
+
+
+def _second_differences(args):
+    """H[k, (r, j)] = f_r(E_k + E_j) - f_r(E_k) - f_r(E_j) + f_r(0), from
+    ``solver._residual`` alone, flattened like the Jacobian."""
+    n = len(args[0])
+    E = np.eye(n * n).reshape(n * n, n, n)
+    f_0, f_E = solver._residual(np.zeros((n, n)), *args), solver._residual(E, *args)
+    return np.stack([(solver._residual(E[k] + E, *args) - f_E[k] - f_E + f_0).T.ravel()
+                     for k in range(n * n)])
+
+
 class TestNumericResidual:
     """The probe's float residual against the exact tensors it stands for."""
 
@@ -287,7 +311,7 @@ class TestNumericResidual:
         rng = np.random.default_rng(3)
         X, D = rng.standard_normal((2, alg.dim, alg.dim))
         lhs = solver._residual(X + D, *args) - solver._residual(X - D, *args)
-        rhs = 2 * solver._jacobian(X, *args) @ D.ravel()
+        rhs = 2 * _polarized(X, args) @ D.ravel()
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
@@ -317,8 +341,46 @@ class TestBatchedProbe:
         args = _probe_args(alg, w)
         X = np.random.default_rng(4).standard_normal((3, alg.dim, alg.dim))
         got = solver._LinearJacobian(*args)(X)
-        want = np.stack([solver._jacobian(x, *args) for x in X])
+        want = np.stack([_polarized(x, args) for x in X])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("alg,w", _stored_forms())
+    def test_assembly_is_the_residuals_own_differences(self, alg, w):
+        # D(0) and H from omega, C and the index pattern, bit for bit
+        args = _probe_args(alg, w)
+        jacobian = solver._LinearJacobian(*args)
+        zero = _polarized(np.zeros((alg.dim, alg.dim)), args)
+        H = _second_differences(args)
+        live = np.flatnonzero(np.any(H != 0, axis=0))
+        assert jacobian.shape == zero.shape
+        assert np.array_equal(jacobian.zero, zero.ravel())
+        assert np.array_equal(jacobian.live, live)
+        assert np.array_equal(jacobian.H, H[:, live])
+
+    def test_assembly_matches_a_random_bracket(self):
+        # a float C antisymmetric in its first two indices has every index
+        # pattern, and omega has no symmetry
+        rng = np.random.default_rng(6)
+        C = rng.standard_normal((6, 6, 6))
+        args = (rng.standard_normal((6, 6)), C - np.swapaxes(C, 0, 1), *np.triu_indices(6, k=1))
+        jacobian = solver._LinearJacobian(*args)
+        zero = _polarized(np.zeros((6, 6)), args).ravel()
+        assert np.max(np.abs(jacobian.zero - zero)) <= 1e-12 * np.max(np.abs(zero))
+        want = _second_differences(args)
+        got = np.zeros_like(want)
+        got[:, jacobian.live] = jacobian.H
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        X = np.random.default_rng(7).standard_normal((2, 6, 6))
+        want = np.stack([_polarized(x, args) for x in X])
+        assert np.max(np.abs(jacobian(X) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_assembly_evaluates_no_residual(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_residual called")
+
+        args = _probe_args(G21, W2_G21)
+        monkeypatch.setattr(solver, "_residual", refuse)
+        solver._LinearJacobian(*args)
 
     @pytest.mark.parametrize(
         "alg,w,X0",
