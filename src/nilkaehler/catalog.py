@@ -59,7 +59,7 @@ class Expectation:
 class FormEntry:
     id: str
     form: TwoForm
-    admits_J: str  # "yes" | "no" | "unknown"
+    admits_J: str  # "yes" | "no"
     side_conditions: tuple[str, ...]
 
 
@@ -141,14 +141,48 @@ def _expectation(obj) -> Expectation:
 
 
 def _conditions(texts) -> tuple[str, ...]:
-    """Side conditions as their stored text, each checked to parse."""
+    """Side conditions as their stored text, each checked to parse to a value
+    in which a parameter occurs."""
     if not isinstance(texts, list):
         raise TypeError(f"side conditions must be a list, not {type(texts).__name__}")
     for text in texts:
         if not isinstance(text, str):
             raise TypeError(f"side condition {text!r} is not a string")
-        parse_expr(text)
+        if not parse_expr(text).free_params():
+            raise ValueError(f"side condition {text!r} is free of parameters")
     return tuple(texts)
+
+
+def _check_form(f: FormEntry, structures: Sequence[StructureEntry]) -> None:
+    # a form admits J exactly when it carries a stored structure
+    if f.admits_J not in ("yes", "no"):
+        raise ValueError(f"form {f.id} has admits_J {f.admits_J!r}, not 'yes' or 'no'")
+    carried = [s.id for s in structures if s.form_id == f.id]
+    if f.admits_J == "no" and carried:
+        raise ValueError(f"form {f.id} admits no J but carries the structure {carried[0]}")
+    if f.admits_J == "yes" and not carried:
+        raise ValueError(f"form {f.id} admits J but carries no structure")
+
+
+def _check_params(s: StructureEntry, f: FormEntry) -> None:
+    # the stored params (each once) and canonical binding name exactly the
+    # free parameters of J and its form; each side condition is in those
+    # parameters and does not vanish at that binding
+    params = sorted(s.J.free_params() | f.form.free_params())
+    if sorted(s.params) != params:
+        raise ValueError(
+            f"structure {s.id} lists the parameters {list(s.params)}, not {params}")
+    if sorted(s.canonical_binding) != params:
+        raise ValueError(f"structure {s.id} has a canonical binding of"
+                         f" {sorted(s.canonical_binding)}, not of {params}")
+    for text in s.side_conditions + f.side_conditions:
+        value = parse_expr(text)
+        if not value.free_params() <= set(params):
+            raise ValueError(f"side condition {text!r} of structure {s.id}"
+                             f" is not in its parameters {params}")
+        if value.substitute(s.canonical_binding).is_zero():
+            raise ValueError(f"side condition {text!r} vanishes at the canonical"
+                             f" binding of structure {s.id}")
 
 
 @lru_cache(maxsize=None)
@@ -182,15 +216,18 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
         )
         algebra = LieAlgebra.from_json_dict(obj["algebra"])
         linalg.require_bound([algebra.constants.values()])  # the series need numbers
-        form_ids = {f.id for f in forms}
+        form_by_id = {f.id: f for f in forms}
         for f in forms:
             if f.form.dim != algebra.dim:
                 raise ValueError(f"form {f.id} has dimension {f.form.dim}, not {algebra.dim}")
         for s in structures:
-            if s.form_id not in form_ids:
+            if s.form_id not in form_by_id:
                 raise ValueError(f"structure {s.id} is on the unknown form {s.form_id!r}")
             if s.J.dim != algebra.dim:
                 raise ValueError(f"structure {s.id} has dimension {s.J.dim}, not {algebra.dim}")
+            _check_params(s, form_by_id[s.form_id])
+        for f in forms:
+            _check_form(f, structures)
         return CatalogEntry(
             name=obj["name"],
             algebra=algebra,

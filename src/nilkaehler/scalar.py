@@ -31,6 +31,13 @@ the full gcd: ZZ[params][s] has no unique factorization over the primes of
 ZZ[params], so (x + s)/(x^2 - 2) * (x - s) = 1 cancels a factor that
 neither operand shares with the other's denominator.
 
+Every gcd is taken with sympy's ``cofactors``, which returns h = gcd(f, g)
+together with f/h and g/h (the heuristic gcd computes them on the way), so
+a reduction multiplies cofactors where it would otherwise divide by h.  A
+value moves between parameter rings by name: each name of the target ring
+takes its index in the source ring, or a 0 exponent where the source lacks
+it, in one pass over the monomials.
+
 Equality, hashing and ``is_zero`` are therefore decidable by direct
 comparison of the stored ints or polynomials.  A rational constant hashes
 as the equal ``int`` or ``Fraction`` does.
@@ -85,16 +92,20 @@ def _reduce(a, b, d, R) -> "Scalar":
 
 
 def _lowest(a, b, d, g) -> tuple:
-    # (a, b, d) over gcd(g, a, b), for g a divisor of d: every factor that
-    # can cancel must divide g
+    # (a, b, d) over h = gcd(g, a, b), for g a divisor of d: every factor that
+    # can cancel must divide g.  The gcds' cofactors are the quotients:
+    # g = h*cg and a = h*ca, and a second gcd h = h2*ch, b = h2*cb gives
+    # a/h2 = ca*ch and g/h2 = cg*ch
     if g == 1:
         return a, b, d
-    g = g.gcd(a)
-    if b and g != 1:
-        g = g.gcd(b)
-    if g == 1:
+    h, cg, ca = g.cofactors(a)
+    if b and h != 1:
+        h, ch, cb = h.cofactors(b)
+        if h != 1:
+            b, ca, cg = cb, ca * ch, cg * ch
+    if h == 1:
         return a, b, d
-    return a.exquo(g), b and b.exquo(g), d.exquo(g)
+    return ca, b, cg if g is d else d.exquo(h)
 
 
 def _finish(a, b, d, R) -> "Scalar":
@@ -109,7 +120,7 @@ def _finish(a, b, d, R) -> "Scalar":
         return _quadratic(_ground(a), _ground(b), _ground(d))
     if len(used) < len(names):
         R = _ring_for(tuple(names[i] for i in sorted(used)))
-        a, b, d = a.set_ring(R), b and b.set_ring(R), d.set_ring(R)
+        a, b, d = _move(a, R), b and _move(b, R), _move(d, R)
     return Scalar._new(a, b or 0, d, R)
 
 
@@ -150,7 +161,16 @@ def _parts(x: "Scalar", R) -> tuple:
     a, b, d = x._p
     if x._q is None:
         return R.ground_new(a), R.ground_new(b), R.ground_new(d)
-    return a.set_ring(R), b and b.set_ring(R), d.set_ring(R)
+    return _move(a, R), b and _move(b, R), _move(d, R)
+
+
+def _move(p, R):
+    # p over R, whose names include every name that occurs in p: each of R's
+    # names takes its index in p's ring, or a 0 exponent where p's ring lacks
+    # it, in one pass over p's monomials
+    index = p.ring._scalar_gen_index
+    at = [index.get(name) for name in R._scalar_names]
+    return R.zero.new({tuple([0 if i is None else m[i] for i in at]): c for m, c in p.items()})
 
 
 def _unify(x: "Scalar", y: "Scalar"):
@@ -249,7 +269,7 @@ class Scalar:
         if R is None:
             return _RS.ground_new(a) + _RS.gens[0] * b
         S = _ring_for(tuple(sorted((*R._scalar_names, SQRT2_NAME))))
-        return a.set_ring(S) + S.gens[S._scalar_gen_index[SQRT2_NAME]] * b.set_ring(S)
+        return _move(a, S) + S.gens[S._scalar_gen_index[SQRT2_NAME]] * _move(b, S)
 
     @property
     def _den(self):
@@ -322,8 +342,7 @@ class Scalar:
         if d1 == d2:
             g, a, b, d = d1, a1 + a2, b1 + b2, d1
         else:
-            g = d1.gcd(d2)
-            e1, e2 = (d1, d2) if g == 1 else (d1.exquo(g), d2.exquo(g))
+            g, e1, e2 = d1.cofactors(d2)
             a, d = a1 * e2 + a2 * e1, d1 * e2
             b = b1 * e2 + b2 * e1 if b1 or b2 else 0
         if not (a or b):

@@ -218,12 +218,12 @@ class TestClaimChecks:
         assert checks["J1 ricci zero"] and checks["J1 torsion free"]
         assert checks["J1 indefinite at canonical binding"] is False
 
-    def test_a_binding_that_leaves_a_parameter_free_is_not_indefinite(
-            self, tmp_path, monkeypatch):
-        _edited_catalog(tmp_path, monkeypatch, "g21",
-                        lambda obj: obj["structures"][0]["canonical_binding"].pop("psi12"))
-        assert catalog.self_validate(["g21"]).failures() == [
-            "g21: J1 indefinite at canonical binding"]
+    def test_a_binding_that_leaves_a_parameter_free_is_not_indefinite(self):
+        # the loader refuses such a binding, so build the entry in memory
+        entry = get("g21")
+        partial = replace(entry.structures[0], canonical_binding=ParamBinding({"psi11": 0}))
+        report = validate_entry(replace(entry, structures=(partial,)))
+        assert report.failures() == ["J1 indefinite at canonical binding"]
 
     def test_a_degenerate_form_has_no_curvature_checks(self):
         # the pair passes its residuals, but omega has no inverse, so there is no metric
@@ -380,6 +380,33 @@ class TestMutationControl:
              "side conditions must be a list, not str"),
             (lambda obj: obj["forms"][0].__setitem__("side_conditions", ["psi12 +"]),
              "unexpected end of input (at position 7) in 'psi12 +'"),
+            (lambda obj: obj["forms"][0].__setitem__("admits_J", "No"),
+             "form w1 has admits_J 'No', not 'yes' or 'no'"),
+            (lambda obj: obj["forms"][1].__setitem__("admits_J", "no"),
+             "form w2 admits no J but carries the structure J1"),
+            (lambda obj: obj["forms"][0].__setitem__("admits_J", "yes"),
+             "form w1 admits J but carries no structure"),
+            (lambda obj: obj["structures"][0].__setitem__("params", ["psi11", "psi99"]),
+             "structure J1 lists the parameters ['psi11', 'psi99'], not ['psi11', 'psi12']"),
+            (lambda obj: obj["structures"][0]["params"].append("psi12"),
+             "structure J1 lists the parameters ['psi11', 'psi12', 'psi12'],"
+             " not ['psi11', 'psi12']"),
+            (lambda obj: obj["structures"][0]["canonical_binding"].pop("psi12"),
+             "structure J1 has a canonical binding of ['psi11'], not of ['psi11', 'psi12']"),
+            (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi99", "2"),
+             "structure J1 has a canonical binding of ['psi11', 'psi12', 'psi99'],"
+             " not of ['psi11', 'psi12']"),
+            (lambda obj: obj["structures"][0].__setitem__("side_conditions", ["psi12-psi12"]),
+             "side condition 'psi12-psi12' is free of parameters"),
+            (lambda obj: obj["forms"][0].__setitem__("side_conditions", ["7"]),
+             "side condition '7' is free of parameters"),
+            (lambda obj: obj["structures"][0].__setitem__("side_conditions", ["psi11"]),
+             "side condition 'psi11' vanishes at the canonical binding of structure J1"),
+            (lambda obj: obj["forms"][1].__setitem__("side_conditions", ["psi12+1"]),
+             "side condition 'psi12+1' vanishes at the canonical binding of structure J1"),
+            (lambda obj: obj["structures"][0]["side_conditions"].append("psi99"),
+             "side condition 'psi99' of structure J1 is not in its parameters"
+             " ['psi11', 'psi12']"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
@@ -387,7 +414,12 @@ class TestMutationControl:
              "side-condition-syntax",
              "side-condition-division-by-zero", "side-condition-not-a-string",
              "side-conditions-not-a-list",
-             "form-side-condition-syntax"],
+             "form-side-condition-syntax", "admits-J-not-yes-or-no", "no-form-with-J",
+             "yes-form-without-J", "params-not-of-J", "params-repeated",
+             "binding-lacks-a-param", "binding-of-an-unknown-param",
+             "side-condition-constant", "form-side-condition-constant",
+             "side-condition-vanishes-at-binding",
+             "form-side-condition-vanishes-at-binding", "side-condition-of-another-param"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)

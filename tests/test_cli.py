@@ -183,12 +183,51 @@ class TestVerify:
                     "side_condition", obj["forms"][0].pop("side_conditions"))),
                 "catalog entry g10 lacks the key 'side_conditions'",
                 id="form-side-conditions-misspelt"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"][0].__setitem__("admits_J", "No")),
+                "catalog entry g10 is malformed: form w1 has admits_J 'No', not 'yes' or 'no'",
+                id="admits-J-not-yes-or-no"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"][0].__setitem__("admits_J", "no")),
+                "catalog entry g10 is malformed: form w1 admits no J but carries the structure J1",
+                id="no-form-with-J"),
+            pytest.param(
+                _g10_text(lambda obj: obj.__setitem__("structures", [])),
+                "catalog entry g10 is malformed: form w1 admits J but carries no structure",
+                id="yes-form-without-J"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__(
+                    "params", ["psi11", "psi99"])),
+                "catalog entry g10 is malformed: structure J1 lists the parameters"
+                " ['psi11', 'psi99'], not ['psi11', 'psi12']",
+                id="params-not-of-J"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["canonical_binding"].pop("psi11")),
+                "catalog entry g10 is malformed: structure J1 has a canonical binding of"
+                " ['psi12'], not of ['psi11', 'psi12']",
+                id="binding-lacks-a-param"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__("side_conditions", ["2"])),
+                "catalog entry g10 is malformed: side condition '2' is free of parameters",
+                id="side-condition-constant"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__(
+                    "side_conditions", ["psi12-1"])),
+                "catalog entry g10 is malformed: side condition 'psi12-1' vanishes at the"
+                " canonical binding of structure J1",
+                id="side-condition-vanishes-at-binding"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["side_conditions"].append("psi99")),
+                "catalog entry g10 is malformed: side condition 'psi99' of structure J1"
+                " is not in its parameters ['psi11', 'psi12']",
+                id="side-condition-of-another-param"),
         ],
     )
     @pytest.mark.parametrize(
         "argv",
-        [("show", "g10"), ("verify", "g10"), ("export", "g10", "--format", "latex")],
-        ids=["show", "verify", "export-latex"],
+        [("show", "g10"), ("verify", "g10"), ("export", "g10", "--format", "latex"),
+         ("curvature", "g10", "--form", "w1", "--bind", "psi12=2")],
+        ids=["show", "verify", "export-latex", "curvature"],
     )
     def test_catalog_load_failure_is_usage_error(
         self, capsys, monkeypatch, tmp_path, g10_text, fragment, argv
@@ -519,6 +558,8 @@ class TestDegenerateForm:
             ["0", "1", "0", "0", "0", "0"], ["-1", "0", "0", "0", "0", "0"],
             ["0", "0", "0", "1", "0", "0"], ["0", "0", "-1", "0", "0", "0"],
             ["0", "0", "0", "0", "0", "1"], ["0", "0", "0", "0", "-1", "0"]]
+        # a J free of parameters: no params, binding or side conditions
+        obj["structures"][0].update(params=[], canonical_binding={}, side_conditions=[])
         (tmp_path / "g10.json").write_text(json.dumps(obj))
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
         rc, out, err = invoke(capsys, "verify", "g10")

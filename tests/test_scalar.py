@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
 
 from nilkaehler import catalog
 from nilkaehler.scalar import (
@@ -18,10 +19,8 @@ from nilkaehler.scalar import (
     Scalar,
     ScalarSyntaxError,
     _R0,
-    _reduce,
+    _move,
     _ring_for,
-    _times,
-    _unify,
     as_scalar,
     parse_expr,
 )
@@ -334,6 +333,50 @@ def test_constants_agree_with_fractions(p, q, r, t):
             as_scalar(a) / as_scalar(b)
 
 
+# ---------------------------------------------------------------- reference reduction
+
+
+def _reference(a, b, d, R) -> Scalar:
+    """The canonical Scalar (a + b*s)/d for polynomials a, b, d over R, built
+    apart from the library's reduction: sympy's gcd of all three parts, an
+    exact division by it, d's leading coefficient made positive, and sympy's
+    set_ring onto the ring of exactly the occurring parameters."""
+    if not (a or b):
+        return ZERO
+    g = d.gcd(a)
+    if b:
+        g = g.gcd(b)
+    a, b, d = a.exquo(g), b and b.exquo(g), d.exquo(g)
+    if d.LC < 0:
+        a, b, d = -a, -b, -d
+    names = tuple(sorted({n for p in (a, b, d) if p for m in p.itermonoms()
+                          for n, e in zip(R._scalar_names, m) if e}))
+    if not names:
+        a, b, d = (int(p.LC) if p else 0 for p in (a, b, d))
+        return Scalar._const(a, d) if not b else Scalar._new(a, b, d, None)
+    S = _ring_for(names)
+    return Scalar._new(a.set_ring(S), b.set_ring(S) if b else 0, d.set_ring(S), S)
+
+
+def _over(x: Scalar, R) -> tuple:
+    # the parts (a, b, d) of x as polynomials over R, moved by sympy's set_ring
+    if x._p is None:
+        return R(x._n), R(0), R(x._d)
+    if x._q is None:
+        return tuple(map(R, x._p))
+    a, b, d = x._p
+    return a.set_ring(R), b.set_ring(R) if b else R(0), d.set_ring(R)
+
+
+def _common_ring(*values: Scalar):
+    return _ring_for(tuple(sorted(set().union(*(v.free_params() for v in values)))))
+
+
+def _product(a1, b1, a2, b2) -> tuple:
+    # (a1 + b1*s)(a2 + b2*s) = a + b*s
+    return a1 * a2 + 2 * b1 * b2, a1 * b2 + a2 * b1
+
+
 # ints, small fractions and the 53-bit dyadic rationals of floats, with
 # zero and negative values among them
 rational_constants = st.one_of(
@@ -361,7 +404,7 @@ def test_constant_arithmetic_matches_the_polynomial_path(symbol, a, b):
     # ring, as a parametric operand would take it
     ints = (_R0(x) for x in (a.numerator, a.denominator, b.numerator, b.denominator))
     num, den = cross(*ints)
-    reference = _reduce(num, 0, den, _R0)
+    reference = _reference(num, 0, den, _R0)
     for got in (apply(as_scalar(a), as_scalar(b)), apply(a, as_scalar(b))):
         assert got._num.ring is _R0 and reference._num.ring is _R0
         assert got._num == reference._num and got._den == reference._den
@@ -497,7 +540,7 @@ def test_q_sqrt2_arithmetic_matches_the_polynomial_path(symbol, a, b, c, d):
     want = MODEL[symbol]((a, b), (c, d))
     # the model's value reduced by polynomial gcds, as it is when a
     # parametric operand takes part
-    reference = _reduce(*_poly_parts(*want), _R0)
+    reference = _reference(*_poly_parts(*want), _R0)
     _check_against_reference(apply(x, y), reference, want)
 
 
@@ -507,7 +550,7 @@ def test_q_sqrt2_powers_match_the_polynomial_path(a, b, e):
     assume(a or b)  # zero has no negative powers
     x = a + b * Scalar.param("s")
     want = _model_pow((a, b), e)
-    _check_against_reference(x**e, _reduce(*_poly_parts(*want), _R0), want)
+    _check_against_reference(x**e, _reference(*_poly_parts(*want), _R0), want)
 
 
 def _held_as_ints(x: Scalar) -> bool:
@@ -534,12 +577,29 @@ def test_q_sqrt2_constants_are_stored_as_ints():
 # ---------------------------------------------------------------- Henrici's rule
 
 
-def _full_gcd(symbol: str, x: Scalar, y: Scalar) -> Scalar:
-    # x op y from the full cross products, reduced by one gcd of all of them
-    (a1, b1, d1), (a2, b2, d2), R = _unify(x, -y if symbol == "-" else y)
+def _full_gcd(symbol: str, x: Scalar, y) -> Scalar:
+    # x op y from the full cross products, reduced by one gcd of all of them;
+    # for "**", y is an int exponent
+    if symbol == "**":
+        R = _common_ring(x)
+        a, b, d = _over(x, R)
+        num = (R(1), R(0))
+        for _ in range(abs(y)):
+            num = _product(*num, a, b)
+        a, b = num
+        d = d ** abs(y)
+        if y >= 0:
+            return _reference(a, b, d, R)
+        # d^k/(a + b*s) = d^k (a - b*s)/(a^2 - 2 b^2)
+        return _reference(d * a, -d * b, a * a - 2 * b * b, R)
+    R = _common_ring(x, y)
+    (a1, b1, d1), (a2, b2, d2) = _over(x, R), _over(-y if symbol == "-" else y, R)
     if symbol == "*":
-        return _reduce(*_times(a1, b1, a2, b2), d1 * d2, R)
-    return _reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2, R)
+        return _reference(*_product(a1, b1, a2, b2), d1 * d2, R)
+    if symbol == "/":
+        a, b = _product(a1 * d2, b1 * d2, a2, -b2)
+        return _reference(a, b, d1 * (a2 * a2 - 2 * b2 * b2), R)
+    return _reference(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2, R)
 
 
 def _check_canonical(got: Scalar, reference: Scalar):
@@ -635,8 +695,78 @@ def operand_pairs(draw):
     return x, z
 
 
-@given(st.sampled_from("+-*"), operand_pairs())
-@settings(max_examples=300, deadline=None)
+@given(st.sampled_from("+-*/"), operand_pairs())
+@settings(max_examples=400, deadline=None)
 def test_sums_and_products_match_the_full_gcd_reference(symbol, pair):
     x, y = pair
+    assume(symbol != "/" or y)
     _check_canonical(OPERATORS[symbol][0](x, y), _full_gcd(symbol, x, y))
+
+
+@given(operand_pairs(), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_powers_match_the_full_gcd_reference(pair, e):
+    x = pair[0]
+    assume(x or e >= 0)
+    _check_canonical(x**e, _full_gcd("**", x, e))
+
+
+# ---------------------------------------------------------------- ring moves
+
+MOVE_NAMES = ("a", "lambda", "m", "psi11", "psi12", "psi2", "x", "y")
+
+
+@st.composite
+def polys_over_names(draw):
+    """A polynomial over the ring of a sorted subset of MOVE_NAMES."""
+    names = tuple(sorted(draw(st.sets(st.sampled_from(MOVE_NAMES), min_size=1))))
+    R = _ring_for(names)
+    monoms = st.tuples(*[st.integers(0, 3)] * len(names))
+    terms = draw(st.dictionaries(monoms, st.integers(-9, 9).filter(bool), max_size=5))
+    return R.from_dict(terms)
+
+
+def _check_move(move, p, R):
+    got = move(p, R)
+    assert got.ring is R
+    assert dict(got) == dict(p.set_ring(R))
+
+
+@given(polys_over_names(), st.sets(st.sampled_from(MOVE_NAMES)))
+@settings(max_examples=200, deadline=None)
+def test_a_ring_move_matches_sympy(p, extra):
+    names = p.ring._scalar_names
+    occurring = tuple(n for i, n in enumerate(names) if any(m[i] for m in p.itermonoms()))
+    for target in (tuple(sorted(set(names) | extra)), occurring, names):
+        _check_move(_move, p, _ring_for(target))
+
+
+def _move_by_position(p, R):
+    # wrong on purpose: the i-th exponent goes to R's i-th name, whatever its name
+    n = len(R._scalar_names)
+    return R.zero.new({(m + (0,) * n)[:n]: c for m, c in p.items()})
+
+
+def test_a_move_by_position_fails_the_check():
+    p = _ring_for(("psi12",)).gens[0]
+    R = _ring_for(("lambda", "psi12"))
+    _check_move(_move, p, R)
+    with pytest.raises(AssertionError):
+        _check_move(_move_by_position, p, R)
+
+
+def test_a_validate_pass_reorders_no_ring_and_divides_little(monkeypatch, full_validation):
+    # work counts of one warmed self_validate pass: values move between rings
+    # by name, and the gcds' cofactors stand in for exact divisions
+    calls = dict.fromkeys(("set_ring", "exquo"), 0)
+    for name in calls:
+        method = getattr(PolyElement, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(PolyElement, name, counted)
+    catalog.self_validate()
+    assert calls["set_ring"] == 0
+    assert calls["exquo"] < 300
