@@ -5,10 +5,12 @@ expected curvature data.
 Each entry is one JSON file, ``data/<name>.json``: the algebra, its forms
 and its structures, and under each structure the curvature it must
 reproduce (``expected``).  The environment variable NILKAEHLER_CATALOG
-points the loader at an alternate directory of such files.  Loading only
-parses; ``self_validate`` recomputes the mathematics and returns a report
-instead of raising, so a broken data file is a reported failure, not an
-import error.
+points the loader at an alternate directory of such files.  Each fact is
+stored once: an entry's name, whether a form admits J, a structure's
+parameters and its form's side conditions are derived, and a file that
+stores them does not load.  Loading only parses; ``self_validate``
+recomputes the mathematics and returns a report instead of raising, so a
+broken data file is a reported failure, not an import error.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class Expectation:
 
     up_components: Mapping[Idx4, str]
     down_components: Mapping[Idx4, str]
-    flat: bool
     metric: MetricExpectation | None
 
 
@@ -119,7 +120,14 @@ def _components(records) -> dict[tuple[int, ...], str]:
     return table
 
 
+def _not_stored(record, key: str) -> None:
+    # a key the loader derives is refused, so no stale copy of it is read
+    if key in record:
+        raise ValueError(f"the key {key!r} is derived when loading and must not be stored")
+
+
 def _expectation(obj) -> Expectation:
+    _not_stored(obj, "flat")
     metric = None
     if "metric" in obj:
         entries = _components(obj["metric"]["entries"])
@@ -130,59 +138,77 @@ def _expectation(obj) -> Expectation:
             binding=ParamBinding(obj["metric"]["binding"]),
             entries=entries,
         )
-    if not isinstance(obj["flat"], bool):
-        raise ValueError(f"flat must be true or false, not {obj['flat']!r}")
     return Expectation(
         up_components=_components(obj["up_components"]),
         down_components=_components(obj["down_components"]),
-        flat=obj["flat"],
         metric=metric,
     )
 
 
-def _conditions(texts) -> tuple[str, ...]:
-    """Side conditions as their stored text, each checked to parse to a value
-    in which a parameter occurs."""
+def _conditions(texts, inherited: Sequence[str] = ()) -> tuple[str, ...]:
+    """The side conditions ``inherited`` then ``texts``, as their stored text;
+    each of ``texts`` is checked to parse to a value in which a parameter
+    occurs and which is no earlier condition times a constant."""
     if not isinstance(texts, list):
         raise TypeError(f"side conditions must be a list, not {type(texts).__name__}")
+    seen = {parse_expr(text).primitive_numerator(): f"the form's {text!r}"
+            for text in inherited}
     for text in texts:
         if not isinstance(text, str):
             raise TypeError(f"side condition {text!r} is not a string")
-        if not parse_expr(text).free_params():
+        value = parse_expr(text)
+        if not value.free_params():
             raise ValueError(f"side condition {text!r} is free of parameters")
-    return tuple(texts)
+        key = value.primitive_numerator()
+        if key in seen:
+            raise ValueError(f"side condition {text!r} repeats {seen[key]}")
+        seen[key] = repr(text)
+    return (*inherited, *texts)
 
 
-def _check_form(f: FormEntry, structures: Sequence[StructureEntry]) -> None:
-    # a form admits J exactly when it carries a stored structure
-    if f.admits_J not in ("yes", "no"):
-        raise ValueError(f"form {f.id} has admits_J {f.admits_J!r}, not 'yes' or 'no'")
-    carried = [s.id for s in structures if s.form_id == f.id]
-    if f.admits_J == "no" and carried:
-        raise ValueError(f"form {f.id} admits no J but carries the structure {carried[0]}")
-    if f.admits_J == "yes" and not carried:
-        raise ValueError(f"form {f.id} admits J but carries no structure")
+def _form(obj, carried: set[str]) -> FormEntry:
+    # a form admits J exactly when a stored structure rides on it
+    _not_stored(obj, "admits_J")
+    return FormEntry(
+        id=obj["id"],
+        form=TwoForm.from_json_dict(obj["form"]),
+        admits_J="yes" if obj["id"] in carried else "no",
+        side_conditions=_conditions(obj["side_conditions"]),
+    )
 
 
-def _check_params(s: StructureEntry, f: FormEntry) -> None:
-    # the stored params (each once) and canonical binding name exactly the
-    # free parameters of J and its form; each side condition is in those
-    # parameters and does not vanish at that binding
-    params = sorted(s.J.free_params() | f.form.free_params())
-    if sorted(s.params) != params:
-        raise ValueError(
-            f"structure {s.id} lists the parameters {list(s.params)}, not {params}")
-    if sorted(s.canonical_binding) != params:
-        raise ValueError(f"structure {s.id} has a canonical binding of"
-                         f" {sorted(s.canonical_binding)}, not of {params}")
-    for text in s.side_conditions + f.side_conditions:
+def _structure(obj, forms: Mapping[str, FormEntry]) -> StructureEntry:
+    # the parameters are those of J and its form, each bound by the canonical
+    # binding; the form's side conditions come first, and none is in another
+    # parameter or vanishes at that binding
+    _not_stored(obj, "params")
+    sid, J = obj["id"], Endomorphism.from_json_dict(obj["J"])
+    f = forms.get(obj["form"])
+    if f is None:
+        raise ValueError(f"structure {sid} is on the unknown form {obj['form']!r}")
+    params = sorted(J.free_params() | f.form.free_params())
+    binding = ParamBinding(obj["canonical_binding"])
+    if sorted(binding) != params:
+        raise ValueError(f"structure {sid} has a canonical binding of"
+                         f" {sorted(binding)}, not of {params}")
+    conditions = _conditions(obj["side_conditions"], f.side_conditions)
+    for text in conditions:
         value = parse_expr(text)
         if not value.free_params() <= set(params):
-            raise ValueError(f"side condition {text!r} of structure {s.id}"
+            raise ValueError(f"side condition {text!r} of structure {sid}"
                              f" is not in its parameters {params}")
-        if value.substitute(s.canonical_binding).is_zero():
+        if value.substitute(binding).is_zero():
             raise ValueError(f"side condition {text!r} vanishes at the canonical"
-                             f" binding of structure {s.id}")
+                             f" binding of structure {sid}")
+    return StructureEntry(
+        id=sid,
+        form_id=f.id,
+        J=J,
+        params=tuple(params),
+        side_conditions=conditions,
+        canonical_binding=binding,
+        expected=_expectation(obj["expected"]),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -193,43 +219,21 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
         except json.JSONDecodeError as exc:
             raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
     try:
-        forms = tuple(
-            FormEntry(
-                id=f["id"],
-                form=TwoForm.from_json_dict(f["form"]),
-                admits_J=f["admits_J"],
-                side_conditions=_conditions(f["side_conditions"]),
-            )
-            for f in obj["forms"]
-        )
-        structures = tuple(
-            StructureEntry(
-                id=s["id"],
-                form_id=s["form"],
-                J=Endomorphism.from_json_dict(s["J"]),
-                params=tuple(s["params"]),
-                side_conditions=_conditions(s["side_conditions"]),
-                canonical_binding=ParamBinding(s["canonical_binding"]),
-                expected=_expectation(s["expected"]),
-            )
-            for s in obj["structures"]
-        )
+        _not_stored(obj, "name")
+        carried = {s["form"] for s in obj["structures"]}
+        forms = tuple(_form(f, carried) for f in obj["forms"])
+        form_by_id = {f.id: f for f in forms}
+        structures = tuple(_structure(s, form_by_id) for s in obj["structures"])
         algebra = LieAlgebra.from_json_dict(obj["algebra"])
         linalg.require_bound([algebra.constants.values()])  # the series need numbers
-        form_by_id = {f.id: f for f in forms}
         for f in forms:
             if f.form.dim != algebra.dim:
                 raise ValueError(f"form {f.id} has dimension {f.form.dim}, not {algebra.dim}")
         for s in structures:
-            if s.form_id not in form_by_id:
-                raise ValueError(f"structure {s.id} is on the unknown form {s.form_id!r}")
             if s.J.dim != algebra.dim:
                 raise ValueError(f"structure {s.id} has dimension {s.J.dim}, not {algebra.dim}")
-            _check_params(s, form_by_id[s.form_id])
-        for f in forms:
-            _check_form(f, structures)
         return CatalogEntry(
-            name=obj["name"],
+            name=name,
             algebra=algebra,
             forms=forms,
             structures=structures,
@@ -291,14 +295,6 @@ def _components_match(
     return set(got) == set(want) and all(str(got[idx]) == txt for idx, txt in want.items())
 
 
-def _indefinite(metric: geometry.Metric, binding: ParamBinding) -> bool:
-    try:
-        p, q = geometry.signature(metric, binding)
-    except (ValueError, ZeroDivisionError):  # a free parameter, a pole or a singular g
-        return False
-    return p > 0 and q > 0
-
-
 def _validate_structure(
     entry: CatalogEntry, s: StructureEntry
 ) -> list[tuple[str, bool]]:
@@ -316,8 +312,10 @@ def _validate_structure(
     curv = geometry.curvature(entry.algebra, gamma, metric)
     checks.append((f"{s.id} ricci zero", linalg.is_zero_matrix(curv.ricci)))
     checks.append((f"{s.id} norm zero", curv.norm.is_zero()))
-    checks.append((f"{s.id} indefinite at canonical binding",
-                   _indefinite(metric, s.canonical_binding)))
+    # g is nondegenerate, so a nonzero isotropic vector makes it indefinite
+    # at every binding where the family is defined
+    checks.append((f"{s.id} indefinite (e_k isotropic)",
+                   any(metric.g[k][k].is_zero() for k in range(metric.dim))))
     checks.append((f"{s.id} torsion free", geometry.is_torsion_free(entry.algebra, gamma)))
     checks.append((f"{s.id} first bianchi", geometry.first_bianchi_holds(curv)))
     checks.append((f"{s.id} pair symmetric", geometry.pair_symmetric(curv)))
@@ -333,8 +331,6 @@ def _validate_structure(
     checks.append(
         (f"{s.id} down components",
          _components_match(got_down, exp.down_components)))
-    if exp.flat:
-        checks.append((f"{s.id} flat", curv.is_flat()))
     if exp.metric is not None:
         n = entry.algebra.dim
         try:

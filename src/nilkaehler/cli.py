@@ -152,7 +152,8 @@ def _expectation_lines(
 
     A down component reads "matched" when its stored text is the computed
     value's canonical text, else the computed value; a computed component
-    the data lacks is listed too.
+    the data lacks is listed too.  Two empty tables claim R = 0, whose
+    verdict is that of the up components.
     Claims of a structure whose residual checks failed are "not checked".
     """
     down_ok = passed.get(f"{s.id} down components")
@@ -172,8 +173,8 @@ def _expectation_lines(
         lines.append(f"       {s.id} {_form_idx(idx)} = {txt}: {verdict}")
     for idx in sorted(set(got) - set(s.expected.down_components)):
         lines.append(f"       {s.id} {_form_idx(idx)} = {got[idx]}: not in the data")
-    if s.expected.flat:
-        flat = passed.get(f"{s.id} flat")
+    if not s.expected.up_components and not s.expected.down_components:
+        flat = passed.get(f"{s.id} up components")
         verdict = "not checked" if flat is None else "matched" if flat else "not matched"
         lines.append(f"       {s.id} curvature identically zero: {verdict}")
     return lines

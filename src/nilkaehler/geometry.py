@@ -63,9 +63,6 @@ class Curvature:
     def down_component(self, i: int, j: int, k: int, l: int) -> Scalar:
         return self.down.get((i, j, k, l), ZERO)
 
-    def is_flat(self) -> bool:
-        return not self.up
-
 
 _PAIR_ERRORS = {  # the conditions of pair_metric, in the order it names them
     "compatibility": "omega(X, JY) is not symmetric: the pair is not compatible",
@@ -92,8 +89,12 @@ def pair_metric(w: TwoForm, J: Endomorphism) -> tuple[tuple[str, ...], Metric | 
         failed.append("almost_complex")
     if failed:
         return tuple(failed), None
-    g_inv = linalg.mat_scale(-1, linalg.mat_mul(linalg.transpose(J.rows), w_inv))
-    return (), Metric(g=linalg.mat_scale(-1, p), g_inv=g_inv)  # -P = -P^T, P symmetric
+    g_inv = linalg.mat_mul(linalg.transpose(J.rows), w_inv)
+    return (), Metric(g=_negated(p), g_inv=_negated(g_inv))  # -P = -P^T, P symmetric
+
+
+def _negated(m: linalg.Matrix) -> linalg.Matrix:
+    return tuple(tuple(-x for x in row) for row in m)
 
 
 def associated_metric(w: TwoForm, J: Endomorphism) -> Metric:

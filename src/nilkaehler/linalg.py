@@ -62,11 +62,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c: ScalarLike, m: Matrix) -> Matrix:
-    c = as_scalar(c)
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(

@@ -136,7 +136,7 @@ def test_1_curvature_regressions(curvatures):
     for (name, sid), (_, _, curv) in curvatures.items():
         seen.add((name, sid))
         if (name, sid) in FLAT:
-            if not curv.is_flat():
+            if curv.up:
                 failures.append(f"{name} {sid} expected R == 0")
             continue
         want = REGRESSIONS.get((name, sid))
@@ -299,7 +299,7 @@ def test_6_parameter_independence(curvatures):
             params |= c.free_params()
     if params != {"psi11", "psi12", "psi41", "psi42", "psi51", "psi61"}:
         failures.append(f"g14 family parameters drifted: {sorted(params)}")
-    if not curv14.is_flat():
+    if curv14.up:
         failures.append("g14 J1 curvature not identically zero")
 
     _, _, curv12 = curvatures["g12", "J2"]
@@ -393,7 +393,7 @@ def test_9_indefinite_signature(full_validation):
     verdicts = _verdicts(full_validation)
     for name in catalog.NAMES:
         for s in catalog.get(name).structures:
-            if not verdicts.get(f"{name}: {s.id} indefinite at canonical binding"):
+            if not verdicts.get(f"{name}: {s.id} indefinite (e_k isotropic)"):
                 failures.append(f"{name} {s.id} metric not indefinite")
     assert not failures, _line("9 indefinite signature", failures)
     _line("9 indefinite signature", failures)

@@ -10,7 +10,7 @@ from nilkaehler import catalog, geometry, linalg
 from nilkaehler.catalog import (
     CatalogEntry, Expectation, FormEntry, StructureEntry, get, validate_entry)
 from nilkaehler.liealg import LieAlgebra
-from nilkaehler.scalar import ONE, ZERO, ParamBinding, parse_expr
+from nilkaehler.scalar import ONE, ZERO, ParamBinding, Scalar, parse_expr
 from nilkaehler.tensors import Endomorphism, TwoForm
 
 
@@ -89,7 +89,8 @@ class TestLoading:
 
 
 class TestMetadata:
-    """The stored parameters, bindings and side conditions agree with J and the form."""
+    """The derived parameters and side conditions, and the stored bindings,
+    agree with J and the form."""
 
     @pytest.mark.parametrize(
         "name,sid", [(n, s.id) for n in catalog.NAMES for s in get(n).structures])
@@ -97,10 +98,12 @@ class TestMetadata:
         entry = get(name)
         s = entry.structure(sid)
         f = entry.form(s.form_id)
-        params = s.J.free_params() | f.form.free_params()
-        assert len(s.params) == len(set(s.params)) and set(s.params) == params
-        assert set(s.canonical_binding) == params
-        for cond in s.side_conditions + f.side_conditions:
+        assert s.params == tuple(sorted(s.J.free_params() | f.form.free_params()))
+        assert sorted(s.canonical_binding) == list(s.params)
+        assert s.side_conditions[:len(f.side_conditions)] == f.side_conditions
+        numerators = [parse_expr(cond).primitive_numerator() for cond in s.side_conditions]
+        assert len(set(numerators)) == len(numerators)
+        for cond in s.side_conditions:
             value = parse_expr(cond)
             assert value.free_params(), cond
             assert not value.substitute(s.canonical_binding).is_zero(), cond
@@ -122,6 +125,11 @@ class TestAdmitsFlags:
             e = get(name)
             assert e.form(fid).admits_J == "no"
             assert all(s.form_id != fid for s in e.structures)
+
+    def test_a_form_admits_J_when_a_structure_rides_on_it(self, tmp_path, monkeypatch):
+        _edited_catalog(tmp_path, monkeypatch, "g21", lambda obj: obj.__setitem__(
+            "structures", []))
+        assert [f.admits_J for f in get("g21").forms] == ["no", "no"]
 
     def test_yes_forms_carry_a_structure(self):
         for name in catalog.NAMES:
@@ -160,7 +168,7 @@ J_STD = Endomorphism([  # J e1 = e2, J e3 = e4, J e5 = e6
 def _entry(algebra, form, J=None):
     """An unstored entry with the form w1 and, given J, the structure J1 on it,
     expected flat."""
-    flat = Expectation(up_components={}, down_components={}, flat=True, metric=None)
+    flat = Expectation(up_components={}, down_components={}, metric=None)
     structures = () if J is None else (
         StructureEntry("J1", "w1", J, (), (), ParamBinding({}), flat),)
     return CatalogEntry("x", algebra, (FormEntry("w1", form, "yes", ()),), structures, "")
@@ -202,7 +210,7 @@ class TestClaimChecks:
 
     @pytest.mark.parametrize(
         "claim,count",
-        [("indefinite at canonical binding", 19), ("torsion free", 19),
+        [("indefinite (e_k isotropic)", 19), ("torsion free", 19),
          ("first bianchi", 19), ("pair symmetric", 19), ("omega(C1, Z) = 0", 24)])
     def test_reported_everywhere(self, full_validation, claim, count):
         verdicts = [passed for e in full_validation.entries
@@ -210,20 +218,39 @@ class TestClaimChecks:
         assert verdicts == [True] * count
 
     def test_report_size(self, full_validation):
-        assert sum(len(e.checks) for e in full_validation.entries) == 330
+        assert sum(len(e.checks) for e in full_validation.entries) == 328
 
     def test_a_definite_metric_is_not_indefinite(self):
         # the flat Kaehler torus: g = omega(X, JY) is the identity
         checks = dict(validate_entry(_entry(LieAlgebra(6, {}), W_STD, J_STD)).checks)
         assert checks["J1 ricci zero"] and checks["J1 torsion free"]
-        assert checks["J1 indefinite at canonical binding"] is False
+        assert checks["J1 indefinite (e_k isotropic)"] is False
 
-    def test_a_binding_that_leaves_a_parameter_free_is_not_indefinite(self):
-        # the loader refuses such a binding, so build the entry in memory
-        entry = get("g21")
-        partial = replace(entry.structures[0], canonical_binding=ParamBinding({"psi11": 0}))
-        report = validate_entry(replace(entry, structures=(partial,)))
-        assert report.failures() == ["J1 indefinite at canonical binding"]
+    def test_an_indefinite_metric_without_an_isotropic_basis_vector_fails(self):
+        # g = diag(1, 1, 1, 1, -1, -1) is indefinite, but the check asks for
+        # a witness e_k with g(e_k, e_k) = 0, and this basis has none
+        w = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1), (5, 6, -1)])
+        metric = geometry.associated_metric(w, J_STD)
+        assert geometry.signature(metric) == (4, 2)
+        checks = dict(validate_entry(_entry(LieAlgebra(6, {}), w, J_STD)).checks)
+        assert checks["J1 ricci zero"]
+        assert checks["J1 indefinite (e_k isotropic)"] is False
+
+    def test_a_validate_pass_computes_no_signature(self, monkeypatch, full_validation):
+        # work counts of one warmed pass: the indefinite check reads g's
+        # diagonal, so only the stored metric entries are bound to numbers
+        calls = dict.fromkeys(("symmetric_signature", "substitute"), 0)
+        for owner, name in ((linalg, "symmetric_signature"), (Scalar, "substitute")):
+            method = getattr(owner, name)
+
+            def counted(*args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        catalog.self_validate()
+        assert calls["symmetric_signature"] == 0
+        assert calls["substitute"] <= 320
 
     def test_a_degenerate_form_has_no_curvature_checks(self):
         # the pair passes its residuals, but omega has no inverse, so there is no metric
@@ -380,17 +407,18 @@ class TestMutationControl:
              "side conditions must be a list, not str"),
             (lambda obj: obj["forms"][0].__setitem__("side_conditions", ["psi12 +"]),
              "unexpected end of input (at position 7) in 'psi12 +'"),
-            (lambda obj: obj["forms"][0].__setitem__("admits_J", "No"),
-             "form w1 has admits_J 'No', not 'yes' or 'no'"),
-            (lambda obj: obj["forms"][1].__setitem__("admits_J", "no"),
-             "form w2 admits no J but carries the structure J1"),
-            (lambda obj: obj["forms"][0].__setitem__("admits_J", "yes"),
-             "form w1 admits J but carries no structure"),
-            (lambda obj: obj["structures"][0].__setitem__("params", ["psi11", "psi99"]),
-             "structure J1 lists the parameters ['psi11', 'psi99'], not ['psi11', 'psi12']"),
-            (lambda obj: obj["structures"][0]["params"].append("psi12"),
-             "structure J1 lists the parameters ['psi11', 'psi12', 'psi12'],"
-             " not ['psi11', 'psi12']"),
+            (lambda obj: obj.__setitem__("name", "g24"),
+             "the key 'name' is derived when loading and must not be stored"),
+            (lambda obj: obj["forms"][0].__setitem__("admits_J", "no"),
+             "the key 'admits_J' is derived when loading and must not be stored"),
+            (lambda obj: obj["structures"][0].__setitem__("params", ["psi11", "psi12"]),
+             "the key 'params' is derived when loading and must not be stored"),
+            (lambda obj: obj["structures"][0]["expected"].__setitem__("flat", False),
+             "the key 'flat' is derived when loading and must not be stored"),
+            (lambda obj: obj["forms"][1].__setitem__("side_conditions", ["psi12"]),
+             "side condition 'psi12' repeats the form's 'psi12'"),
+            (lambda obj: obj["structures"][0]["side_conditions"].append("-2*psi12"),
+             "side condition '-2*psi12' repeats 'psi12'"),
             (lambda obj: obj["structures"][0]["canonical_binding"].pop("psi12"),
              "structure J1 has a canonical binding of ['psi11'], not of ['psi11', 'psi12']"),
             (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi99", "2"),
@@ -414,8 +442,9 @@ class TestMutationControl:
              "side-condition-syntax",
              "side-condition-division-by-zero", "side-condition-not-a-string",
              "side-conditions-not-a-list",
-             "form-side-condition-syntax", "admits-J-not-yes-or-no", "no-form-with-J",
-             "yes-form-without-J", "params-not-of-J", "params-repeated",
+             "form-side-condition-syntax", "stored-name", "stored-admits-J",
+             "stored-params", "stored-flat", "side-condition-of-the-form-repeated",
+             "side-condition-repeated",
              "binding-lacks-a-param", "binding-of-an-unknown-param",
              "side-condition-constant", "form-side-condition-constant",
              "side-condition-vanishes-at-binding",
@@ -428,7 +457,8 @@ class TestMutationControl:
 
     @pytest.mark.parametrize(
         "edit,message",
-        [(lambda obj: obj["structures"][0]["expected"].pop("flat"), "lacks the key 'flat'"),
+        [(lambda obj: obj["structures"][0]["expected"].pop("up_components"),
+          "lacks the key 'up_components'"),
          (lambda obj: obj["structures"][0]["expected"]["metric"]["binding"].__setitem__(
              "psi12", "1/0"), "is malformed: psi12=1/0: zero denominator"),
          (lambda obj: obj["structures"][0]["expected"]["metric"]["binding"].__setitem__(
@@ -443,12 +473,10 @@ class TestMutationControl:
           "is malformed: the component [1, 2, 1, 5] is given twice"),
          (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"].append(
              {"idx": [5, 1], "value": "17"}),
-          "is malformed: the metric entry [5, 1] lies below the diagonal"),
-         (lambda obj: obj["structures"][0]["expected"].__setitem__("flat", "false"),
-          "is malformed: flat must be true or false, not 'false'")],
+          "is malformed: the metric entry [5, 1] lies below the diagonal")],
         ids=["missing-key", "metric-binding-division-by-zero", "metric-binding-bool",
              "structure-without-expected", "form-side-conditions-misspelt",
-             "repeated-component", "metric-below-diagonal", "flat-not-a-boolean"],
+             "repeated-component", "metric-below-diagonal"],
     )
     def test_bad_expectation_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         # the failure is the edited entry's alone
@@ -570,7 +598,7 @@ class TestDenominatorsCovered:
             entry = get(name)
             for s in entry.structures:
                 stored = set()
-                for cond in s.side_conditions + entry.form(s.form_id).side_conditions:
+                for cond in s.side_conditions:
                     stored |= set(_factors(parse_expr(cond)._num))
                 metric, gamma, curv = curvatures[name, s.id]
                 values = [x for row in s.J.rows + metric.g_inv for x in row]

@@ -89,6 +89,11 @@ class TestVerify:
         assert "R_{1,2,1,2} = -psi12: matched" in out
         assert "side conditions: psi12 != 0" in out
 
+    def test_verify_g14_reads_its_empty_tables_as_flat(self, capsys):
+        rc, out, _ = invoke(capsys, "verify", "g14")
+        assert rc == 0
+        assert "       J1 curvature identically zero: matched" in out.splitlines()
+
     def test_verify_g16_fails_on_w2_closedness_only(self, capsys):
         rc, out, _ = invoke(capsys, "verify", "g16")
         assert rc == 1
@@ -184,23 +189,36 @@ class TestVerify:
                 "catalog entry g10 lacks the key 'side_conditions'",
                 id="form-side-conditions-misspelt"),
             pytest.param(
-                _g10_text(lambda obj: obj["forms"][0].__setitem__("admits_J", "No")),
-                "catalog entry g10 is malformed: form w1 has admits_J 'No', not 'yes' or 'no'",
-                id="admits-J-not-yes-or-no"),
+                _g10_text(lambda obj: obj.__setitem__("name", "g10")),
+                "catalog entry g10 is malformed: the key 'name' is derived when loading"
+                " and must not be stored",
+                id="stored-name"),
             pytest.param(
-                _g10_text(lambda obj: obj["forms"][0].__setitem__("admits_J", "no")),
-                "catalog entry g10 is malformed: form w1 admits no J but carries the structure J1",
-                id="no-form-with-J"),
-            pytest.param(
-                _g10_text(lambda obj: obj.__setitem__("structures", [])),
-                "catalog entry g10 is malformed: form w1 admits J but carries no structure",
-                id="yes-form-without-J"),
+                _g10_text(lambda obj: obj["forms"][0].__setitem__("admits_J", "yes")),
+                "catalog entry g10 is malformed: the key 'admits_J' is derived when loading"
+                " and must not be stored",
+                id="stored-admits-J"),
             pytest.param(
                 _g10_text(lambda obj: obj["structures"][0].__setitem__(
-                    "params", ["psi11", "psi99"])),
-                "catalog entry g10 is malformed: structure J1 lists the parameters"
-                " ['psi11', 'psi99'], not ['psi11', 'psi12']",
-                id="params-not-of-J"),
+                    "params", ["psi11", "psi12"])),
+                "catalog entry g10 is malformed: the key 'params' is derived when loading"
+                " and must not be stored",
+                id="stored-params"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["expected"].__setitem__(
+                    "flat", False)),
+                "catalog entry g10 is malformed: the key 'flat' is derived when loading"
+                " and must not be stored",
+                id="stored-flat"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"][0].__setitem__("side_conditions", ["psi12"])),
+                "catalog entry g10 is malformed: side condition 'psi12' repeats the form's"
+                " 'psi12'",
+                id="side-condition-of-the-form-repeated"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["side_conditions"].append("psi12")),
+                "catalog entry g10 is malformed: side condition 'psi12' repeats 'psi12'",
+                id="side-condition-repeated"),
             pytest.param(
                 _g10_text(lambda obj: obj["structures"][0]["canonical_binding"].pop("psi11")),
                 "catalog entry g10 is malformed: structure J1 has a canonical binding of"
@@ -244,17 +262,15 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "edit,message",
-        [(lambda exp: exp.pop("flat"), "lacks the key 'flat'"),
+        [(lambda exp: exp.pop("up_components"), "lacks the key 'up_components'"),
          (lambda exp: exp["metric"]["binding"].__setitem__("psi12", "1/0"),
           "is malformed: psi12=1/0: zero denominator"),
          (lambda exp: exp["down_components"].append(dict(exp["down_components"][0])),
           "is malformed: the component [1, 2, 1, 2] is given twice"),
          (lambda exp: exp["metric"]["entries"].append({"idx": [5, 1], "value": "17"}),
-          "is malformed: the metric entry [5, 1] lies below the diagonal"),
-         (lambda exp: exp.__setitem__("flat", "false"),
-          "is malformed: flat must be true or false, not 'false'")],
+          "is malformed: the metric entry [5, 1] lies below the diagonal")],
         ids=["missing-key", "metric-binding-division-by-zero", "repeated-component",
-             "metric-below-diagonal", "flat-not-a-boolean"],
+             "metric-below-diagonal"],
     )
     @pytest.mark.parametrize("argv", [("show", "g21"), ("verify", "g21")], ids=["show", "verify"])
     def test_bad_expectation_is_usage_error(self, capsys, monkeypatch, tmp_path, edit, message, argv):
@@ -268,7 +284,10 @@ class TestVerify:
     @staticmethod
     def _g21_j1_wrong_value(exp):
         exp["down_components"][0]["value"] = "-7*psi12"
-        exp["flat"] = True
+
+    @staticmethod
+    def _g21_j1_claimed_flat(exp):
+        exp["up_components"] = exp["down_components"] = []
 
     @staticmethod
     def _g21_j1_missing_component(exp):
@@ -279,8 +298,12 @@ class TestVerify:
         [
             ("_g21_j1_wrong_value", [
                 "  FAIL J1 down components",
-                "  FAIL J1 flat",
                 "       J1 R_{1,2,1,2} = -7*psi12: computed -psi12",
+            ]),
+            ("_g21_j1_claimed_flat", [
+                "  FAIL J1 up components",
+                "  FAIL J1 down components",
+                "       J1 R_{1,2,1,2} = -psi12: not in the data",
                 "       J1 curvature identically zero: not matched",
             ]),
             ("_g21_j1_missing_component", [
@@ -505,8 +528,8 @@ class TestExport:
     def test_json_round_trips_the_data_file(self, capsys):
         rc, out, _ = invoke(capsys, "export", "g21", "--format", "json")
         assert rc == 0
+        assert out == (DATA / "g21.json").read_text()
         payload = json.loads(out)
-        assert payload["name"] == "g21"
         assert {f["id"] for f in payload["forms"]} == {"w1", "w2"}
         # the curvature each structure must reproduce is in the same file
         assert payload["structures"][0]["expected"]["down_components"] == [
@@ -558,8 +581,8 @@ class TestDegenerateForm:
             ["0", "1", "0", "0", "0", "0"], ["-1", "0", "0", "0", "0", "0"],
             ["0", "0", "0", "1", "0", "0"], ["0", "0", "-1", "0", "0", "0"],
             ["0", "0", "0", "0", "0", "1"], ["0", "0", "0", "0", "-1", "0"]]
-        # a J free of parameters: no params, binding or side conditions
-        obj["structures"][0].update(params=[], canonical_binding={}, side_conditions=[])
+        # a J free of parameters: no binding or side conditions
+        obj["structures"][0].update(canonical_binding={}, side_conditions=[])
         (tmp_path / "g10.json").write_text(json.dumps(obj))
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
         rc, out, err = invoke(capsys, "verify", "g10")

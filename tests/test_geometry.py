@@ -265,7 +265,7 @@ class TestCurvature:
     def test_abelian_flat(self):
         m = associated_metric(W_STD, J_STD)
         curv = curvature(ABELIAN, christoffel(ABELIAN, m), m)
-        assert curv.is_flat()
+        assert curv.up == {}
 
     def test_g16_j0_components(self):
         m, _, curv = full_curvature(G16, W2_G16, J0_G16)
