@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -77,6 +77,11 @@ class StructureEntry:
     def binding(self) -> ParamBinding:
         return self.canonical_binding
 
+    def vanishing(self, binding: ParamBinding) -> str | None:
+        """The first side condition that ``binding`` makes vanish, or None."""
+        return next((text for text in self.side_conditions
+                     if parse_expr(text).substitute(binding).is_zero()), None)
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -91,6 +96,11 @@ class CatalogEntry:
             if f.id == form_id:
                 return f
         raise KeyError(f"entry {self.name} has no form {form_id!r}")
+
+    def only(self, form_id: str) -> CatalogEntry:
+        """This entry restricted to one form and the structures on it."""
+        return replace(self, forms=(self.form(form_id),),
+                       structures=tuple(s for s in self.structures if s.form_id == form_id))
 
     def structure(self, structure_id: str) -> StructureEntry:
         for s in self.structures:
@@ -193,14 +203,10 @@ def _structure(obj, forms: Mapping[str, FormEntry]) -> StructureEntry:
                          f" {sorted(binding)}, not of {params}")
     conditions = _conditions(obj["side_conditions"], f.side_conditions)
     for text in conditions:
-        value = parse_expr(text)
-        if not value.free_params() <= set(params):
+        if not parse_expr(text).free_params() <= set(params):
             raise ValueError(f"side condition {text!r} of structure {sid}"
                              f" is not in its parameters {params}")
-        if value.substitute(binding).is_zero():
-            raise ValueError(f"side condition {text!r} vanishes at the canonical"
-                             f" binding of structure {sid}")
-    return StructureEntry(
+    s = StructureEntry(
         id=sid,
         form_id=f.id,
         J=J,
@@ -209,6 +215,20 @@ def _structure(obj, forms: Mapping[str, FormEntry]) -> StructureEntry:
         canonical_binding=binding,
         expected=_expectation(obj["expected"]),
     )
+    vanishing = s.vanishing(binding)
+    if vanishing is not None:
+        raise ValueError(f"side condition {vanishing!r} vanishes at the canonical"
+                         f" binding of structure {sid}")
+    return s
+
+
+def _by_id(kind: str, items) -> dict:
+    table = {}
+    for x in items:
+        if x.id in table:
+            raise ValueError(f"the {kind} id {x.id!r} is repeated")
+        table[x.id] = x
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +242,9 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
         _not_stored(obj, "name")
         carried = {s["form"] for s in obj["structures"]}
         forms = tuple(_form(f, carried) for f in obj["forms"])
-        form_by_id = {f.id: f for f in forms}
+        form_by_id = _by_id("form", forms)
         structures = tuple(_structure(s, form_by_id) for s in obj["structures"])
+        _by_id("structure", structures)
         algebra = LieAlgebra.from_json_dict(obj["algebra"])
         linalg.require_bound([algebra.constants.values()])  # the series need numbers
         for f in forms:

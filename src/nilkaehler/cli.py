@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import catalog, geometry, solver, tensors
 from .liealg import LieAlgebra
-from .scalar import ZERO, ParamBinding, parse_expr
+from .scalar import ZERO, ParamBinding
 from .tensors import TwoForm
 
 
@@ -45,9 +45,11 @@ def latex_matrix(rows) -> str:
 # -- shared helpers -------------------------------------------------------
 
 
-def _entry(name: str) -> catalog.CatalogEntry:
+def _entry(name: str, form_id: str | None = None) -> catalog.CatalogEntry:
+    """The catalog entry ``name``, restricted to ``form_id`` when one is given."""
     try:
-        return catalog.get(name)
+        e = catalog.get(name)
+        return e if form_id is None else e.only(form_id)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
     except OSError as exc:
@@ -78,13 +80,6 @@ def _parse_binding(pairs: list[str], allowed: frozenset[str]) -> ParamBinding:
     return ParamBinding(values)
 
 
-def _check_side_conditions(conditions: tuple[str, ...], binding: ParamBinding) -> None:
-    """Raise UsageError when the binding makes a stored condition vanish."""
-    for cond in conditions:
-        if parse_expr(cond).substitute(binding).is_zero():
-            raise UsageError(f"binding violates side condition {cond} != 0")
-
-
 def _full_curvature(
     e: catalog.CatalogEntry, s: catalog.StructureEntry, binding: ParamBinding | None = None
 ):
@@ -109,6 +104,10 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _nonzero(conditions) -> str:
+    return ", ".join(f"{c} != 0" for c in conditions)
+
+
 def _form_idx(idx) -> str:
     i, j, k, l = idx
     return f"R_{{{i},{j},{k},{l}}}"
@@ -128,18 +127,18 @@ def cmd_show(args) -> int:
     print(f"{e.name}  type {e.algebra_type}")
     print("brackets:")
     for b in e.algebra.to_json_dict()["brackets"]:
-        coeff = "" if b["c"] == "1" else f"{b['c']}*"
+        coeff = {"1": "", "-1": "-"}.get(b["c"], f"{b['c']}*")
         print(f"  [e{b['i']}, e{b['j']}] = {coeff}e{b['k']}")
     print("forms:")
     for f in e.forms:
         terms = ", ".join(
             f"({t['i']},{t['j']}): {t['c']}" for t in f.form.to_json_dict()["terms"]
         )
-        extra = f"  side: {', '.join(f.side_conditions)}" if f.side_conditions else ""
+        extra = f"  side: {_nonzero(f.side_conditions)}" if f.side_conditions else ""
         print(f"  {f.id} admits_J={f.admits_J}  [{terms}]{extra}")
     print("structures:")
     for s in e.structures:
-        side = ", ".join(f"{c} != 0" for c in s.side_conditions) or "none"
+        side = _nonzero(s.side_conditions) or "none"
         print(f"  {s.id} on {s.form_id}  params: {', '.join(s.params) or 'none'}  side: {side}")
     print(f"notes: {e.notes}")
     return 0
@@ -180,29 +179,15 @@ def _expectation_lines(
     return lines
 
 
-def _verify_entry(e: catalog.CatalogEntry, form_id: str | None) -> tuple[int, list[str]]:
+def _verify_entry(e: catalog.CatalogEntry) -> tuple[int, list[str]]:
     validation = catalog.validate_entry(e)
-    keep_ids = None
-    if form_id is not None:
-        e.form(form_id)  # raises KeyError for unknown ids
-        keep_ids = {form_id} | {s.id for s in e.structures if s.form_id == form_id}
-    lines = []
-    failed = 0
-    for label, ok in validation.checks:
-        head = label.split(" ", 1)[0]
-        if keep_ids is not None and head != "jacobi" and head not in keep_ids:
-            continue
-        lines.append(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failed += 0 if ok else 1
+    passed = dict(validation.checks)
+    lines = [f"  {'ok  ' if ok else 'FAIL'} {label}" for label, ok in validation.checks]
     for s in e.structures:
-        if keep_ids is not None and s.id not in keep_ids:
-            continue
-        lines.extend(_expectation_lines(e, s, dict(validation.checks)))
+        lines.extend(_expectation_lines(e, s, passed))
         if s.side_conditions:
-            lines.append(
-                "       " + s.id + " side conditions: "
-                + ", ".join(f"{c} != 0" for c in s.side_conditions))
-    return failed, lines
+            lines.append(f"       {s.id} side conditions: {_nonzero(s.side_conditions)}")
+    return len(validation.failures()), lines
 
 
 def cmd_verify(args) -> int:
@@ -210,11 +195,7 @@ def cmd_verify(args) -> int:
         raise UsageError("verify takes an entry name, optionally with --form, or --all alone")
     total_failed = 0
     for name in catalog.NAMES if args.all else [args.name]:
-        e = _entry(name)
-        try:
-            failed, lines = _verify_entry(e, args.form)
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0])) from exc
+        failed, lines = _verify_entry(_entry(name, args.form))
         plural = "s" if failed != 1 else ""
         status = "pass" if failed == 0 else f"FAIL ({failed} check{plural})"
         print(f"{name}: {status}")
@@ -225,28 +206,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    e = _entry(args.name)
-    try:
-        fe = e.form(args.form)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
-    structures = [s for s in e.structures if s.form_id == fe.id]
-    if args.structure is not None:
-        structures = [s for s in structures if s.id == args.structure]
-        if not structures:
-            raise UsageError(f"no structure {args.structure!r} on {e.name}/{fe.id}")
+    e = _entry(args.name, args.form)
+    structures = [s for s in e.structures if args.structure in (None, s.id)]
+    if args.structure is not None and not structures:
+        raise UsageError(f"no structure {args.structure!r} on {e.name}/{args.form}")
     if not structures:
-        raise UsageError(f"{e.name}/{fe.id} carries no verified structure")
+        raise UsageError(f"{e.name}/{args.form} carries no verified structure")
     reports = []
     for s in structures:
         binding = _parse_binding(args.bind, frozenset(s.params))
-        _check_side_conditions(s.side_conditions, binding)
+        vanishing = s.vanishing(binding)
+        if vanishing is not None:
+            raise UsageError(f"binding violates side condition {vanishing} != 0")
         _, _, curv = _full_curvature(e, s, binding)
         report = geometry.curvature_report(curv)
         if binding:
             report["binding"] = {k: str(v) for k, v in sorted(binding.items())}
         report["entry"] = e.name
-        report["form"] = fe.id
+        report["form"] = args.form
         report["structure"] = s.id
         report["side_conditions"] = list(s.side_conditions)
         reports.append(report)

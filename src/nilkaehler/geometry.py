@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import liealg, linalg
 from .liealg import LieAlgebra, Vector
 from .linalg import Components, _accumulate, compose, contract, transform
-from .scalar import ZERO, ParamBinding, Scalar
+from .scalar import ZERO, Scalar
 from .tensors import Endomorphism, TwoForm, almost_complex_residual
 
 _HALF = Scalar.from_fraction(Fraction(1, 2))
@@ -233,16 +233,13 @@ def pair_symmetric(curv: Curvature) -> bool:
     return all(curv.down_component(k, l, i, j) == v for (i, j, k, l), v in curv.down.items())
 
 
-def signature(metric: Metric | linalg.Matrix, binding: ParamBinding | Mapping | None = None) -> tuple[int, int]:
-    """Sylvester signature (positives, negatives) at an exact rational binding.
+def signature(metric: Metric) -> tuple[int, int]:
+    """Sylvester signature (positives, negatives) of g.
 
     Exact over Q(sqrt 2): entries may contain the reserved ``s``.  Every
     parameter must be bound; a free one raises ValueError.
     """
-    rows = metric.g if isinstance(metric, Metric) else linalg.as_matrix(metric)
-    if binding:
-        rows = tuple(tuple(x.substitute(binding) for x in row) for row in rows)
-    return linalg.symmetric_signature(rows)
+    return linalg.symmetric_signature(metric.g)
 
 
 # -- adapted-splitting checks -------------------------------------------------

@@ -704,12 +704,12 @@ class _Tokenizer:
             return ("end", "", self.pos)
         start = self.pos
         ch = text[start]
-        if ch.isdigit():
-            while self.pos < n and text[self.pos].isdigit():
+        if ch.isdecimal():
+            while self.pos < n and text[self.pos].isdecimal():
                 self.pos += 1
             return ("int", text[start : self.pos], start)
-        if ch.isalpha() or ch == "_":
-            while self.pos < n and (text[self.pos].isalnum() or text[self.pos] == "_"):
+        if ch.isidentifier():  # a name is a Python identifier: a superscript digit ends it
+            while self.pos < n and ("_" + text[self.pos]).isidentifier():
                 self.pos += 1
             return ("ident", text[start : self.pos], start)
         if ch in "+-*/^()":

@@ -435,6 +435,10 @@ class TestMutationControl:
             (lambda obj: obj["structures"][0]["side_conditions"].append("psi99"),
              "side condition 'psi99' of structure J1 is not in its parameters"
              " ['psi11', 'psi12']"),
+            (lambda obj: obj["forms"][0].__setitem__("id", "w2"),
+             "the form id 'w2' is repeated"),
+            (lambda obj: obj["structures"].append(dict(obj["structures"][0])),
+             "the structure id 'J1' is repeated"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
@@ -448,7 +452,8 @@ class TestMutationControl:
              "binding-lacks-a-param", "binding-of-an-unknown-param",
              "side-condition-constant", "form-side-condition-constant",
              "side-condition-vanishes-at-binding",
-             "form-side-condition-vanishes-at-binding", "side-condition-of-another-param"],
+             "form-side-condition-vanishes-at-binding", "side-condition-of-another-param",
+             "form-id-repeated", "structure-id-repeated"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from nilkaehler import catalog
+from nilkaehler import catalog, solver
 from nilkaehler.cli import run
 from nilkaehler.scalar import parse_expr
 
@@ -75,6 +75,27 @@ class TestShow:
         assert "w1 admits_J=no" in out
         assert "J1 on w2" in out
 
+    @pytest.mark.parametrize("name,line", [
+        ("g12", "  [e2, e3] = -e6"),
+        ("g13", "  [e2, e3] = -e6"),
+        ("g16", "  [e2, e3] = -e6"),
+        ("g23", "  [e1, e3] = -e5"),
+    ])
+    def test_show_prints_a_minus_one_coefficient_as_a_sign(self, capsys, name, line):
+        rc, out, _ = invoke(capsys, "show", name)
+        assert rc == 0
+        assert line in out.splitlines()
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_show_writes_every_condition_as_nonzero(self, capsys, name):
+        rc, out, _ = invoke(capsys, "show", name)
+        assert rc == 0 and "-1*" not in out
+        lines = out.splitlines()
+        for f in catalog.get(name).forms:
+            line, = [ln for ln in lines if ln.startswith(f"  {f.id} admits_J=")]
+            side = ", ".join(f"{c} != 0" for c in f.side_conditions)
+            assert line.endswith(f"  side: {side}" if side else "]")
+
     def test_show_unknown_entry_is_usage_error(self, capsys):
         rc, _, err = invoke(capsys, "show", "g00")
         assert rc == 2
@@ -111,6 +132,39 @@ class TestVerify:
                 cli_status[name] = status.strip().startswith("pass")
         lib_status = {e.name: e.ok for e in full_validation.entries}
         assert cli_status == lib_status
+
+    @pytest.mark.parametrize("name,form_id", [("g16", "w2"), ("g13", "w2"), ("g18", "w3")])
+    def test_verify_form_prints_the_entry_report_of_that_form(self, capsys, name, form_id):
+        # the oracle: `verify <name>` kept to jacobi, the form and the structures on it
+        _, out, _ = invoke(capsys, "verify", name)
+        keep = {"jacobi", form_id} | {
+            s.id for s in catalog.get(name).structures if s.form_id == form_id}
+        lines = []
+        for line in out.splitlines()[1:]:
+            words = line.split()
+            if words[words[0] in ("ok", "FAIL")] in keep:
+                lines.append(line)
+        failed = sum(line.startswith("  FAIL") for line in lines)
+        status = "pass" if not failed else f"FAIL ({failed} check{'s' * (failed != 1)})"
+        rc, form_out, err = invoke(capsys, "verify", name, "--form", form_id)
+        assert (rc, err) == (int(failed > 0), "")
+        assert form_out == "\n".join([f"{name}: {status}", *lines]) + "\n"
+
+    def test_verify_form_validates_only_its_structures(self, capsys, monkeypatch):
+        calls = []
+        verify_family = solver.verify_family
+        monkeypatch.setattr(solver, "verify_family",
+                            lambda *args: calls.append(args) or verify_family(*args))
+        rc, _, _ = invoke(capsys, "verify", "g18", "--form", "w3")
+        assert rc == 0
+        assert len(calls) == 1  # J3; the whole entry has three structures
+
+    def test_unknown_form_is_refused_before_validation(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(catalog, "validate_entry", calls.append)
+        rc, out, err = invoke(capsys, "verify", "g16", "--form", "zz")
+        assert (rc, out, calls) == (2, "", [])
+        assert err == "error: entry g16 has no form 'zz'\n"
 
     @pytest.mark.parametrize("argv", [("--all", "--form", "zz"), ("g21", "--all"), ()])
     def test_ignored_flags_are_usage_errors(self, capsys, argv):
@@ -239,6 +293,14 @@ class TestVerify:
                 "catalog entry g10 is malformed: side condition 'psi99' of structure J1"
                 " is not in its parameters ['psi11', 'psi12']",
                 id="side-condition-of-another-param"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"].append(dict(obj["forms"][0]))),
+                "catalog entry g10 is malformed: the form id 'w1' is repeated",
+                id="form-id-repeated"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"].append(dict(obj["structures"][0]))),
+                "catalog entry g10 is malformed: the structure id 'J1' is repeated",
+                id="structure-id-repeated"),
         ],
     )
     @pytest.mark.parametrize(

@@ -88,12 +88,16 @@ def test_unary_minus_and_powers():
         ("2 @ 3", 2),
         ("", 0),
         ("x (y)", 2),
+        ("x^²", 2),
+        ("²", 0),
+        ("x²+1", 1),
     ],
 )
 def test_syntax_errors_report_position(text, position):
     with pytest.raises(ScalarSyntaxError) as info:
         parse_expr(text)
     assert info.value.position == position
+    assert str(info.value).endswith(f" (at position {position}) in {text!r}")
 
 
 def test_parse_division_by_zero_polynomial():
