@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -277,8 +277,13 @@ def get(name: str) -> CatalogEntry:
 
 @dataclass(frozen=True)
 class EntryValidation:
+    """The checks of one entry, and the nonzero R_ijkl (1-based indices) of
+    each structure whose curvature was computed, by structure id."""
+
     name: str
     checks: tuple[tuple[str, bool], ...]
+    down_components: Mapping[str, Mapping[tuple[int, ...], object]] = field(
+        default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -318,9 +323,11 @@ def _components_match(
 
 def _validate_structure(
     entry: CatalogEntry, s: StructureEntry
-) -> list[tuple[str, bool]]:
+) -> tuple[list[tuple[str, bool]], dict | None]:
     """The residuals of ``s``; when they hold, the paper's claims on its
-    metric, Levi-Civita connection and curvature, and the stored values."""
+    metric, Levi-Civita connection and curvature, and the stored values.
+    Also the computed table of nonzero R_ijkl, or None when the residuals
+    fail."""
     checks: list[tuple[str, bool]] = []
     w = entry.form(s.form_id).form
     report = solver.verify_family(entry.algebra, w, s.J, s.side_conditions)
@@ -328,7 +335,7 @@ def _validate_structure(
         checks.append((f"{s.id} {residual}", residual not in report.failures))
     metric = report.metric
     if not report.ok or metric is None:  # a degenerate form has no metric
-        return checks
+        return checks, None
     gamma = geometry.christoffel(entry.algebra, metric)
     curv = geometry.curvature(entry.algebra, gamma, metric)
     checks.append((f"{s.id} ricci zero", linalg.is_zero_matrix(curv.ricci)))
@@ -362,7 +369,7 @@ def _validate_structure(
         except ZeroDivisionError:  # the binding is a pole of g
             ok = False
         checks.append((f"{s.id} metric", ok))
-    return checks
+    return checks, got_down
 
 
 def validate_entry(entry: CatalogEntry) -> EntryValidation:
@@ -379,9 +386,13 @@ def validate_entry(entry: CatalogEntry) -> EntryValidation:
         checks.append((f"{f.id} nondegenerate", tensors.nondegenerate(f.form)))
         checks.append((f"{f.id} omega(C1, Z) = 0",
                        all(f.form.apply(u, z).is_zero() for u, z in pairs)))
+    down = {}
     for s in entry.structures:
-        checks.extend(_validate_structure(entry, s))
-    return EntryValidation(name=entry.name, checks=tuple(checks))
+        structure_checks, table = _validate_structure(entry, s)
+        checks.extend(structure_checks)
+        if table is not None:
+            down[s.id] = table
+    return EntryValidation(name=entry.name, checks=tuple(checks), down_components=down)
 
 
 def self_validate(names: Sequence[str] | None = None) -> ValidationReport:

@@ -145,9 +145,10 @@ def cmd_show(args) -> int:
 
 
 def _expectation_lines(
-    e: catalog.CatalogEntry, s: catalog.StructureEntry, passed: dict[str, bool]
+    s: catalog.StructureEntry, passed: dict[str, bool], got: dict
 ) -> list[str]:
-    """The stored curvature claims of ``s``, each with its verdict.
+    """The stored curvature claims of ``s``, each with its verdict against
+    ``got``, the computed nonzero R_ijkl.
 
     A down component reads "matched" when its stored text is the computed
     value's canonical text, else the computed value; a computed component
@@ -156,10 +157,6 @@ def _expectation_lines(
     Claims of a structure whose residual checks failed are "not checked".
     """
     down_ok = passed.get(f"{s.id} down components")
-    got = {}
-    if down_ok is False:
-        _, _, curv = _full_curvature(e, s)
-        got = catalog._component_table(geometry.nonzero_down_components(curv))
     lines = []
     for idx, txt in sorted(s.expected.down_components.items()):
         value = got.get(idx, ZERO)
@@ -184,7 +181,7 @@ def _verify_entry(e: catalog.CatalogEntry) -> tuple[int, list[str]]:
     passed = dict(validation.checks)
     lines = [f"  {'ok  ' if ok else 'FAIL'} {label}" for label, ok in validation.checks]
     for s in e.structures:
-        lines.extend(_expectation_lines(e, s, passed))
+        lines.extend(_expectation_lines(s, passed, validation.down_components.get(s.id, {})))
         if s.side_conditions:
             lines.append(f"       {s.id} side conditions: {_nonzero(s.side_conditions)}")
     return len(validation.failures()), lines

@@ -31,12 +31,13 @@ the full gcd: ZZ[params][s] has no unique factorization over the primes of
 ZZ[params], so (x + s)/(x^2 - 2) * (x - s) = 1 cancels a factor that
 neither operand shares with the other's denominator.
 
-Every gcd is taken with sympy's ``cofactors``, which returns h = gcd(f, g)
-together with f/h and g/h (the heuristic gcd computes them on the way), so
-a reduction multiplies cofactors where it would otherwise divide by h.  A
-value moves between parameter rings by name: each name of the target ring
-takes its index in the source ring, or a 0 exponent where the source lacks
-it, in one pass over the monomials.
+The parts are the sparse integer polynomials of ``poly``.  Every gcd is
+taken with its ``cofactors``, which returns h = gcd(f, g) together with f/h
+and g/h (the heuristic gcd GCDHEU computes them on the way), so a reduction
+multiplies cofactors where it would otherwise divide by h.  A value moves
+between parameter rings by name: each name of the target ring takes its
+index in the source ring, or a 0 exponent where the source lacks it, in one
+pass over the monomials.
 
 Equality, hashing and ``is_zero`` are therefore decidable by direct
 comparison of the stored ints or polynomials.  A rational constant hashes
@@ -48,34 +49,22 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Union
 
-from sympy.polys.domains import ZZ
-from sympy.polys.orderings import grlex
-from sympy.polys.rings import ring as _sympy_ring
+from .poly import ring_for
 
 SQRT2_NAME = "s"
 
 ScalarLike = Union["Scalar", int, Fraction, str]
 
 
-@lru_cache(maxsize=None)
-def _ring_for(names: tuple[str, ...]):
-    """Polynomial ring ZZ[names] with graded-lex order; names must be sorted."""
-    R = _sympy_ring(",".join(names), ZZ, grlex)[0]
-    R._scalar_names = names
-    R._scalar_gen_index = {n: i for i, n in enumerate(names)}
-    return R
-
-
-_R0 = _ring_for(())
-_RS = _ring_for((SQRT2_NAME,))
+_R0 = ring_for(())
+_RS = ring_for((SQRT2_NAME,))
 
 
 def _ground(p) -> int:
     # the int value of a constant polynomial, or of the int 0
-    return int(p.LC) if p else 0
+    return p.LC if p else 0
 
 
 def _reduce(a, b, d, R) -> "Scalar":
@@ -115,13 +104,25 @@ def _finish(a, b, d, R) -> "Scalar":
     if d.LC < 0:
         a, b, d = -a, -b, -d
     names = R._scalar_names
-    used = {i for p in (a, b, d) if p for m in p.itermonoms() for i, e in enumerate(m) if e}
-    if not used:
+    missing = _missing((d, a, b), len(names))
+    if len(missing) == len(names):
         return _quadratic(_ground(a), _ground(b), _ground(d))
-    if len(used) < len(names):
-        R = _ring_for(tuple(names[i] for i in sorted(used)))
+    if missing:
+        R = ring_for(tuple(n for i, n in enumerate(names) if i not in missing))
         a, b, d = _move(a, R), b and _move(b, R), _move(d, R)
     return Scalar._new(a, b or 0, d, R)
+
+
+def _missing(parts, n: int) -> list[int]:
+    # the indices of the n variables that occur in none of the parts (which
+    # may be the int 0); the walk stops once every variable has been seen
+    missing = range(n)
+    for p in parts:
+        for m in p or ():
+            missing = [i for i in missing if not m[i]]
+            if not missing:
+                return missing
+    return list(missing)
 
 
 def _rational(n: int, d: int) -> "Scalar":
@@ -155,12 +156,12 @@ def _parts(x: "Scalar", R) -> tuple:
     # (a, b, d) of x = (a + b*s)/d, as ints when R is None and otherwise as
     # polynomials over R (b may be the int 0)
     if x._p is None:
-        return (x._n, 0, x._d) if R is None else (R.ground_new(x._n), 0, R.ground_new(x._d))
+        return (x._n, 0, x._d) if R is None else (R.ground(x._n), 0, R.ground(x._d))
     if x._q is R:
         return x._p
     a, b, d = x._p
     if x._q is None:
-        return R.ground_new(a), R.ground_new(b), R.ground_new(d)
+        return R.ground(a), R.ground(b), R.ground(d)
     return _move(a, R), b and _move(b, R), _move(d, R)
 
 
@@ -170,7 +171,7 @@ def _move(p, R):
     # it, in one pass over p's monomials
     index = p.ring._scalar_gen_index
     at = [index.get(name) for name in R._scalar_names]
-    return R.zero.new({tuple([0 if i is None else m[i] for i in at]): c for m, c in p.items()})
+    return R.poly({tuple([0 if i is None else m[i] for i in at]): c for m, c in p.items()})
 
 
 def _unify(x: "Scalar", y: "Scalar"):
@@ -181,7 +182,7 @@ def _unify(x: "Scalar", y: "Scalar"):
     elif Rx is None:
         R = Ry
     else:
-        R = _ring_for(tuple(sorted(set(Rx._scalar_names) | set(Ry._scalar_names))))
+        R = ring_for(tuple(sorted(set(Rx._scalar_names) | set(Ry._scalar_names))))
     return _parts(x, R), _parts(y, R), R
 
 
@@ -202,10 +203,6 @@ def _pow_sqrt2(a, b, e: int) -> tuple:
         if e:
             a, b = _times(a, b, a, b)
     return ra, rb
-
-
-def _terms(p) -> tuple:
-    return tuple((m, int(c)) for m, c in p.terms())
 
 
 class Scalar:
@@ -252,7 +249,7 @@ class Scalar:
             raise ValueError(f"not a valid parameter name: {name!r}")
         if name == SQRT2_NAME:
             return _SQRT2
-        R = _ring_for((name,))
+        R = ring_for((name,))
         return cls._new(R.gens[0], 0, R.one, R)
 
     # -- inspection ----------------------------------------------------
@@ -261,22 +258,22 @@ class Scalar:
     def _num(self):
         """Numerator polynomial a + b*s; over ZZ[s] and the parameters when b != 0."""
         if self._p is None:
-            return _R0.ground_new(self._n)
+            return _R0.ground(self._n)
         a, b, _ = self._p
         R = self._q
         if not b:
             return a
         if R is None:
-            return _RS.ground_new(a) + _RS.gens[0] * b
-        S = _ring_for(tuple(sorted((*R._scalar_names, SQRT2_NAME))))
+            return _RS.ground(a) + _RS.gens[0] * b
+        S = ring_for(tuple(sorted((*R._scalar_names, SQRT2_NAME))))
         return _move(a, S) + S.gens[S._scalar_gen_index[SQRT2_NAME]] * _move(b, S)
 
     @property
     def _den(self):
         """Denominator polynomial d; built over ZZ for a constant."""
         if self._p is None:
-            return _R0.ground_new(self._d)
-        return _R0.ground_new(self._p[2]) if self._q is None else self._p[2]
+            return _R0.ground(self._d)
+        return _R0.ground(self._p[2]) if self._q is None else self._p[2]
 
     def is_zero(self) -> bool:
         return self._n == 0
@@ -301,7 +298,7 @@ class Scalar:
             c = -c
         R = self._q
         a, b, _ = _parts(self, R)
-        return _reduce(a, b, R.ground_new(c) if R else int(c), R)
+        return _reduce(a, b, R.ground(c) if R else c, R)
 
     def sign(self) -> int:
         """-1, 0 or 1 for a constant a + b*sqrt(2); parameters raise ValueError.
@@ -450,8 +447,8 @@ class Scalar:
         kept = tuple(n for n in names if n not in relevant)
         if not kept:
             return _quadratic(a.get((), 0), b.get((), 0), d[()])
-        R = _ring_for(kept)
-        return _reduce(R.from_dict(a), R.from_dict(b) if b else 0, R.from_dict(d), R)
+        R = ring_for(kept)
+        return _reduce(R.poly(a), R.poly(b) if b else 0, R.poly(d), R)
 
     def evaluate(self, binding: "ParamBinding | Mapping | None" = None) -> float:
         """Float value; every parameter must be bound (``s`` is sqrt(2)).
@@ -495,8 +492,8 @@ class Scalar:
             elif self._q is None:
                 self._hash = hash(self._p)
             else:
-                a, b, d = self._p
-                self._hash = hash((self._q._scalar_names, _terms(a), b and _terms(b), _terms(d)))
+                self._hash = hash((self._q._scalar_names,
+                                   *(frozenset(p.items()) if p else 0 for p in self._p)))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -522,7 +519,7 @@ class Scalar:
         if q == 1:
             return _poly_text(p, latex=True)
         sign = ""
-        if all(int(c) < 0 for _, c in p.terms()):
+        if all(c < 0 for c in p.values()):
             p, sign = -p, "-"
         return sign + rf"\frac{{{_poly_text(p, latex=True)}}}{{{_poly_text(q, latex=True)}}}"
 
@@ -564,12 +561,11 @@ def _substitute_poly(parts, bind: dict[str, Fraction]) -> list[dict]:
              for i, n in enumerate(names) if n in bind]
     kept_pos = [i for i, n in enumerate(names) if n not in bind]
     present = [p for p in parts if p]
-    top = {i: max(m[i] for p in present for m in p.itermonoms()) for i, _, _ in bound}
+    top = {i: max(m[i] for p in present for m in p) for i, _, _ in bound}
     out = []
     for p in parts:
         acc: dict[tuple, int] = {}
-        for monom, coeff in (p.items() if p else ()):
-            c = int(coeff)
+        for monom, c in (p.items() if p else ()):
             for i, u, v in bound:
                 e = monom[i]
                 c *= u**e * v ** (top[i] - e)
@@ -652,8 +648,7 @@ def _poly_text(p, latex: bool = False) -> str:
     names = p.ring._scalar_names
     times, plus, minus = ("", "+", "-") if latex else ("*", " + ", " - ")
     pieces: list[str] = []
-    for k, (monom, coeff) in enumerate(p.terms()):
-        c = int(coeff)
+    for k, (monom, c) in enumerate(p.terms()):
         factors = [_power(names[i], e, latex) for i, e in enumerate(monom) if e]
         if abs(c) != 1 or not factors:
             factors.insert(0, str(abs(c)))
@@ -671,10 +666,10 @@ def _atomic_denominator(p) -> bool:
     # safe to print unparenthesized after '/': a bare uint or a single power
     if len(p) != 1:
         return False
-    (monom, coeff), = p.terms()
+    (monom, c), = p.items()
     if not any(monom):
-        return int(coeff) > 0
-    return int(coeff) == 1 and sum(1 for e in monom if e) == 1
+        return c > 0
+    return c == 1 and sum(1 for e in monom if e) == 1
 
 
 # -- parser ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from nilkaehler.catalog import (
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.scalar import ONE, ZERO, ParamBinding, Scalar, parse_expr
 from nilkaehler.tensors import Endomorphism, TwoForm
+from sympy_oracle import to_sympy
 
 
 DATA = pathlib.Path(catalog.__file__).parent / "data"
@@ -576,7 +577,7 @@ class TestUnreadKeys:
 
 
 def _factors(poly) -> dict:
-    """Sign-normalised irreducible non-constant factors of a polynomial."""
+    """Sign-normalised irreducible non-constant factors of a sympy polynomial."""
     out = {}
     if poly.is_ground:
         return out
@@ -604,11 +605,11 @@ class TestDenominatorsCovered:
             for s in entry.structures:
                 stored = set()
                 for cond in s.side_conditions:
-                    stored |= set(_factors(parse_expr(cond)._num))
+                    stored |= set(_factors(to_sympy(parse_expr(cond)._num)))
                 metric, gamma, curv = curvatures[name, s.id]
                 values = [x for row in s.J.rows + metric.g_inv for x in row]
                 values += [*gamma.values(), *curv.up.values(), *curv.down.values()]
-                for den in {x._den for x in values}:
+                for den in {to_sympy(x._den) for x in values}:
                     for expr, f in _factors(den).items():
                         if expr not in stored:
                             assert _no_real_zero(f), (name, s.id, str(expr))

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from nilkaehler import catalog, solver
+from nilkaehler import catalog, geometry, solver
 from nilkaehler.cli import run
 from nilkaehler.scalar import parse_expr
 
@@ -384,6 +384,19 @@ class TestVerify:
         lines = out.splitlines()
         assert all(line in lines for line in expected), out
         assert not any(line.endswith(": matched") for line in lines), out
+
+    def test_a_failed_expectation_reads_the_validated_curvature(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        _write_g21(tmp_path, self._g21_j1_wrong_value)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
+        calls = []
+        curvature = geometry.curvature
+        monkeypatch.setattr(geometry, "curvature",
+                            lambda *args: calls.append(args) or curvature(*args))
+        rc, out, _ = invoke(capsys, "verify", "g21")
+        assert rc == 1 and "       J1 R_{1,2,1,2} = -7*psi12: computed -psi12" in out
+        assert len(calls) == len(catalog.get("g21").structures) == 1
 
 
 class TestCurvature:

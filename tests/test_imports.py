@@ -1,9 +1,13 @@
 """Every imported name is used, every private module-level name of the
 package is read somewhere in it, and the public functions and methods that
-only tests read are a pinned set: three small checks on the ast."""
+only tests read are a pinned set: three small checks on the ast.  And the
+command line loads the catalog without importing sympy."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,3 +199,17 @@ def test_the_check_finds_an_unread_public_function():
     # a name read bare outside its module is not a read of it either
     readers = ["import b\nb.run(unused, zeros)\n"]
     assert unread_public_names(package, readers) == ["a.unused", "a.zeros", "a.Kind.method"]
+
+
+def test_the_command_line_runs_without_sympy():
+    # a fresh interpreter: import the command line and load every entry
+    code = ("import sys\n"
+            "import nilkaehler.cli\n"
+            "from nilkaehler import catalog\n"
+            "for name in catalog.NAMES:\n"
+            "    catalog.get(name)\n"
+            "print(len(catalog.NAMES), sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "13 []\n"

@@ -1,0 +1,106 @@
+"""The sparse integer polynomials of the scalar kernel, against sympy's
+PolyElement over the same names: every operation, and the gcd cofactors
+exactly (sign included)."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilkaehler import poly
+from nilkaehler.poly import HeuristicGCDFailed, ring_for
+from sympy_oracle import from_sympy, to_sympy
+
+NAMES = ("a", "lambda", "psi11", "x")
+
+
+@st.composite
+def rings(draw):
+    return ring_for(tuple(sorted(draw(st.sets(st.sampled_from(NAMES), min_size=1)))))
+
+
+def _polys(draw, R, max_terms=5, top=3, coeffs=st.integers(-20, 20)):
+    monoms = st.tuples(*[st.integers(0, top)] * len(R._scalar_names))
+    return R.poly(draw(st.dictionaries(monoms, coeffs.filter(bool), max_size=max_terms)))
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials of one ring: drawn apart, one of them a single term,
+    or f*h and g*h for a shared multivariate h."""
+    R = draw(rings())
+    f, g = _polys(draw, R), _polys(draw, R)
+    mode = draw(st.sampled_from(("apart", "single", "shared")))
+    if mode == "single":
+        g = _polys(draw, R, max_terms=1, coeffs=st.integers(-10**20, 10**20))
+    elif mode == "shared":
+        h = _polys(draw, R, max_terms=4, top=2)
+        f, g = f * h, g * h
+    return f, g
+
+
+def _same(got, want):
+    assert got.ring is ring_for(tuple(s.name for s in want.ring.symbols))
+    assert got == from_sympy(want) and dict(got) == dict(want)
+
+
+@given(poly_pairs(), st.integers(-5, 5), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_sympy(pair, c, e):
+    f, g = pair
+    F, G = to_sympy(f), to_sympy(g)
+    for got, want in [(f + g, F + G), (f - g, F - G), (f * g, F * G), (-f, -F),
+                      (f + c, F + c), (c + f, c + F), (f - c, F - c), (c - f, c - F),
+                      (f * c, F * c), (c * f, c * F)]:
+        _same(got, want)
+    if f or e:  # sympy refuses 0**0
+        _same(f**e, F**e)
+    assert (f == g) == (F == G) and (f != g) == (F != G)
+    assert (f == c) == (F == c) and (f != c) == (F != c)
+
+
+@given(poly_pairs())
+@settings(max_examples=150, deadline=None)
+def test_division_content_and_order_match_sympy(pair):
+    f, g = pair
+    F, G = to_sympy(f), to_sympy(g)
+    if g:
+        _same((f * g).exquo(g), (F * G).exquo(G))
+    assert f.content() == F.content()
+    assert f.LC == F.LC
+    if f:
+        assert f.LT == F.LT
+    assert f.terms() == F.terms()
+
+
+@given(poly_pairs())
+@settings(max_examples=200, deadline=None)
+def test_cofactors_match_sympy(pair):
+    f, g = pair
+    for got, want in zip(f.cofactors(g), to_sympy(f).cofactors(to_sympy(g))):
+        _same(got, want)
+
+
+def test_an_inexact_division_raises():
+    x, y = ring_for(("x", "y")).gens
+    with pytest.raises(ArithmeticError):
+        (x * x + y).exquo(x + y)
+    with pytest.raises(ArithmeticError):
+        (2 * x).exquo(3 * x)
+
+
+def test_cofactors_of_deflated_and_zero_operands():
+    x, y = ring_for(("x", "y")).gens
+    f, g = x**4 - y**2, x**6 + y**3
+    h, cf, cg = f.cofactors(g)
+    assert h == x**2 + y and h * cf == f and h * cg == g
+    zero = f * 0
+    assert zero.cofactors(-g) == (g, zero, -1)
+    assert (-g).cofactors(zero) == (g, -1, zero)
+
+
+def test_gcdheu_raises_when_its_evaluation_points_run_out(monkeypatch):
+    x, y = ring_for(("x", "y")).gens
+    monkeypatch.setattr(poly, "HEU_GCD_MAX", 0)
+    assert (x * y).cofactors(x + x * y) == (x, y, 1 + y)  # a single term needs no GCDHEU
+    with pytest.raises(HeuristicGCDFailed):
+        (x + y).cofactors(x - y)

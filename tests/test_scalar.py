@@ -9,21 +9,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy.polys.rings import PolyElement
 
 from nilkaehler import catalog
+from nilkaehler.poly import Poly, ring_for
 from nilkaehler.scalar import (
     ONE,
     ZERO,
     ParamBinding,
     Scalar,
     ScalarSyntaxError,
-    _R0,
     _move,
-    _ring_for,
     as_scalar,
     parse_expr,
 )
+from sympy_oracle import from_sympy, names_of, sympy_ring, to_sympy
 
 # ---------------------------------------------------------------- parsing
 
@@ -339,12 +338,15 @@ def test_constants_agree_with_fractions(p, q, r, t):
 
 # ---------------------------------------------------------------- reference reduction
 
+R0, RS = ring_for(()), ring_for(("s",))
+S0 = sympy_ring(())
+
 
 def _reference(a, b, d, R) -> Scalar:
-    """The canonical Scalar (a + b*s)/d for polynomials a, b, d over R, built
-    apart from the library's reduction: sympy's gcd of all three parts, an
-    exact division by it, d's leading coefficient made positive, and sympy's
-    set_ring onto the ring of exactly the occurring parameters."""
+    """The canonical Scalar (a + b*s)/d for sympy polynomials a, b, d over R,
+    built apart from the library's reduction: sympy's gcd of all three parts,
+    an exact division by it, d's leading coefficient made positive, and
+    sympy's set_ring onto the ring of exactly the occurring parameters."""
     if not (a or b):
         return ZERO
     g = d.gcd(a)
@@ -354,26 +356,26 @@ def _reference(a, b, d, R) -> Scalar:
     if d.LC < 0:
         a, b, d = -a, -b, -d
     names = tuple(sorted({n for p in (a, b, d) if p for m in p.itermonoms()
-                          for n, e in zip(R._scalar_names, m) if e}))
+                          for n, e in zip(names_of(R), m) if e}))
     if not names:
         a, b, d = (int(p.LC) if p else 0 for p in (a, b, d))
         return Scalar._const(a, d) if not b else Scalar._new(a, b, d, None)
-    S = _ring_for(names)
-    return Scalar._new(a.set_ring(S), b.set_ring(S) if b else 0, d.set_ring(S), S)
+    S = sympy_ring(names)
+    a, d = from_sympy(a.set_ring(S)), from_sympy(d.set_ring(S))
+    return Scalar._new(a, from_sympy(b.set_ring(S)) if b else 0, d, ring_for(names))
 
 
 def _over(x: Scalar, R) -> tuple:
-    # the parts (a, b, d) of x as polynomials over R, moved by sympy's set_ring
+    # the parts (a, b, d) of x as sympy polynomials over R, moved by set_ring
     if x._p is None:
         return R(x._n), R(0), R(x._d)
     if x._q is None:
         return tuple(map(R, x._p))
-    a, b, d = x._p
-    return a.set_ring(R), b.set_ring(R) if b else R(0), d.set_ring(R)
+    return tuple(to_sympy(p).set_ring(R) if p else R(0) for p in x._p)
 
 
 def _common_ring(*values: Scalar):
-    return _ring_for(tuple(sorted(set().union(*(v.free_params() for v in values)))))
+    return sympy_ring(tuple(sorted(set().union(*(v.free_params() for v in values)))))
 
 
 def _product(a1, b1, a2, b2) -> tuple:
@@ -406,11 +408,11 @@ def test_constant_arithmetic_matches_the_polynomial_path(symbol, a, b):
     want = apply(a, b)
     # the same operation reduced by polynomial gcds over the parameter-free
     # ring, as a parametric operand would take it
-    ints = (_R0(x) for x in (a.numerator, a.denominator, b.numerator, b.denominator))
+    ints = (S0(x) for x in (a.numerator, a.denominator, b.numerator, b.denominator))
     num, den = cross(*ints)
-    reference = _reference(num, 0, den, _R0)
+    reference = _reference(num, 0, den, S0)
     for got in (apply(as_scalar(a), as_scalar(b)), apply(a, as_scalar(b))):
-        assert got._num.ring is _R0 and reference._num.ring is _R0
+        assert got._num.ring is R0 and reference._num.ring is R0
         assert got._num == reference._num and got._den == reference._den
         assert got == reference == want
         assert str(got) == str(reference) == str(want)
@@ -441,8 +443,8 @@ def test_rational_constants_are_stored_as_ints(c):
         assert str(got) == str(as_scalar(want)) == str(want)
         assert got.is_constant() and not got.free_params()
         # the polynomial view that printing and tracing code reads
-        assert got._num.ring is _R0 and got._den.ring is _R0
-        assert got._num == _R0(want.numerator) and got._den == _R0(want.denominator)
+        assert got._num.ring is R0 and got._den.ring is R0
+        assert to_sympy(got._num) == want.numerator and to_sympy(got._den) == want.denominator
 
 
 def test_a_constant_times_a_parameter_is_the_parsed_product():
@@ -462,13 +464,10 @@ MODEL = {
     "/": lambda x, y: MODEL["*"](x, (y[0] / (y[0] ** 2 - 2 * y[1] ** 2),
                                     -y[1] / (y[0] ** 2 - 2 * y[1] ** 2))),
 }
-RS = _ring_for(("s",))
-
-
 def _poly_parts(A: Fraction, B: Fraction):
-    # A + B*s as the parts (a, b, d) over ZZ, not reduced
-    return (_R0(A.numerator * B.denominator), _R0(B.numerator * A.denominator),
-            _R0(A.denominator * B.denominator))
+    # A + B*s as the parts (a, b, d) over sympy's ZZ, not reduced
+    return (S0(A.numerator * B.denominator), S0(B.numerator * A.denominator),
+            S0(A.denominator * B.denominator))
 
 
 def _model_pow(x, e):
@@ -515,12 +514,12 @@ def _check_against_reference(got, reference, want):
     assert str(got) == str(reference)
     assert hash(got) == hash(reference)
     # _num/_den: the ZZ[s] polynomials of the reference, whose value is A + B*s
-    assert got._num.ring is reference._num.ring is (RS if B else _R0)
+    assert got._num.ring is reference._num.ring is (RS if B else R0)
     assert got._num == reference._num and got._den == reference._den
-    d = int(got._den.LC)
+    num, d = to_sympy(got._num), int(to_sympy(got._den).LC)
     assert d > 0
-    assert (Fraction(int(got._num.coeff(1)), d),
-            Fraction(int(got._num.coeff(RS.gens[0])) if B else 0, d)) == (A, B)
+    assert (Fraction(int(num.coeff(1)), d),
+            Fraction(int(num.coeff(num.ring.gens[0])) if B else 0, d)) == (A, B)
     assert got.sign() == reference.sign()
     value = _outcome(lambda: float(A) + float(B) * math.sqrt(2.0))
     if value is not OverflowError and abs(value) > 1e-9:
@@ -544,7 +543,7 @@ def test_q_sqrt2_arithmetic_matches_the_polynomial_path(symbol, a, b, c, d):
     want = MODEL[symbol]((a, b), (c, d))
     # the model's value reduced by polynomial gcds, as it is when a
     # parametric operand takes part
-    reference = _reference(*_poly_parts(*want), _R0)
+    reference = _reference(*_poly_parts(*want), S0)
     _check_against_reference(apply(x, y), reference, want)
 
 
@@ -554,7 +553,7 @@ def test_q_sqrt2_powers_match_the_polynomial_path(a, b, e):
     assume(a or b)  # zero has no negative powers
     x = a + b * Scalar.param("s")
     want = _model_pow((a, b), e)
-    _check_against_reference(x**e, _reference(*_poly_parts(*want), _R0), want)
+    _check_against_reference(x**e, _reference(*_poly_parts(*want), S0), want)
 
 
 def _held_as_ints(x: Scalar) -> bool:
@@ -724,53 +723,52 @@ MOVE_NAMES = ("a", "lambda", "m", "psi11", "psi12", "psi2", "x", "y")
 def polys_over_names(draw):
     """A polynomial over the ring of a sorted subset of MOVE_NAMES."""
     names = tuple(sorted(draw(st.sets(st.sampled_from(MOVE_NAMES), min_size=1))))
-    R = _ring_for(names)
+    R = ring_for(names)
     monoms = st.tuples(*[st.integers(0, 3)] * len(names))
     terms = draw(st.dictionaries(monoms, st.integers(-9, 9).filter(bool), max_size=5))
-    return R.from_dict(terms)
+    return R.poly(terms)
 
 
 def _check_move(move, p, R):
     got = move(p, R)
     assert got.ring is R
-    assert dict(got) == dict(p.set_ring(R))
+    assert dict(got) == dict(to_sympy(p).set_ring(sympy_ring(R._scalar_names)))
 
 
 @given(polys_over_names(), st.sets(st.sampled_from(MOVE_NAMES)))
 @settings(max_examples=200, deadline=None)
 def test_a_ring_move_matches_sympy(p, extra):
     names = p.ring._scalar_names
-    occurring = tuple(n for i, n in enumerate(names) if any(m[i] for m in p.itermonoms()))
+    occurring = tuple(n for i, n in enumerate(names) if any(m[i] for m in p))
     for target in (tuple(sorted(set(names) | extra)), occurring, names):
-        _check_move(_move, p, _ring_for(target))
+        _check_move(_move, p, ring_for(target))
 
 
 def _move_by_position(p, R):
     # wrong on purpose: the i-th exponent goes to R's i-th name, whatever its name
     n = len(R._scalar_names)
-    return R.zero.new({(m + (0,) * n)[:n]: c for m, c in p.items()})
+    return R.poly({(m + (0,) * n)[:n]: c for m, c in p.items()})
 
 
 def test_a_move_by_position_fails_the_check():
-    p = _ring_for(("psi12",)).gens[0]
-    R = _ring_for(("lambda", "psi12"))
+    p = ring_for(("psi12",)).gens[0]
+    R = ring_for(("lambda", "psi12"))
     _check_move(_move, p, R)
     with pytest.raises(AssertionError):
         _check_move(_move_by_position, p, R)
 
 
-def test_a_validate_pass_reorders_no_ring_and_divides_little(monkeypatch, full_validation):
-    # work counts of one warmed self_validate pass: values move between rings
-    # by name, and the gcds' cofactors stand in for exact divisions
-    calls = dict.fromkeys(("set_ring", "exquo"), 0)
-    for name in calls:
-        method = getattr(PolyElement, name)
+def test_a_validate_pass_divides_little(monkeypatch, full_validation):
+    # a work count of one warmed self_validate pass: the gcds' cofactors
+    # stand in for exact divisions
+    calls = 0
+    exquo = Poly.exquo
 
-        def counted(*args, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(*args)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return exquo(*args)
 
-        monkeypatch.setattr(PolyElement, name, counted)
+    monkeypatch.setattr(Poly, "exquo", counted)
     catalog.self_validate()
-    assert calls["set_ring"] == 0
-    assert calls["exquo"] < 300
+    assert calls < 300
