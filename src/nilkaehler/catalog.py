@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import geometry, liealg, linalg, solver, tensors
-from .liealg import LieAlgebra, Vector, jacobi_check
+from .liealg import LieAlgebra, jacobi_check, json_int
 from .scalar import ParamBinding, parse_expr
 from .tensors import Endomorphism, TwoForm
 
@@ -123,7 +123,7 @@ def _data_dir() -> str:
 def _components(records) -> dict[tuple[int, ...], str]:
     table: dict[tuple[int, ...], str] = {}
     for c in records:
-        idx = tuple(c["idx"])
+        idx = tuple(json_int("idx", i) for i in c["idx"])
         if idx in table:
             raise ValueError(f"the component {list(idx)} is given twice")
         table[idx] = c["value"]
@@ -377,15 +377,17 @@ def validate_entry(entry: CatalogEntry) -> EntryValidation:
     alg = entry.algebra
     checks: list[tuple[str, bool]] = []
     checks.append(("jacobi", jacobi_check(alg) == []))
-    series = liealg.descending_series(alg)
-    derived = series[1] if len(series) > 1 else series[0]  # a perfect g is its own C^1
-    center = liealg.center(alg)
-    pairs = [(Vector(u), Vector(z)) for u in derived for z in center]
+    series = liealg.ascending_series(alg)
+    checks.append(("nilpotent", bool(series) and len(series[-1]) == alg.dim))
+    center = series[0] if series else ()  # the first ascending term is Z
     for f in entry.forms:
         checks.append((f"{f.id} closed", tensors.is_closed(alg, f.form)))
         checks.append((f"{f.id} nondegenerate", tensors.nondegenerate(f.form)))
+        # C1 is spanned by the brackets, so omega(C1, Z) = 0 asks that
+        # omega([e_i, e_j], z) vanish for every pair i, j and every z spanning Z
+        brackets = linalg.transform(alg.constants, 2, f.form.omega)
         checks.append((f"{f.id} omega(C1, Z) = 0",
-                       all(f.form.apply(u, z).is_zero() for u, z in pairs)))
+                       not any(linalg.contract(brackets, 2, z) for z in center)))
     down = {}
     for s in entry.structures:
         structure_checks, table = _validate_structure(entry, s)

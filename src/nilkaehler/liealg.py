@@ -4,12 +4,11 @@ The structure constants are ``linalg.Components``: ``constants[i, j, k]``
 is the nonzero C_ij^k, stored for both orders of the pair (C_ji^k is
 -C_ij^k).  All Python-level indices are 0-based.
 The JSON interchange format (see ``from_json_dict``) is 1-based, matching
-the printed basis e1..e6.  The terms of the central series are
-``linalg.Span`` values: the ascending terms come straight from
-``linalg.nullspace`` and the descending ones from ``linalg.span``.  Each
-ascending step reduces the brackets [P e_i, e_j] against the previous
-term with ``Span.reduce``; the remainders are the constraints whose
-nullspace is the next term.
+the printed basis e1..e6, and its dimension and indices are JSON integers.
+The terms of the ascending series are ``linalg.Span`` values straight from
+``linalg.nullspace``.  Each step reduces the brackets [e_i, e_j] against
+the previous term with ``Span.reduce``; the remainders are the constraints
+whose nullspace is the next term.
 """
 
 from __future__ import annotations
@@ -49,6 +48,14 @@ class Vector:
 
     def __iter__(self):
         return iter(self.components)
+
+
+def json_int(key: str, value) -> int:
+    """``value``, read from the JSON key ``key``, when it is an integer; a
+    bool, float or string is refused rather than truncated or coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{key}={value!r}: must be an integer, not {type(value).__name__}")
+    return value
 
 
 class LieAlgebra:
@@ -102,8 +109,9 @@ class LieAlgebra:
     def from_json_dict(cls, obj: Mapping) -> "LieAlgebra":
         if not isinstance(obj, Mapping):
             raise ValueError(f"a Lie algebra must be a JSON object, not {type(obj).__name__}")
-        terms = [(b["i"], b["j"], b["k"], b["c"]) for b in obj.get("brackets", [])]
-        return cls.from_terms(int(obj["dim"]), terms)
+        terms = [(json_int("i", b["i"]), json_int("j", b["j"]), json_int("k", b["k"]), b["c"])
+                 for b in obj.get("brackets", [])]
+        return cls.from_terms(json_int("dim", obj["dim"]), terms)
 
     def to_json_dict(self) -> dict:
         brackets = [
@@ -117,9 +125,6 @@ class LieAlgebra:
 
     def structure_constant(self, i: int, j: int, k: int) -> Scalar:
         return self.constants.get((i, j, k), ZERO)
-
-    def basis_vector(self, i: int) -> Vector:
-        return Vector.of(1 if t == i else 0 for t in range(self.dim))
 
     def __repr__(self) -> str:
         upper = sorted((key, c) for key, c in self.constants.items() if key[0] < key[1])
@@ -158,42 +163,20 @@ def jacobi_check(alg: LieAlgebra) -> list[tuple[int, int, int]]:
     return sorted({idx[:3] for idx in failing if idx[0] < idx[1] < idx[2]})
 
 
-# -- central series ---------------------------------------------------------
+# -- ascending series -------------------------------------------------------
 
 
-def descending_series(alg: LieAlgebra) -> list[linalg.Span]:
-    """C^0 = g, C^k = [g, C^{k-1}], until the dimension stabilizes."""
-    current = linalg.Span(linalg.identity(alg.dim), tuple(range(alg.dim)))
-    series = [current]
-    while current:
-        term = linalg.span(
-            bracket(alg, alg.basis_vector(i), Vector(w)).components
-            for w in current
-            for i in range(alg.dim)
-        )
-        if len(term) == len(current):
-            break
-        series.append(term)
-        current = term
-    return series
+def _membership_constraints(alg: LieAlgebra, subspace: linalg.Span) -> linalg.Matrix:
+    """Rows M with M x = 0 iff [x, e_j] lies in the subspace for every j.
 
-
-def _membership_constraints(
-    alg: LieAlgebra, subspace: linalg.Span, pre: linalg.Matrix | None = None
-) -> linalg.Matrix:
-    """Rows M with M x = 0 iff [P x, e_j] lies in the subspace for every j.
-
-    P is the optional ``pre`` matrix acting on column vectors (identity when
-    omitted); passing the transpose of an endomorphism row-matrix constrains
-    the image [Jx, e_j] instead of [x, e_j].
+    Row (j, m) holds in column i the m-th component of [e_i, e_j] reduced
+    against the subspace.
     """
     n = alg.dim
-    # row i of the transpose is P e_i; ad[i][j, m] is the m-th component of [P e_i, e_j]
-    images = linalg.transpose(pre) if pre is not None else linalg.identity(n)
-    ad = [linalg.contract(alg.constants, 0, x) for x in images]
     rows: list[Row] = []
     for j in range(n):
-        columns = [subspace.reduce(t.get((j, m), ZERO) for m in range(n)) for t in ad]
+        columns = [subspace.reduce(alg.structure_constant(i, j, m) for m in range(n))
+                   for i in range(n)]
         rows.extend(zip(*columns))
     return tuple(rows)
 
@@ -216,7 +199,8 @@ def ascending_series(
     while len(prev) < alg.dim:
         constraints = _membership_constraints(alg, prev)
         if twist is not None:
-            constraints += _membership_constraints(alg, prev, pre=twist)
+            # Span.reduce is linear, so the remainders of [P x, e_j] are M P x
+            constraints += linalg.mat_mul(constraints, twist)
         term, _ = linalg.nullspace(constraints)
         if len(term) == len(prev):
             break
@@ -228,8 +212,3 @@ def ascending_series(
 def algebra_type(alg: LieAlgebra) -> tuple[int, ...]:
     """Strictly increasing dimension tuple of the ascending series."""
     return tuple(len(term) for term in ascending_series(alg))
-
-
-def center(alg: LieAlgebra) -> linalg.Span:
-    series = ascending_series(alg)
-    return series[0] if series else linalg.Span((), ())

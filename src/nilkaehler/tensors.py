@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from . import liealg, linalg
-from .liealg import LieAlgebra, Vector
+from .liealg import LieAlgebra, Vector, json_int
 from .linalg import Components, _accumulate, _dot, mat_vec, transform
 from .scalar import ZERO, ParamBinding, Scalar, ScalarLike, as_scalar
 
@@ -64,8 +64,9 @@ class TwoForm:
     def from_json_dict(cls, obj: Mapping) -> "TwoForm":
         if not isinstance(obj, Mapping):
             raise ValueError(f"a 2-form must be a JSON object, not {type(obj).__name__}")
-        terms = [(t["i"], t["j"], t["c"]) for t in obj.get("terms", [])]
-        return cls.from_terms(int(obj["dim"]), terms)
+        terms = [(json_int("i", t["i"]), json_int("j", t["j"]), t["c"])
+                 for t in obj.get("terms", [])]
+        return cls.from_terms(json_int("dim", obj["dim"]), terms)
 
     def to_json_dict(self) -> dict:
         terms = []
@@ -129,7 +130,7 @@ class Endomorphism:
         if not isinstance(obj, Mapping):
             raise ValueError(f"an endomorphism must be a JSON object, not {type(obj).__name__}")
         rows = obj["rows"]
-        if len(rows) != int(obj["dim"]):
+        if len(rows) != json_int("dim", obj["dim"]):
             raise ValueError("row count must match dim")
         return cls(rows)
 

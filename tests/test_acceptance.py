@@ -236,7 +236,7 @@ def test_5_invariants_suite(curvatures, full_validation):
 
     for name in catalog.NAMES:
         entry = catalog.get(name)
-        labels = ["jacobi"]
+        labels = ["jacobi", "nilpotent"]
         for f in entry.forms:
             labels += [f"{f.id} nondegenerate", f"{f.id} omega(C1, Z) = 0"]
             want = CLOSURE_DEFECTS.get((name, f.id))

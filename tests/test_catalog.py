@@ -3,13 +3,14 @@ import pathlib
 import shutil
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from nilkaehler import catalog, geometry, linalg
+from nilkaehler import catalog, geometry, liealg, linalg
 from nilkaehler.catalog import (
     CatalogEntry, Expectation, FormEntry, StructureEntry, get, validate_entry)
-from nilkaehler.liealg import LieAlgebra
+from nilkaehler.liealg import LieAlgebra, Vector, bracket
 from nilkaehler.scalar import ONE, ZERO, ParamBinding, Scalar, parse_expr
 from nilkaehler.tensors import Endomorphism, TwoForm
 from sympy_oracle import to_sympy
@@ -164,6 +165,11 @@ J_STD = Endomorphism([  # J e1 = e2, J e3 = e4, J e5 = e6
     [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
     [0, 0, -1, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0],
 ])
+# [e1, e2] = e3, so C1 = <e3>, Z = <e3, ..., e6>, and W_STD pairs e3 with e4
+HEISENBERG = LieAlgebra.from_terms(6, [(1, 2, 3, 1)])
+# sl(2) + sl(2): C1 is g, and the center is zero
+SL2 = [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)]
+SL2_SL2 = LieAlgebra.from_terms(6, SL2 + [(i + 3, j + 3, k + 3, c) for i, j, k, c in SL2])
 
 
 def _entry(algebra, form, J=None):
@@ -219,7 +225,33 @@ class TestClaimChecks:
         assert verdicts == [True] * count
 
     def test_report_size(self, full_validation):
-        assert sum(len(e.checks) for e in full_validation.entries) == 328
+        assert sum(len(e.checks) for e in full_validation.entries) == 341
+
+    @pytest.mark.parametrize(
+        "alg,nilpotent",
+        [(LieAlgebra(6, {}), True), (HEISENBERG, True), (SL2_SL2, False),
+         (LieAlgebra.from_terms(6, SL2), False)],
+        ids=["abelian", "heisenberg", "sl2+sl2", "sl2+abelian"])
+    def test_nilpotent_is_read_off_the_ascending_series(self, alg, nilpotent):
+        # sl(2) + sl(2) has an empty series; the series of sl(2) + R^3 stops
+        # at its center R^3
+        assert dict(validate_entry(_entry(alg, W_STD)).checks)["nilpotent"] is nilpotent
+
+    def test_a_validate_pass_spans_nothing_and_builds_each_series_once(
+            self, monkeypatch, full_validation):
+        # work counts of one warmed pass: omega(C1, Z) = 0 is decided on the
+        # brackets, against the first term of the one ascending series
+        calls = dict.fromkeys(("span", "ascending_series"), 0)
+        for owner, name in ((linalg, "span"), (liealg, "ascending_series")):
+            function = getattr(owner, name)
+
+            def counted(*args, _function=function, _name=name):
+                calls[_name] += 1
+                return _function(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        catalog.self_validate()
+        assert calls == {"span": 0, "ascending_series": 13}
 
     def test_a_definite_metric_is_not_indefinite(self):
         # the flat Kaehler torus: g = omega(X, JY) is the identity
@@ -283,17 +315,29 @@ class TestClaimChecks:
         assert validate_entry(get("g21")).failures() == [f"J1 {label}"]
 
     def test_a_form_pairing_the_derived_algebra_with_the_center_fails(self):
-        # [e1, e2] = e3, so C1 = <e3>, Z = <e3, ..., e6>, and omega(e3, e4) = 1
-        heisenberg = LieAlgebra.from_terms(6, [(1, 2, 3, 1)])
-        checks = dict(validate_entry(_entry(heisenberg, W_STD)).checks)
+        checks = dict(validate_entry(_entry(HEISENBERG, W_STD)).checks)
         assert checks["w1 omega(C1, Z) = 0"] is False
         assert checks["w1 nondegenerate"]
 
     def test_a_perfect_algebra_is_its_own_derived_algebra(self):
-        # sl(2) + sl(2): the descending series stops at g, and the center is zero
-        sl2 = [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)]
-        alg = LieAlgebra.from_terms(6, sl2 + [(i + 3, j + 3, k + 3, c) for i, j, k, c in sl2])
-        assert dict(validate_entry(_entry(alg, W_STD)).checks)["w1 omega(C1, Z) = 0"]
+        # the check holds vacuously on an algebra without center
+        assert dict(validate_entry(_entry(SL2_SL2, W_STD)).checks)["w1 omega(C1, Z) = 0"]
+
+    @pytest.mark.parametrize(
+        "alg,w",
+        [pytest.param(get(n).algebra, f.form, id=f"{n}-{f.id}")
+         for n in catalog.NAMES for f in get(n).forms]
+        + [pytest.param(HEISENBERG, W_STD, id="heisenberg"),
+           pytest.param(SL2_SL2, W_STD, id="sl2+sl2")])
+    def test_the_bracket_check_matches_its_definition(self, alg, w):
+        # the reference spans C1 by the brackets [e_i, e_j] and pairs each
+        # of its basis vectors with each basis vector of Z
+        basis = [Vector(row) for row in linalg.identity(alg.dim)]
+        c1 = linalg.span(bracket(alg, x, y) for x, y in product(basis, repeat=2))
+        series = liealg.ascending_series(alg)
+        center = series[0] if series else ()
+        want = all(w.apply(Vector(u), Vector(z)).is_zero() for u in c1 for z in center)
+        assert dict(validate_entry(_entry(alg, w)).checks)["w1 omega(C1, Z) = 0"] is want
 
 
 class TestCurvatureParameters:
@@ -440,6 +484,22 @@ class TestMutationControl:
              "the form id 'w2' is repeated"),
             (lambda obj: obj["structures"].append(dict(obj["structures"][0])),
              "the structure id 'J1' is repeated"),
+            (lambda obj: obj["algebra"].__setitem__("dim", 6.7),
+             "dim=6.7: must be an integer, not float"),
+            (lambda obj: obj["forms"][1]["form"].__setitem__("dim", 6.0),
+             "dim=6.0: must be an integer, not float"),
+            (lambda obj: obj["structures"][0]["J"].__setitem__("dim", "6"),
+             "dim='6': must be an integer, not str"),
+            (lambda obj: obj["algebra"]["brackets"][0].__setitem__("k", True),
+             "k=True: must be an integer, not bool"),
+            (lambda obj: obj["algebra"]["brackets"][0].__setitem__("i", 1.5),
+             "i=1.5: must be an integer, not float"),
+            (lambda obj: obj["algebra"]["brackets"][0].__setitem__("j", "2"),
+             "j='2': must be an integer, not str"),
+            (lambda obj: obj["forms"][0]["form"]["terms"][0].__setitem__("i", True),
+             "i=True: must be an integer, not bool"),
+            (lambda obj: obj["forms"][0]["form"]["terms"][0].__setitem__("j", 6.0),
+             "j=6.0: must be an integer, not float"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
@@ -454,7 +514,9 @@ class TestMutationControl:
              "side-condition-constant", "form-side-condition-constant",
              "side-condition-vanishes-at-binding",
              "form-side-condition-vanishes-at-binding", "side-condition-of-another-param",
-             "form-id-repeated", "structure-id-repeated"],
+             "form-id-repeated", "structure-id-repeated", "algebra-dim-float",
+             "form-dim-float", "J-dim-str", "bracket-index-bool", "bracket-index-float",
+             "bracket-index-str", "form-term-index-bool", "form-term-index-float"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)
@@ -479,10 +541,17 @@ class TestMutationControl:
           "is malformed: the component [1, 2, 1, 5] is given twice"),
          (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"].append(
              {"idx": [5, 1], "value": "17"}),
-          "is malformed: the metric entry [5, 1] lies below the diagonal")],
+          "is malformed: the metric entry [5, 1] lies below the diagonal"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "idx", [True, 2, 1, 2]), "is malformed: idx=True: must be an integer, not bool"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "idx", [1.0, 2, 1, 2]), "is malformed: idx=1.0: must be an integer, not float"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"][0].__setitem__(
+             "idx", [1.0, 5]), "is malformed: idx=1.0: must be an integer, not float")],
         ids=["missing-key", "metric-binding-division-by-zero", "metric-binding-bool",
              "structure-without-expected", "form-side-conditions-misspelt",
-             "repeated-component", "metric-below-diagonal"],
+             "repeated-component", "metric-below-diagonal", "component-index-bool",
+             "component-index-float", "metric-index-float"],
     )
     def test_bad_expectation_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         # the failure is the edited entry's alone

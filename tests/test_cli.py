@@ -135,9 +135,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("name,form_id", [("g16", "w2"), ("g13", "w2"), ("g18", "w3")])
     def test_verify_form_prints_the_entry_report_of_that_form(self, capsys, name, form_id):
-        # the oracle: `verify <name>` kept to jacobi, the form and the structures on it
+        # the oracle: `verify <name>` kept to the algebra's checks, the form and
+        # the structures on it
         _, out, _ = invoke(capsys, "verify", name)
-        keep = {"jacobi", form_id} | {
+        keep = {"jacobi", "nilpotent", form_id} | {
             s.id for s in catalog.get(name).structures if s.form_id == form_id}
         lines = []
         for line in out.splitlines()[1:]:
@@ -301,6 +302,27 @@ class TestVerify:
                 _g10_text(lambda obj: obj["structures"].append(dict(obj["structures"][0]))),
                 "catalog entry g10 is malformed: the structure id 'J1' is repeated",
                 id="structure-id-repeated"),
+            pytest.param(
+                _g10_text(lambda obj: obj["algebra"].__setitem__("dim", 6.7)),
+                "catalog entry g10 is malformed: dim=6.7: must be an integer, not float",
+                id="algebra-dim-float"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["J"].__setitem__("dim", "6")),
+                "catalog entry g10 is malformed: dim='6': must be an integer, not str",
+                id="J-dim-str"),
+            pytest.param(
+                _g10_text(lambda obj: obj["algebra"]["brackets"][0].__setitem__("k", True)),
+                "catalog entry g10 is malformed: k=True: must be an integer, not bool",
+                id="bracket-index-bool"),
+            pytest.param(
+                _g10_text(lambda obj: obj["forms"][0]["form"]["terms"][0].__setitem__("i", True)),
+                "catalog entry g10 is malformed: i=True: must be an integer, not bool",
+                id="form-term-index-bool"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["expected"]["down_components"][0]
+                          .__setitem__("idx", [True, 2, 1, 2])),
+                "catalog entry g10 is malformed: idx=True: must be an integer, not bool",
+                id="component-index-bool"),
         ],
     )
     @pytest.mark.parametrize(
@@ -555,10 +577,22 @@ class TestSolveAndSearch:
              "the form has dimension 2, the algebra 6"),
             (("search", ABELIAN, {"dim": 6, "terms": [{"i": 1, "j": 2, "c": "1"}]}),
              "the form TwoForm(e1^e2) is degenerate"),
+            (("solve-linear", dict(W_STD, dim=6.9)),
+             "bad form file: dim=6.9: must be an integer, not float"),
+            (("solve-linear", dict(W_STD, terms=[{"i": True, "j": 2, "c": "1"}])),
+             "bad form file: i=True: must be an integer, not bool"),
+            (("search", dict(ABELIAN, dim="6"), W_STD),
+             "bad input file: dim='6': must be an integer, not str"),
+            (("search", dict(ABELIAN, brackets=[{"i": 1, "j": 2, "k": 3.0, "c": "1"}]), W_STD),
+             "bad input file: k=3.0: must be an integer, not float"),
+            (("search", ABELIAN, dict(W_STD, terms=[{"i": 1, "j": 2.0, "c": "1"}])),
+             "bad input file: j=2.0: must be an integer, not float"),
         ],
         ids=["solve-zero-denominator", "solve-form-list", "search-form-list",
              "search-algebra-list", "search-zero-division", "search-dimension-mismatch",
-             "search-degenerate-form"],
+             "search-degenerate-form", "solve-dim-float", "solve-term-index-bool",
+             "search-algebra-dim-str", "search-bracket-index-float",
+             "search-form-term-index-float"],
     )
     def test_malformed_input_file_is_usage_error(self, capsys, tmp_path, argv, fragment):
         command, *objects = argv
@@ -664,7 +698,7 @@ class TestDegenerateForm:
         assert (rc, err) == (1, "")
         checks = [line for line in out.splitlines() if line.startswith("  ") and line[2] != " "]
         assert checks == [
-            "  ok   jacobi", "  ok   w1 closed", "  FAIL w1 nondegenerate",
+            "  ok   jacobi", "  ok   nilpotent", "  ok   w1 closed", "  FAIL w1 nondegenerate",
             "  ok   w1 omega(C1, Z) = 0", "  ok   J1 compatibility",
             "  ok   J1 almost_complex", "  ok   J1 integrability"]
 

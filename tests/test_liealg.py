@@ -7,14 +7,14 @@ from nilkaehler import catalog, linalg
 from nilkaehler.liealg import (
     LieAlgebra,
     Vector,
+    _membership_constraints,
     algebra_type,
     ascending_series,
     bracket,
-    center,
-    descending_series,
     jacobi_check,
 )
 from nilkaehler.scalar import Scalar
+from nilkaehler.tensors import Endomorphism, j_ascending_series
 
 
 def make(dim, *terms):
@@ -32,7 +32,7 @@ ABELIAN = LieAlgebra(6, {})
 
 def e(alg, i):
     """1-based basis vector, matching the printed labels."""
-    return alg.basis_vector(i - 1)
+    return Vector.of(1 if t == i - 1 else 0 for t in range(alg.dim))
 
 
 class TestBracket:
@@ -87,7 +87,7 @@ class TestJacobi:
 
 def _jacobi_by_brackets(alg):
     """The reference: every triple i < j < k, as six dense brackets."""
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    basis = [e(alg, i + 1) for i in range(alg.dim)]
     failing = []
     for i, j, k in combinations(range(alg.dim), 3):
         x, y, z = basis[i], basis[j], basis[k]
@@ -140,25 +140,6 @@ def test_jacobi_check_pins_a_non_lie_table():
 
 
 class TestSeries:
-    def test_descending_abelian(self):
-        assert [len(b) for b in descending_series(ABELIAN)] == [6, 0]
-
-    def test_descending_g25(self):
-        assert [len(b) for b in descending_series(G25)] == [6, 1, 0]
-
-    def test_descending_g14(self):
-        # C1 = span{e4, e5, e6}; only [e2, e4] = e5 survives into C2
-        assert [len(b) for b in descending_series(G14)] == [6, 3, 1, 0]
-
-    def test_descending_g21_terms(self):
-        # C1 = span{e4, e6}, then [e1, e4] = e6 keeps e6 alive one level more
-        series = descending_series(G21)
-        assert [len(b) for b in series] == [6, 2, 1, 0]
-        assert series[1].contains(e(G21, 4))
-        assert series[1].contains(e(G21, 6))
-        assert not series[1].contains(e(G21, 5))
-        assert series[2].contains(e(G21, 6))
-
     def test_types(self):
         assert algebra_type(G21) == (2, 4, 6)
         assert algebra_type(G24) == (2, 6)
@@ -169,23 +150,23 @@ class TestSeries:
     def test_symbolic_algebra_rejected(self):
         # [e1, e2] = a e3 is abelian at a = 0, so no single type is right
         alg = LieAlgebra.from_terms(3, [(1, 2, 3, "a")])
-        for series_of in (ascending_series, algebra_type, center):
+        for series_of in (ascending_series, algebra_type):
             with pytest.raises(ValueError, match="unbound parameters: a"):
                 series_of(alg)
 
     def test_center_g21(self):
-        z = center(G21)
+        z = ascending_series(G21)[0]
         assert len(z) == 2
         assert z.contains(e(G21, 5)) and z.contains(e(G21, 6))
 
     def test_center_g18(self):
-        z = center(G18)
+        z = ascending_series(G18)[0]
         assert len(z) == 3
         for i in (4, 5, 6):
             assert z.contains(e(G18, i))
 
     def test_center_abelian(self):
-        assert len(center(ABELIAN)) == 6
+        assert len(ascending_series(ABELIAN)[0]) == 6
 
     @pytest.mark.parametrize("alg", [G21, G18, G24, G25, G14], ids=lambda a: repr(a)[:30])
     def test_ascending_terms_are_ideals(self, alg):
@@ -194,7 +175,7 @@ class TestSeries:
         for k, term in enumerate(series):
             for row in term:
                 for i in range(alg.dim):
-                    v = bracket(alg, Vector(row), alg.basis_vector(i))
+                    v = bracket(alg, Vector(row), e(alg, i + 1))
                     if k == 0:
                         assert v.is_zero()
                     else:
@@ -205,6 +186,40 @@ class TestSeries:
         dims = [len(b) for b in ascending_series(alg)]
         assert dims == sorted(dims)
         assert dims[-1] == alg.dim
+
+
+def _constraints_by_brackets(alg, prev, J):
+    """Rows M with M x = 0 iff [J x, e_j] lies in ``prev`` for every j: the
+    reference, one dense bracket [J e_i, e_j] at a time."""
+    images = [J.apply(e(alg, i + 1)) for i in range(alg.dim)]
+    rows = []
+    for j in range(alg.dim):
+        columns = [prev.reduce(bracket(alg, x, e(alg, j + 1))) for x in images]
+        rows.extend(zip(*columns))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "name,sid", [(n, s.id) for n in catalog.NAMES for s in catalog.get(n).structures])
+def test_the_j_twisted_series_matches_its_definition(name, sid):
+    # at the family's canonical binding, step by step: the twisted constraints
+    # are the plain ones times J^T, and the terms are the nullspaces of both
+    entry = catalog.get(name)
+    s = entry.structure(sid)
+    alg, J = entry.algebra, s.J.substitute(s.binding())
+    identity = Endomorphism(linalg.identity(alg.dim))
+    reference, prev = [], linalg.Span((), ())
+    while len(prev) < alg.dim:
+        plain = _membership_constraints(alg, prev)
+        twisted = _constraints_by_brackets(alg, prev, J)
+        assert plain == _constraints_by_brackets(alg, prev, identity)
+        assert linalg.mat_mul(plain, linalg.transpose(J.rows)) == twisted
+        term, _ = linalg.nullspace(plain + twisted)
+        if len(term) == len(prev):
+            break
+        reference.append(term)
+        prev = term
+    assert j_ascending_series(alg, J) == reference
 
 
 class TestConstruction:
