@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import geometry, liealg, linalg, solver, tensors
-from .liealg import LieAlgebra, jacobi_check, json_int
+from .liealg import LieAlgebra, jacobi_check, json_int, json_list
 from .scalar import ParamBinding, parse_expr
 from .tensors import Endomorphism, TwoForm
 
@@ -120,12 +120,26 @@ def _data_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "data")
 
 
-def _components(records) -> dict[tuple[int, ...], str]:
+def _components(obj, key: str, dim: int) -> dict[tuple[int, ...], str]:
+    """The values stored under ``key`` by 1-based index, each in 1..dim: the
+    metric ``entries`` at (i, j) with i <= j, curvature components at
+    (i, j, k, s) with i < j."""
+    what, size = ("metric entry", 2) if key == "entries" else ("component", 4)
     table: dict[tuple[int, ...], str] = {}
-    for c in records:
-        idx = tuple(json_int("idx", i) for i in c["idx"])
+    for c in json_list(key, obj[key]):
+        idx = tuple(json_int("idx", i) for i in json_list("idx", c["idx"]))
+        name = f"the {what} {list(idx)}"
+        if len(idx) != size:
+            raise ValueError(f"{name} does not have {size} indices")
+        for i in idx:
+            if not 1 <= i <= dim:
+                raise ValueError(f"{name} has the index {i}, not in 1..{dim}")
+        if size == 2 and idx[0] > idx[1]:
+            raise ValueError(f"{name} lies below the diagonal")
+        if size == 4 and idx[0] >= idx[1]:
+            raise ValueError(f"{name} does not have i < j")
         if idx in table:
-            raise ValueError(f"the component {list(idx)} is given twice")
+            raise ValueError(f"{name} is given twice")
         table[idx] = c["value"]
     return table
 
@@ -136,21 +150,20 @@ def _not_stored(record, key: str) -> None:
         raise ValueError(f"the key {key!r} is derived when loading and must not be stored")
 
 
-def _expectation(obj) -> Expectation:
+def _expectation(obj, dim: int, params: Sequence[str]) -> Expectation:
     _not_stored(obj, "flat")
     metric = None
     if "metric" in obj:
-        entries = _components(obj["metric"]["entries"])
-        for i, j in entries:
-            if i > j:
-                raise ValueError(f"the metric entry {[i, j]} lies below the diagonal")
-        metric = MetricExpectation(
-            binding=ParamBinding(obj["metric"]["binding"]),
-            entries=entries,
-        )
+        # the binding may leave parameters free, but binds no other name
+        binding = ParamBinding(obj["metric"]["binding"])
+        for name in binding:
+            if name not in params:
+                raise ValueError(f"the metric binding names {name!r},"
+                                 f" not one of the parameters {list(params)}")
+        metric = MetricExpectation(binding, _components(obj["metric"], "entries", dim))
     return Expectation(
-        up_components=_components(obj["up_components"]),
-        down_components=_components(obj["down_components"]),
+        up_components=_components(obj, "up_components", dim),
+        down_components=_components(obj, "down_components", dim),
         metric=metric,
     )
 
@@ -176,23 +189,28 @@ def _conditions(texts, inherited: Sequence[str] = ()) -> tuple[str, ...]:
     return (*inherited, *texts)
 
 
-def _form(obj, carried: set[str]) -> FormEntry:
+def _form(obj, carried: set[str], dim: int) -> FormEntry:
     # a form admits J exactly when a stored structure rides on it
     _not_stored(obj, "admits_J")
+    form = TwoForm.from_json_dict(obj["form"])
+    if form.dim != dim:
+        raise ValueError(f"form {obj['id']} has dimension {form.dim}, not {dim}")
     return FormEntry(
         id=obj["id"],
-        form=TwoForm.from_json_dict(obj["form"]),
+        form=form,
         admits_J="yes" if obj["id"] in carried else "no",
         side_conditions=_conditions(obj["side_conditions"]),
     )
 
 
-def _structure(obj, forms: Mapping[str, FormEntry]) -> StructureEntry:
+def _structure(obj, forms: Mapping[str, FormEntry], dim: int) -> StructureEntry:
     # the parameters are those of J and its form, each bound by the canonical
     # binding; the form's side conditions come first, and none is in another
     # parameter or vanishes at that binding
     _not_stored(obj, "params")
     sid, J = obj["id"], Endomorphism.from_json_dict(obj["J"])
+    if J.dim != dim:
+        raise ValueError(f"structure {sid} has dimension {J.dim}, not {dim}")
     f = forms.get(obj["form"])
     if f is None:
         raise ValueError(f"structure {sid} is on the unknown form {obj['form']!r}")
@@ -213,7 +231,7 @@ def _structure(obj, forms: Mapping[str, FormEntry]) -> StructureEntry:
         params=tuple(params),
         side_conditions=conditions,
         canonical_binding=binding,
-        expected=_expectation(obj["expected"]),
+        expected=_expectation(obj["expected"], dim, params),
     )
     vanishing = s.vanishing(binding)
     if vanishing is not None:
@@ -240,19 +258,13 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
             raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
     try:
         _not_stored(obj, "name")
-        carried = {s["form"] for s in obj["structures"]}
-        forms = tuple(_form(f, carried) for f in obj["forms"])
-        form_by_id = _by_id("form", forms)
-        structures = tuple(_structure(s, form_by_id) for s in obj["structures"])
-        _by_id("structure", structures)
         algebra = LieAlgebra.from_json_dict(obj["algebra"])
         linalg.require_bound([algebra.constants.values()])  # the series need numbers
-        for f in forms:
-            if f.form.dim != algebra.dim:
-                raise ValueError(f"form {f.id} has dimension {f.form.dim}, not {algebra.dim}")
-        for s in structures:
-            if s.J.dim != algebra.dim:
-                raise ValueError(f"structure {s.id} has dimension {s.J.dim}, not {algebra.dim}")
+        carried = {s["form"] for s in json_list("structures", obj["structures"])}
+        forms = tuple(_form(f, carried, algebra.dim) for f in json_list("forms", obj["forms"]))
+        form_by_id = _by_id("form", forms)
+        structures = tuple(_structure(s, form_by_id, algebra.dim) for s in obj["structures"])
+        _by_id("structure", structures)
         return CatalogEntry(
             name=name,
             algebra=algebra,

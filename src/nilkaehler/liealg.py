@@ -58,6 +58,22 @@ def json_int(key: str, value) -> int:
     return value
 
 
+def json_list(key: str, value) -> list:
+    """``value``, read from the JSON key ``key``, when it is a list."""
+    if type(value) is not list:
+        raise TypeError(f"{key}={value!r}: must be a list, not {type(value).__name__}")
+    return value
+
+
+def json_expr(key: str, value) -> str | int:
+    """``value``, read from the JSON key ``key``, when it is an expression: a
+    string or an integer, never a bool or float."""
+    if type(value) not in (str, int):
+        raise TypeError(f"{key}={value!r}: must be a string or an integer,"
+                        f" not {type(value).__name__}")
+    return value
+
+
 class LieAlgebra:
     """dim and the structure constants C_ij^k; the basis prints as e1..e{dim}."""
 
@@ -90,6 +106,10 @@ class LieAlgebra:
         table: dict[tuple[int, int], dict[int, Scalar]] = {}
         for i, j, k, c in terms:
             c = as_scalar(c)
+            if not (1 <= i <= dim and 1 <= j <= dim):
+                raise ValueError(f"bad bracket pair ({i}, {j}); need indices in 1..{dim}")
+            if not 1 <= k <= dim:
+                raise ValueError(f"bad bracket target {k}; need an index in 1..{dim}")
             if i == j:
                 raise ValueError(f"bracket [e{i}, e{j}] must vanish")
             if i > j:
@@ -109,8 +129,8 @@ class LieAlgebra:
     def from_json_dict(cls, obj: Mapping) -> "LieAlgebra":
         if not isinstance(obj, Mapping):
             raise ValueError(f"a Lie algebra must be a JSON object, not {type(obj).__name__}")
-        terms = [(json_int("i", b["i"]), json_int("j", b["j"]), json_int("k", b["k"]), b["c"])
-                 for b in obj.get("brackets", [])]
+        terms = [(json_int("i", b["i"]), json_int("j", b["j"]), json_int("k", b["k"]),
+                  json_expr("c", b["c"])) for b in json_list("brackets", obj.get("brackets", []))]
         return cls.from_terms(json_int("dim", obj["dim"]), terms)
 
     def to_json_dict(self) -> dict:

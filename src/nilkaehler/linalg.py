@@ -1,9 +1,9 @@
 """Exact linear algebra over the Scalar fraction field.
 
 Matrices are immutable tuples of tuples of Scalar.  Elimination routines
-return side conditions: the sign-normalised primitive parts of the pivot
-numerators that were assumed nonzero.  A part free of parameters never
-generates a condition, and constant pivots are preferred during pivot
+return side conditions, a tuple of the sign-normalised primitive parts of
+the pivot numerators that were assumed nonzero.  A part free of parameters
+never generates a condition, and constant pivots are preferred during pivot
 selection so that conditions appear only when forced by symbolic entries.
 A square matrix is nonsingular exactly when it has full rank over the
 fraction field, ``len(rref(m)[1]) == len(m)``; no determinant is formed.
@@ -117,31 +117,14 @@ def compose(s: Components, si: int, t: Components, ti: int) -> Components:
                        for idx, u in s.items() for rest, v in by_p.get(idx[si], ()))
 
 
-class SideConditions:
-    """Ordered, duplicate-free set of nonvanishing polynomial constraints."""
-
-    def __init__(self) -> None:
-        self._seen: set[Scalar] = set()
-        self.items: list[Scalar] = []
-
-    def require_nonzero(self, value: Scalar) -> None:
-        # a quotient is nonzero exactly when the primitive part of its
-        # numerator is; a part free of parameters never vanishes
-        if not value.free_params():
-            return
-        poly = value.primitive_numerator()
-        if poly.free_params() and poly not in self._seen:
-            self._seen.add(poly)
-            self.items.append(poly)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __repr__(self) -> str:
-        return f"SideConditions({[str(x) for x in self.items]})"
+def _condition(pivot: Scalar) -> Scalar | None:
+    """``pivot`` != 0 as a condition: the sign-normalised primitive part of
+    its numerator (a quotient is nonzero exactly when that part is), or None
+    when that part is free of parameters and so never vanishes."""
+    if not pivot.free_params():
+        return None
+    poly = pivot.primitive_numerator()
+    return poly if poly.free_params() else None
 
 
 def _pick_pivot(rows: list[list[Scalar]], start: int, col: int) -> int | None:
@@ -158,11 +141,12 @@ def _pick_pivot(rows: list[list[Scalar]], start: int, col: int) -> int | None:
     return fallback
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], SideConditions]:
-    """Reduced row echelon form, pivot columns, accumulated conditions."""
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], tuple[Scalar, ...]]:
+    """Reduced row echelon form, pivot columns, and the conditions of the
+    pivots (see ``_condition``) in the order first met, without repeats."""
     rows = [list(row) for row in m]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    conditions = SideConditions()
+    conditions: dict[Scalar, None] = {}
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -173,7 +157,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], SideConditions]:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         pivot = rows[r][col]
-        conditions.require_nonzero(pivot)
+        condition = _condition(pivot)
+        if condition is not None:
+            conditions[condition] = None
         inv = ONE / pivot
         rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
@@ -182,7 +168,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], SideConditions]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots), conditions
+    return tuple(tuple(row) for row in rows), tuple(pivots), tuple(conditions)
 
 
 @dataclass(frozen=True)
@@ -236,7 +222,7 @@ def span(rows: Iterable[Iterable[Scalar]]) -> Span:
     return Span(reduced[: len(pivots)], pivots)
 
 
-def nullspace(m: Matrix) -> tuple[Span, SideConditions]:
+def nullspace(m: Matrix) -> tuple[Span, tuple[Scalar, ...]]:
     """The right nullspace {v : m v = 0} and the conditions its rref assumed.
 
     The basis vector of free column c has a 1 at c and a 0 at every other

@@ -584,13 +584,15 @@ class ParamBinding(Mapping):
     __slots__ = ("_values",)
 
     def __init__(self, values: Mapping[str, Fraction | int | str]):
+        if not isinstance(values, Mapping):
+            raise TypeError(f"a binding must be a mapping, not {type(values).__name__}")
         norm: dict[str, Fraction] = {}
         for name, value in values.items():
             if name == SQRT2_NAME:
                 raise ValueError(f"{SQRT2_NAME!r} is reserved for sqrt(2)")
             if not name.isidentifier():
                 raise ValueError(f"not a valid parameter name: {name!r}")
-            if isinstance(value, (bool, float)):
+            if isinstance(value, bool) or not isinstance(value, (Fraction, int, str)):
                 raise TypeError(
                     f"{name}={value!r}: parameter values must be exact rational,"
                     f" not {type(value).__name__}")
@@ -598,6 +600,8 @@ class ParamBinding(Mapping):
                 norm[name] = Fraction(value)
             except ZeroDivisionError:
                 raise ValueError(f"{name}={value}: zero denominator") from None
+            except ValueError:
+                raise ValueError(f"{name}={value!r}: not an exact rational") from None
         self._values = norm
 
     @classmethod

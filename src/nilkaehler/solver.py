@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,13 +34,12 @@ class LinearSolution:
     """Exact solution space of the compatibility system.
 
     ``span`` spans {J : omega_kj J_i^k + omega_is J_j^s = 0} in the
-    row-major flattening x[i*dim + k] = J_i^k; ``side_conditions`` carries
-    nonvanishing constraints picked up while eliminating symbolic form
-    coefficients.
+    row-major flattening x[i*dim + k] = J_i^k; ``side_conditions`` are the
+    polynomials assumed nonzero while eliminating symbolic form coefficients.
     """
 
     span: linalg.Span
-    side_conditions: linalg.SideConditions
+    side_conditions: tuple[Scalar, ...]
 
     @property
     def dimension(self) -> int:
@@ -302,17 +301,19 @@ def _lm_step(
 
 
 def _levenberg_marquardt(
-    X: np.ndarray, args: tuple, jacobian: _LinearJacobian, tolerance: float
-) -> Iterator[tuple[int, np.ndarray, float]]:
-    """Levenberg-Marquardt on a stack of starts, yielding each start as it retires.
+    X: np.ndarray, args: tuple, jacobian: _LinearJacobian, tolerance: float, accept
+) -> tuple[int, np.ndarray, float] | None:
+    """Levenberg-Marquardt on a stack of starts: the first start ``accept`` takes.
 
     Each start keeps its own damping mu in (M^T M + mu I) delta = -M^T r
     (see ``_lm_step``).  A start retires when it converges, when mu
     exceeds MU_MAX, when it is hopeless (sup-norm above HOPELESS_NORM at
     iteration HOPELESS_ITER), when its residual, Jacobian or step is not
-    finite, or after MAX_ITER iterations; it is then yielded once as
-    (row, X, sup-norm).  Starts never interact, so a consumer may stop
-    iterating at any point.
+    finite, or after MAX_ITER iterations.  Each start is offered once as
+    ``accept(X, sup-norm)``, in row order, as soon as it and every lower
+    row have retired.  Starts never interact, so the iteration stops at the
+    first accepted start, returned as (row, X, sup-norm); None when no
+    start is accepted.
     """
     X = X.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,37 +321,20 @@ def _levenberg_marquardt(
         norm = np.max(np.abs(res), axis=-1)
     mu = np.full(len(X), MU_START)
     active = np.ones(len(X), dtype=bool)
+    row = 0  # every lower row has been offered
     for it in range(MAX_ITER + 1):
-        running = active & (norm > tolerance) & np.isfinite(norm) & (mu <= MU_MAX)
+        active &= (norm > tolerance) & np.isfinite(norm) & (mu <= MU_MAX)
         if it == HOPELESS_ITER:
-            running &= norm <= HOPELESS_NORM
+            active &= norm <= HOPELESS_NORM
         if it == MAX_ITER:
-            running[:] = False
-        for row in np.flatnonzero(active & ~running):
-            yield int(row), X[row].copy(), float(norm[row])
-        active = running
-        if not active.any():
-            return
-        _lm_step(X, res, norm, mu, np.flatnonzero(active), args, jacobian)
-
-
-def _first_in_order(
-    retired: Iterable[tuple[int, np.ndarray, float]], accept
-) -> tuple[int, np.ndarray, float] | None:
-    """The lowest row of ``retired`` (rows in any order) that ``accept`` takes.
-
-    Rows are tested in row order, each as soon as every lower row has been
-    seen, and ``retired`` is consumed only until the answer is known.
-    """
-    seen: dict[int, tuple[np.ndarray, float]] = {}
-    row = 0
-    for r, X, norm in retired:
-        seen[r] = X, norm
-        while row in seen:
-            X, norm = seen.pop(row)
-            if accept(X, norm):
-                return row, X, norm
+            active[:] = False
+        while row < len(X) and not active[row]:
+            if accept(X[row], float(norm[row])):
+                return row, X[row], float(norm[row])
             row += 1
+        if row == len(X):
+            break
+        _lm_step(X, res, norm, mu, np.flatnonzero(active), args, jacobian)
     return None
 
 
@@ -405,7 +389,7 @@ def newton_search(
                 X0[row] = initial_guess
             else:
                 X0[row] = np.random.default_rng((seed, start)).standard_normal((n, n))
-        found = _first_in_order(_levenberg_marquardt(X0, args, jacobian, tolerance), is_root)
+        found = _levenberg_marquardt(X0, args, jacobian, tolerance, is_root)
         if found is not None:
             row, X, norm = found
             return SearchResult(

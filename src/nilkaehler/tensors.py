@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from . import liealg, linalg
-from .liealg import LieAlgebra, Vector, json_int
+from .liealg import LieAlgebra, Vector, json_expr, json_int, json_list
 from .linalg import Components, _accumulate, _dot, mat_vec, transform
 from .scalar import ZERO, ParamBinding, Scalar, ScalarLike, as_scalar
 
@@ -64,8 +64,8 @@ class TwoForm:
     def from_json_dict(cls, obj: Mapping) -> "TwoForm":
         if not isinstance(obj, Mapping):
             raise ValueError(f"a 2-form must be a JSON object, not {type(obj).__name__}")
-        terms = [(json_int("i", t["i"]), json_int("j", t["j"]), t["c"])
-                 for t in obj.get("terms", [])]
+        terms = [(json_int("i", t["i"]), json_int("j", t["j"]), json_expr("c", t["c"]))
+                 for t in json_list("terms", obj.get("terms", []))]
         return cls.from_terms(json_int("dim", obj["dim"]), terms)
 
     def to_json_dict(self) -> dict:
@@ -129,7 +129,8 @@ class Endomorphism:
     def from_json_dict(cls, obj: Mapping) -> "Endomorphism":
         if not isinstance(obj, Mapping):
             raise ValueError(f"an endomorphism must be a JSON object, not {type(obj).__name__}")
-        rows = obj["rows"]
+        rows = [[json_expr("rows", x) for x in json_list("rows", row)]
+                for row in json_list("rows", obj["rows"])]
         if len(rows) != json_int("dim", obj["dim"]):
             raise ValueError("row count must match dim")
         return cls(rows)

@@ -500,6 +500,30 @@ class TestMutationControl:
              "i=True: must be an integer, not bool"),
             (lambda obj: obj["forms"][0]["form"]["terms"][0].__setitem__("j", 6.0),
              "j=6.0: must be an integer, not float"),
+            (lambda obj: obj["algebra"].__setitem__("brackets", 5),
+             "brackets=5: must be a list, not int"),
+            (lambda obj: obj["algebra"]["brackets"][0].__setitem__("c", 1.5),
+             "c=1.5: must be a string or an integer, not float"),
+            (lambda obj: obj["forms"][0]["form"].__setitem__("terms", {"i": 1}),
+             "terms={'i': 1}: must be a list, not dict"),
+            (lambda obj: obj["forms"][0]["form"]["terms"][0].__setitem__("c", True),
+             "c=True: must be a string or an integer, not bool"),
+            (lambda obj: obj["structures"][0]["J"].__setitem__("rows", 5),
+             "rows=5: must be a list, not int"),
+            (lambda obj: obj["structures"][0]["J"]["rows"].__setitem__(1, "psi12"),
+             "rows='psi12': must be a list, not str"),
+            (lambda obj: obj["structures"][0]["J"]["rows"][0].__setitem__(2, 0.0),
+             "rows=0.0: must be a string or an integer, not float"),
+            (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi12", [1]),
+             "psi12=[1]: parameter values must be exact rational, not list"),
+            (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi12", "one"),
+             "psi12='one': not an exact rational"),
+            (lambda obj: obj["structures"][0].__setitem__("canonical_binding", ["psi12"]),
+             "a binding must be a mapping, not list"),
+            (lambda obj: obj.__setitem__("forms", "w1 w2"),
+             "forms='w1 w2': must be a list, not str"),
+            (lambda obj: obj.__setitem__("structures", 1),
+             "structures=1: must be a list, not int"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
@@ -516,7 +540,11 @@ class TestMutationControl:
              "form-side-condition-vanishes-at-binding", "side-condition-of-another-param",
              "form-id-repeated", "structure-id-repeated", "algebra-dim-float",
              "form-dim-float", "J-dim-str", "bracket-index-bool", "bracket-index-float",
-             "bracket-index-str", "form-term-index-bool", "form-term-index-float"],
+             "bracket-index-str", "form-term-index-bool", "form-term-index-float",
+             "brackets-not-a-list", "bracket-coefficient-float", "terms-not-a-list",
+             "form-term-coefficient-bool", "J-rows-not-a-list", "J-row-not-a-list",
+             "J-entry-float", "binding-value-list", "binding-value-not-rational",
+             "binding-not-an-object", "forms-not-a-list", "structures-not-a-list"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)
@@ -547,11 +575,47 @@ class TestMutationControl:
          (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
              "idx", [1.0, 2, 1, 2]), "is malformed: idx=1.0: must be an integer, not float"),
          (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"][0].__setitem__(
-             "idx", [1.0, 5]), "is malformed: idx=1.0: must be an integer, not float")],
+             "idx", [1.0, 5]), "is malformed: idx=1.0: must be an integer, not float"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "idx", [1, 2, 1]), "is malformed: the component [1, 2, 1] does not have 4 indices"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "idx", [1, 2, 1, 99]),
+          "is malformed: the component [1, 2, 1, 99] has the index 99, not in 1..6"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "idx", [0, 2, 1, 2]),
+          "is malformed: the component [0, 2, 1, 2] has the index 0, not in 1..6"),
+         (lambda obj: obj["structures"][0]["expected"]["up_components"][0].__setitem__(
+             "idx", [2, 1, 1, 5]), "is malformed: the component [2, 1, 1, 5] does not have i < j"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "idx", [1, 1, 1, 2]), "is malformed: the component [1, 1, 1, 2] does not have i < j"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"][0].__setitem__(
+             "idx", [1, 9]), "is malformed: the metric entry [1, 9] has the index 9, not in 1..6"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"][0].__setitem__(
+             "idx", [1, 5, 1]), "is malformed: the metric entry [1, 5, 1] does not have 2 indices"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["binding"].__setitem__(
+             "zzz", "1"),
+          "is malformed: the metric binding names 'zzz', not one of the parameters"
+          " ['psi11', 'psi12']"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["binding"].__setitem__(
+             "psi12", [1]), "is malformed: psi12=[1]: parameter values must be exact rational,"
+          " not list"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "idx", 5), "is malformed: idx=5: must be a list, not int"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"].__setitem__("entries", 5),
+          "is malformed: entries=5: must be a list, not int"),
+         (lambda obj: obj["structures"][0]["expected"].__setitem__("up_components", "R"),
+          "is malformed: up_components='R': must be a list, not str"),
+         (lambda obj: obj["structures"][0]["expected"].__setitem__("down_components", {}),
+          "is malformed: down_components={}: must be a list, not dict")],
         ids=["missing-key", "metric-binding-division-by-zero", "metric-binding-bool",
              "structure-without-expected", "form-side-conditions-misspelt",
              "repeated-component", "metric-below-diagonal", "component-index-bool",
-             "component-index-float", "metric-index-float"],
+             "component-index-float", "metric-index-float", "component-index-short",
+             "component-index-above-dim", "component-index-zero", "component-i-above-j",
+             "component-i-equals-j", "metric-index-above-dim", "metric-index-long",
+             "metric-binding-of-an-unknown-param", "metric-binding-value-list",
+             "component-index-not-a-list", "metric-entries-not-a-list",
+             "up-components-not-a-list", "down-components-not-a-list"],
     )
     def test_bad_expectation_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         # the failure is the edited entry's alone

@@ -323,6 +323,25 @@ class TestVerify:
                           .__setitem__("idx", [True, 2, 1, 2])),
                 "catalog entry g10 is malformed: idx=True: must be an integer, not bool",
                 id="component-index-bool"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["expected"]["down_components"][0]
+                          .__setitem__("idx", [1, 2, 1])),
+                "catalog entry g10 is malformed: the component [1, 2, 1] does not have 4 indices",
+                id="component-index-short"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0]["expected"]["down_components"][0]
+                          .__setitem__("idx", 5)),
+                "catalog entry g10 is malformed: idx=5: must be a list, not int",
+                id="component-index-not-a-list"),
+            pytest.param(
+                _g10_text(lambda obj: obj["algebra"]["brackets"][0].__setitem__("c", 1.5)),
+                "catalog entry g10 is malformed: c=1.5: must be a string or an integer, not float",
+                id="bracket-coefficient-float"),
+            pytest.param(
+                _g10_text(lambda obj: obj["structures"][0].__setitem__(
+                    "canonical_binding", ["psi11", "psi12"])),
+                "catalog entry g10 is malformed: a binding must be a mapping, not list",
+                id="binding-not-an-object"),
         ],
     )
     @pytest.mark.parametrize(
@@ -352,9 +371,17 @@ class TestVerify:
          (lambda exp: exp["down_components"].append(dict(exp["down_components"][0])),
           "is malformed: the component [1, 2, 1, 2] is given twice"),
          (lambda exp: exp["metric"]["entries"].append({"idx": [5, 1], "value": "17"}),
-          "is malformed: the metric entry [5, 1] lies below the diagonal")],
+          "is malformed: the metric entry [5, 1] lies below the diagonal"),
+         (lambda exp: exp["metric"]["entries"][0].__setitem__("idx", [1, 9]),
+          "is malformed: the metric entry [1, 9] has the index 9, not in 1..6"),
+         (lambda exp: exp["down_components"][0].__setitem__("idx", [1, 2, 1, 99]),
+          "is malformed: the component [1, 2, 1, 99] has the index 99, not in 1..6"),
+         (lambda exp: exp["metric"]["binding"].__setitem__("zzz", "1"),
+          "is malformed: the metric binding names 'zzz', not one of the parameters"
+          " ['psi11', 'psi12']")],
         ids=["missing-key", "metric-binding-division-by-zero", "repeated-component",
-             "metric-below-diagonal"],
+             "metric-below-diagonal", "metric-index-above-dim", "component-index-above-dim",
+             "metric-binding-of-an-unknown-param"],
     )
     @pytest.mark.parametrize("argv", [("show", "g21"), ("verify", "g21")], ids=["show", "verify"])
     def test_bad_expectation_is_usage_error(self, capsys, monkeypatch, tmp_path, edit, message, argv):
@@ -482,6 +509,7 @@ class TestCurvature:
             (["zz=1"], "unknown parameter 'zz'"),
             (["psi11=1/2", "psi11=3"], "parameter 'psi11' is bound twice"),
             (["psi11=1", "psi12=0"], "violates side condition psi12 != 0"),
+            (["psi11"], "binding must look like name=value, got 'psi11'"),
         ],
     )
     def test_bad_bindings_are_usage_errors(self, capsys, bind, fragment):
@@ -492,6 +520,16 @@ class TestCurvature:
         )
         assert rc == 2
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(("--form", "w2", "--structure", "J9"), "no structure 'J9' on g21/w2"),
+         (("--form", "w1"), "g21/w1 carries no verified structure")],
+        ids=["unknown-structure", "form-without-a-structure"],
+    )
+    def test_no_family_to_report_is_usage_error(self, capsys, argv, message):
+        rc, out, err = invoke(capsys, "curvature", "g21", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv,up,down",
@@ -537,6 +575,18 @@ class TestSolveAndSearch:
         rc, out, _ = invoke(capsys, "solve-linear", str(path))
         assert rc == 0
         assert json.loads(out) == {"dimension": 21, "side_conditions": conditions}
+
+    def test_solve_linear_on_a_missing_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        rc, out, err = invoke(capsys, "solve-linear", str(path))
+        assert (rc, out, err) == (2, "", f"error: cannot read {path}: No such file or directory\n")
+
+    def test_solve_linear_on_invalid_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "form.json"
+        path.write_text('{"dim": ')
+        rc, out, err = invoke(capsys, "solve-linear", str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path} is not valid JSON: Expecting value: line 1 column 9 (char 8)\n"
 
     def test_search_converges_on_abelian(self, capsys, tmp_path):
         alg = tmp_path / "abelian.json"
@@ -633,6 +683,14 @@ class TestExport:
         flat = " ".join(out.split())
         assert " ".join(G21_METRIC_LATEX.split()) in flat
         assert r"R_{1,2,1,2} = -\psi_{12}" in flat
+
+    @pytest.mark.parametrize("name", ["g14", "g25"])
+    def test_latex_of_a_flat_family_says_r_vanishes(self, capsys, name):
+        rc, out, _ = invoke(capsys, "export", name, "--format", "latex")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines.count(r"\[ R \equiv 0 \]") == len(catalog.get(name).structures)
+        assert not any(line.startswith(r"\[ R_{") for line in lines)
 
     def test_json_round_trips_the_data_file(self, capsys):
         rc, out, _ = invoke(capsys, "export", "g21", "--format", "json")

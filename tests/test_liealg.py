@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -252,6 +253,20 @@ class TestConstruction:
             LieAlgebra(6, {(0, 7): {1: 1}})
         with pytest.raises(ValueError):
             LieAlgebra(6, {(3, 1): {1: 1}})
+        with pytest.raises(ValueError, match="bad bracket target 6"):
+            LieAlgebra(6, {(0, 1): {6: 1}})
+
+    @pytest.mark.parametrize("term,message", [
+        ((1, 2, 9, 1), "bad bracket target 9; need an index in 1..6"),
+        ((1, 2, 0, 1), "bad bracket target 0; need an index in 1..6"),
+        ((0, 2, 4, 1), "bad bracket pair (0, 2); need indices in 1..6"),
+        ((1, 7, 4, 1), "bad bracket pair (1, 7); need indices in 1..6"),
+        ((7, 1, 4, 1), "bad bracket pair (7, 1); need indices in 1..6"),
+    ], ids=["target-above-dim", "target-zero", "pair-zero", "pair-above-dim", "reversed-pair"])
+    def test_from_terms_names_indices_as_written(self, term, message):
+        # the terms are 1-based, and so is every message about them
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LieAlgebra.from_terms(6, [term])
 
 
 def test_in_subspace_rejects_outside_vector():

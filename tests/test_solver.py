@@ -324,12 +324,29 @@ def _starts(seed, count, first=None):
     return X
 
 
+def _offers(X0, args, jacobian, k=None):
+    """The result when the ``k``-th offered start is accepted (none when k is
+    None), and every (X, sup-norm) offered."""
+    offers = []
+
+    def accept(X, norm):
+        offers.append((X.copy(), norm))
+        return len(offers) == k
+
+    return solver._levenberg_marquardt(X0, args, jacobian, 1e-9, accept), offers
+
+
 def _converged(X0, args, jacobian):
     """Each start's converged flag, in start order, with every start run out."""
-    norms = {row: norm for row, _, norm in
-             solver._levenberg_marquardt(X0, args, jacobian, 1e-9)}
-    assert sorted(norms) == list(range(len(X0)))  # each start retires once
-    return [norms[row] <= 1e-9 for row in range(len(X0))]
+    found, offers = _offers(X0, args, jacobian)
+    assert found is None and len(offers) == len(X0)  # each start is offered once
+    return [norm <= 1e-9 for _, norm in offers]
+
+
+def _nudged_g21_starts():
+    """Twelve starts on g21 w2, the first a nudge of the canonical structure."""
+    nudge = 0.05 * np.random.default_rng(5).standard_normal((6, 6))
+    return _starts(11, 12, first=np.array(J21_CANON) + nudge)
 
 
 class TestBatchedProbe:
@@ -386,11 +403,7 @@ class TestBatchedProbe:
         "alg,w,X0",
         [
             pytest.param(G23, W1_G23, _starts(11, 12), id="g23-w1"),
-            pytest.param(
-                G21, W2_G21,
-                _starts(11, 12, first=np.array(J21_CANON)
-                        + 0.05 * np.random.default_rng(5).standard_normal((6, 6))),
-                id="g21-w2-nudged"),
+            pytest.param(G21, W2_G21, _nudged_g21_starts(), id="g21-w2-nudged"),
         ],
     )
     def test_starts_do_not_interact(self, alg, w, X0):
@@ -413,18 +426,38 @@ class TestBatchedProbe:
         assert not with_bad[0]
         assert with_bad[1:] == _converged(X0[1:], args, jacobian)
 
-    def test_first_in_order_stops_once_the_answer_is_known(self):
+    def test_the_first_accepted_start_ends_the_iteration(self, monkeypatch):
+        # accepting the k-th offer returns row k - 1 after k offers, so the
+        # starts are offered in row order and none after the accepted one
+        args = _probe_args(G21, W2_G21)
+        jacobian = solver._LinearJacobian(*args)
+        X0 = _nudged_g21_starts()
+        steps = []
+        lm_step = solver._lm_step
+        monkeypatch.setattr(solver, "_lm_step", lambda *a: steps.append(a) or lm_step(*a))
+        _, every = _offers(X0, args, jacobian)
+        taken = [len(steps)]
+        for k in range(1, len(X0) + 1):
+            del steps[:]
+            (row, X, norm), offers = _offers(X0, args, jacobian, k)
+            assert (row, len(offers)) == (k - 1, k)
+            assert np.array_equal(X, every[row][0]) and norm == every[row][1]
+            taken.append(len(steps))
+        # the nudged start converges first, and its acceptance stops the loop
+        assert every[0][1] <= 1e-9
+        assert taken[1] < taken[0] and taken[1:] == sorted(taken[1:])
+
+    @pytest.mark.parametrize("alg,w,max_starts,seed,steps", [
+        (G21, W2_G21, 50, 0, 21), (G23, W1_G23, 20, 0, 60), (G23, W1_G23, 200, 7, 240)])
+    def test_a_search_takes_a_fixed_number_of_steps(
+            self, monkeypatch, alg, w, max_starts, seed, steps):
+        # a guard on the probe's work: one converging search, one failing
+        # search and one over several blocks
         taken = []
-
-        def retired():
-            for row in (2, 0, 3, 1, 4):
-                taken.append(row)
-                yield row, np.zeros((6, 6)), 0.0
-
-        # row 1 is the first accepted, known once rows 0 and 1 have retired
-        found = solver._first_in_order(retired(), lambda X, norm: len(taken) >= 3)
-        assert found[0] == 1 and taken == [2, 0, 3, 1]
-        assert solver._first_in_order(retired(), lambda X, norm: False) is None
+        lm_step = solver._lm_step
+        monkeypatch.setattr(solver, "_lm_step", lambda *a: taken.append(a) or lm_step(*a))
+        newton_search(alg, w, max_starts=max_starts, seed=seed)
+        assert len(taken) == steps
 
 
 class TestSearchReport:
