@@ -209,16 +209,18 @@ def cmd_curvature(args) -> int:
         raise UsageError(f"no structure {args.structure!r} on {e.name}/{args.form}")
     if not structures:
         raise UsageError(f"{e.name}/{args.form} carries no verified structure")
+    # each structure takes the names of the binding that are its own
+    binding = _parse_binding(args.bind, frozenset().union(*(s.params for s in structures)))
     reports = []
     for s in structures:
-        binding = _parse_binding(args.bind, frozenset(s.params))
-        vanishing = s.vanishing(binding)
+        own = ParamBinding({k: v for k, v in binding.items() if k in s.params})
+        vanishing = s.vanishing(own)
         if vanishing is not None:
             raise UsageError(f"binding violates side condition {vanishing} != 0")
-        _, _, curv = _full_curvature(e, s, binding)
+        _, _, curv = _full_curvature(e, s, own)
         report = geometry.curvature_report(curv)
-        if binding:
-            report["binding"] = {k: str(v) for k, v in sorted(binding.items())}
+        if own:
+            report["binding"] = {k: str(v) for k, v in sorted(own.items())}
         report["entry"] = e.name
         report["form"] = args.form
         report["structure"] = s.id

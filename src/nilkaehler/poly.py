@@ -7,13 +7,12 @@ attribute is that ring, and every exponent tuple has one entry per name.
 Values are never mutated after they are built.
 
 Monomials are ordered graded-lex: by total degree, then by the exponent
-tuple.  ``LT`` is the leading (monomial, coefficient) pair under that order
-and ``terms()`` lists the terms from the highest down.
+tuple.  ``LC`` is the leading coefficient under that order and ``terms()``
+lists the terms from the highest down.
 
 ``cofactors(f, g)`` returns (h, f/h, g/h) with h = gcd(f, g).  A single-term
-operand is read off exponents and integer content; otherwise both operands
-are deflated by the gcd of each variable's exponents and the heuristic gcd
-GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet, "GCDHEU: Heuristic
+operand is read off exponents and integer content; otherwise the heuristic
+gcd GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet, "GCDHEU: Heuristic
 polynomial GCD algorithm based on integer GCD computation", J. Symbolic
 Comput. 7 (1989) 31-48) runs on them.  GCDHEU evaluates the first variable
 at a large integer, recurses on the rest down to an integer gcd, and
@@ -188,23 +187,6 @@ def _scale(f: dict, c: int) -> dict:
     return f if c == 1 else {m: v * c for m, v in f.items()}
 
 
-def _deflate(f: dict, g: dict) -> tuple:
-    # (J, f, g) with each variable's exponents divided by J, their gcd over f
-    # and g (1 for a variable that occurs in neither)
-    J = [0] * len(next(iter(f)))
-    for p in (f, g):
-        for m in p:
-            J = list(map(math.gcd, J, m))
-    J = tuple(j or 1 for j in J)
-    if all(j == 1 for j in J):
-        return None, f, g
-    return J, *({tuple(map(int.__floordiv__, m, J)): c for m, c in p.items()} for p in (f, g))
-
-
-def _inflate(f: dict, J) -> dict:
-    return f if J is None else {tuple(map(int.__mul__, m, J)): c for m, c in f.items()}
-
-
 class Poly(dict):
     """A polynomial of one ring; see the module docstring.
 
@@ -251,19 +233,6 @@ class Poly(dict):
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "Poly":
-        if len(self) == 1:
-            (m, c), = self.items()
-            return type(self)({tuple(k * e for k in m): c**e})
-        result, base = self.ring.one, self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.ring is other.ring and dict.__eq__(self, other)
@@ -280,15 +249,9 @@ class Poly(dict):
     __hash__ = None
 
     @property
-    def LT(self) -> tuple:
-        """The leading (monomial, coefficient) under graded-lex order."""
-        m = max(self, key=_grlex)
-        return m, self[m]
-
-    @property
     def LC(self) -> int:
         """The leading coefficient; 0 for the zero polynomial."""
-        return self.LT[1] if self else 0
+        return _lc(self) if self else 0
 
     def terms(self) -> list:
         """(monomial, coefficient) pairs from the graded-lex highest down."""
@@ -318,9 +281,7 @@ class Poly(dict):
         elif len(other) == 1:
             h, cg, cf = _gcd_monom(other, self)
         else:
-            J, f, g = _deflate(self, other)
-            h, cf, cg = _heugcd(f, g, len(self.ring._scalar_names))
-            h, cf, cg = _inflate(h, J), _inflate(cf, J), _inflate(cg, J)
+            h, cf, cg = _heugcd(self, other, len(self.ring._scalar_names))
         return new(h), new(cf), new(cg)
 
 

@@ -21,8 +21,8 @@ its conjugate, 1/(a + b*s) = (a - b*s)/(a^2 - 2 b^2).  Since d never
 contains ``s``, a common factor of a + b*s and d is free of ``s``, and the
 printed numerator a + b*s and denominator d are coprime.
 
-``_reduce`` divides out the full gcd(a, b, d); ``/``, ``**`` and
-``substitute`` call it.  ``+`` and ``*`` of parametric values follow
+``_reduce`` divides out the full gcd(a, b, d); ``/`` and ``substitute``
+call it.  ``+`` and ``*`` of parametric values follow
 Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1) and take a gcd only where a
 factor can cancel: a sum over g = gcd(d1, d2) divides out gcd(a, b, g), and
 a product cancels each numerator against the other denominator before it
@@ -193,18 +193,6 @@ def _times(a1, b1, a2, b2) -> tuple:
     return a1 * a2 + 2 * b1 * b2, a1 * b2 + a2 * b1
 
 
-def _pow_sqrt2(a, b, e: int) -> tuple:
-    # (a + b*s)^e = ra + rb*s for e >= 0, by repeated squaring
-    ra, rb = 1, 0
-    while e:
-        if e & 1:
-            ra, rb = _times(ra, rb, a, b)
-        e >>= 1
-        if e:
-            a, b = _times(a, b, a, b)
-    return ra, rb
-
-
 class Scalar:
     """Immutable exact value of Q(params)(sqrt 2); see module docstring.
 
@@ -291,13 +279,16 @@ class Scalar:
 
     def primitive_numerator(self) -> "Scalar":
         """The numerator a + b*s over its integer content, with a positive
-        leading coefficient: nonzero values vanish exactly where it does."""
+        leading coefficient: nonzero values vanish exactly where it does.
+        A numerator b*s gives b's primitive part, since s is a unit."""
+        R = self._q
+        a, b, _ = _parts(self, R)
+        if b and not a:
+            return _reduce(b, 0, R.one if R else 1, R).primitive_numerator()
         num = self._num
         c = num.content()
         if num.LC < 0:
             c = -c
-        R = self._q
-        a, b, _ = _parts(self, R)
         return _reduce(a, b, R.ground(c) if R else c, R)
 
     def sign(self) -> int:
@@ -418,15 +409,15 @@ class Scalar:
             return NotImplemented
         if exponent < 0:
             return (ONE / self) ** (-exponent)
-        if exponent == 0:
-            return ONE
-        if exponent == 1:
-            return self
-        if self._p is None:
-            # powers of coprime ints stay coprime, and d > 0
-            return Scalar._const(self._n**exponent, self._d**exponent)
-        a, b, d = self._p
-        return _reduce(*_pow_sqrt2(a, b, exponent), d**exponent, self._q)
+        # by squaring, each product reduced by ``*``
+        result, base = ONE, self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     # -- substitution and evaluation ------------------------------------
 

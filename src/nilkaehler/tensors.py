@@ -43,6 +43,8 @@ class TwoForm:
         cls, dim: int, terms: Iterable[tuple[int, int, ScalarLike]]
     ) -> "TwoForm":
         """Build from 1-based (i, j, c) items meaning c * e^i ^ e^j."""
+        if dim < 1:
+            raise ValueError("dimension must be positive")
         entries = [[ZERO] * dim for _ in range(dim)]
         seen = set()
         for i, j, c in terms:
@@ -131,7 +133,10 @@ class Endomorphism:
             raise ValueError(f"an endomorphism must be a JSON object, not {type(obj).__name__}")
         rows = [[json_expr("rows", x) for x in json_list("rows", row)]
                 for row in json_list("rows", obj["rows"])]
-        if len(rows) != json_int("dim", obj["dim"]):
+        dim = json_int("dim", obj["dim"])
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        if len(rows) != dim:
             raise ValueError("row count must match dim")
         return cls(rows)
 

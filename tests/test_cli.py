@@ -501,6 +501,24 @@ class TestCurvature:
         assert rc == 0
         assert json.loads(out)["binding"] == {"psi11": "1/2", "psi12": "-2/3"}
 
+    def test_each_structure_takes_its_own_names(self, capsys):
+        # psi12 is a parameter of g12 J1 only, so J2 and J3 report free
+        rc, out, _ = invoke(capsys, "curvature", "g12", "--form", "w1", "--bind", "psi12=2")
+        assert rc == 0
+        reports = json.loads(out)
+        assert [(r["structure"], r.get("binding")) for r in reports] == [
+            ("J1", {"psi12": "2"}), ("J2", None), ("J3", None)]
+        for r, argv in zip(reports, [("--structure", "J1", "--bind", "psi12=2"),
+                                     ("--structure", "J2"), ("--structure", "J3")]):
+            rc, alone, _ = invoke(capsys, "curvature", "g12", "--form", "w1", *argv)
+            assert rc == 0 and json.loads(alone) == r
+
+    def test_a_name_of_no_structure_lists_every_parameter(self, capsys):
+        rc, out, err = invoke(capsys, "curvature", "g12", "--form", "w1", "--bind", "zzz=1")
+        assert (rc, out) == (2, "")
+        assert err == ("error: unknown parameter 'zzz'; family parameters:"
+                       " lambda, psi12, psi31, psi41, psi51, psi52\n")
+
     @pytest.mark.parametrize(
         "bind,fragment",
         [
@@ -576,6 +594,14 @@ class TestSolveAndSearch:
         assert rc == 0
         assert json.loads(out) == {"dimension": 21, "side_conditions": conditions}
 
+    def test_solve_linear_drops_a_sqrt2_unit_from_a_condition(self, capsys, tmp_path):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(
+            dict(W_STD, terms=[{"i": 1, "j": 2, "c": "s*(lambda+1)^2"}, *W_STD["terms"][1:]])))
+        rc, out, _ = invoke(capsys, "solve-linear", str(path))
+        assert rc == 0
+        assert json.loads(out) == {"dimension": 21, "side_conditions": ["lambda^2 + 2*lambda + 1"]}
+
     def test_solve_linear_on_a_missing_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing.json"
         rc, out, err = invoke(capsys, "solve-linear", str(path))
@@ -637,12 +663,19 @@ class TestSolveAndSearch:
              "bad input file: k=3.0: must be an integer, not float"),
             (("search", ABELIAN, dict(W_STD, terms=[{"i": 1, "j": 2.0, "c": "1"}])),
              "bad input file: j=2.0: must be an integer, not float"),
+            (("solve-linear", {"dim": 0, "terms": []}),
+             "bad form file: dimension must be positive"),
+            (("solve-linear", {"dim": -1, "terms": []}),
+             "bad form file: dimension must be positive"),
+            (("search", ABELIAN, {"dim": -1, "terms": []}),
+             "bad input file: dimension must be positive"),
         ],
         ids=["solve-zero-denominator", "solve-form-list", "search-form-list",
              "search-algebra-list", "search-zero-division", "search-dimension-mismatch",
              "search-degenerate-form", "solve-dim-float", "solve-term-index-bool",
              "search-algebra-dim-str", "search-bracket-index-float",
-             "search-form-term-index-float"],
+             "search-form-term-index-float", "solve-dim-zero", "solve-dim-negative",
+             "search-form-dim-negative"],
     )
     def test_malformed_input_file_is_usage_error(self, capsys, tmp_path, argv, fragment):
         command, *objects = argv

@@ -215,6 +215,16 @@ def test_sign_is_exact_over_q_sqrt2():
         parse_expr("x - s").sign()
 
 
+@pytest.mark.parametrize(
+    "text,primitive",
+    [("2*s*x", "x"), ("-3*s*x^2 - 6*s", "x^2 + 2"), ("s*(lambda+1)^2/(x+1)", "(lambda+1)^2"),
+     ("-2*s", "1"), ("2*x + 2*s*x", "x + s*x"), ("-4*x/3", "x")],
+)
+def test_a_sqrt2_unit_leaves_the_primitive_numerator(text, primitive):
+    # s is a unit: b*s vanishes exactly where b does
+    assert parse_expr(text).primitive_numerator() == parse_expr(primitive)
+
+
 # ---------------------------------------------------------------- evaluation
 
 

@@ -79,6 +79,13 @@ class TestTwoForm:
         with pytest.raises(ValueError, match="duplicate"):
             TwoForm.from_terms(3, [(1, 2, 1), (2, 1, 1)])
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_a_dimension_below_one_is_refused(self, dim):
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            TwoForm.from_terms(dim, [])
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            TwoForm.from_json_dict({"dim": dim, "terms": []})
+
     def test_json_round_trip(self):
         blob = W2_G21.to_json_dict()
         assert blob["terms"] == [
@@ -117,6 +124,11 @@ class TestEndomorphism:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             Endomorphism([[1, 0]])
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_a_dimension_below_one_is_refused(self, dim):
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            Endomorphism.from_json_dict({"dim": dim, "rows": []})
 
 
 class TestExteriorDerivative:
