@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import geometry, liealg, linalg, solver, tensors
-from .liealg import LieAlgebra, jacobi_check, json_int, json_list
+from .liealg import LieAlgebra, jacobi_check, json_int, json_list, json_object, json_str
 from .scalar import ParamBinding, parse_expr
 from .tensors import Endomorphism, TwoForm
 
@@ -127,7 +127,7 @@ def _components(obj, key: str, dim: int) -> dict[tuple[int, ...], str]:
     what, size = ("metric entry", 2) if key == "entries" else ("component", 4)
     table: dict[tuple[int, ...], str] = {}
     for c in json_list(key, obj[key]):
-        idx = tuple(json_int("idx", i) for i in json_list("idx", c["idx"]))
+        idx = tuple(json_int("idx", i) for i in json_list("idx", json_object(key, c)["idx"]))
         name = f"the {what} {list(idx)}"
         if len(idx) != size:
             raise ValueError(f"{name} does not have {size} indices")
@@ -140,7 +140,7 @@ def _components(obj, key: str, dim: int) -> dict[tuple[int, ...], str]:
             raise ValueError(f"{name} does not have i < j")
         if idx in table:
             raise ValueError(f"{name} is given twice")
-        table[idx] = c["value"]
+        table[idx] = json_str("value", c["value"])
     return table
 
 
@@ -151,11 +151,11 @@ def _not_stored(record, key: str) -> None:
 
 
 def _expectation(obj, dim: int, params: Sequence[str]) -> Expectation:
-    _not_stored(obj, "flat")
+    _not_stored(json_object("expected", obj), "flat")
     metric = None
     if "metric" in obj:
         # the binding may leave parameters free, but binds no other name
-        binding = ParamBinding(obj["metric"]["binding"])
+        binding = ParamBinding(json_object("metric", obj["metric"])["binding"])
         for name in binding:
             if name not in params:
                 raise ValueError(f"the metric binding names {name!r},"
@@ -172,14 +172,10 @@ def _conditions(texts, inherited: Sequence[str] = ()) -> tuple[str, ...]:
     """The side conditions ``inherited`` then ``texts``, as their stored text;
     each of ``texts`` is checked to parse to a value in which a parameter
     occurs and which is no earlier condition times a constant."""
-    if not isinstance(texts, list):
-        raise TypeError(f"side conditions must be a list, not {type(texts).__name__}")
     seen = {parse_expr(text).primitive_numerator(): f"the form's {text!r}"
             for text in inherited}
-    for text in texts:
-        if not isinstance(text, str):
-            raise TypeError(f"side condition {text!r} is not a string")
-        value = parse_expr(text)
+    for text in json_list("side_conditions", texts):
+        value = parse_expr(json_str("side_conditions", text))
         if not value.free_params():
             raise ValueError(f"side condition {text!r} is free of parameters")
         key = value.primitive_numerator()
@@ -191,14 +187,14 @@ def _conditions(texts, inherited: Sequence[str] = ()) -> tuple[str, ...]:
 
 def _form(obj, carried: set[str], dim: int) -> FormEntry:
     # a form admits J exactly when a stored structure rides on it
-    _not_stored(obj, "admits_J")
-    form = TwoForm.from_json_dict(obj["form"])
+    _not_stored(json_object("forms", obj), "admits_J")
+    fid, form = json_str("id", obj["id"]), TwoForm.from_json_dict(obj["form"])
     if form.dim != dim:
-        raise ValueError(f"form {obj['id']} has dimension {form.dim}, not {dim}")
+        raise ValueError(f"form {fid} has dimension {form.dim}, not {dim}")
     return FormEntry(
-        id=obj["id"],
+        id=fid,
         form=form,
-        admits_J="yes" if obj["id"] in carried else "no",
+        admits_J="yes" if fid in carried else "no",
         side_conditions=_conditions(obj["side_conditions"]),
     )
 
@@ -208,7 +204,7 @@ def _structure(obj, forms: Mapping[str, FormEntry], dim: int) -> StructureEntry:
     # binding; the form's side conditions come first, and none is in another
     # parameter or vanishes at that binding
     _not_stored(obj, "params")
-    sid, J = obj["id"], Endomorphism.from_json_dict(obj["J"])
+    sid, J = json_str("id", obj["id"]), Endomorphism.from_json_dict(obj["J"])
     if J.dim != dim:
         raise ValueError(f"structure {sid} has dimension {J.dim}, not {dim}")
     f = forms.get(obj["form"])
@@ -257,20 +253,21 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
         except json.JSONDecodeError as exc:
             raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
     try:
-        _not_stored(obj, "name")
+        _not_stored(json_object(name, obj), "name")
         algebra = LieAlgebra.from_json_dict(obj["algebra"])
         linalg.require_bound([algebra.constants.values()])  # the series need numbers
-        carried = {s["form"] for s in json_list("structures", obj["structures"])}
+        records = [json_object("structures", s) for s in json_list("structures", obj["structures"])]
+        carried = {json_str("form", s["form"]) for s in records}
         forms = tuple(_form(f, carried, algebra.dim) for f in json_list("forms", obj["forms"]))
         form_by_id = _by_id("form", forms)
-        structures = tuple(_structure(s, form_by_id, algebra.dim) for s in obj["structures"])
+        structures = tuple(_structure(s, form_by_id, algebra.dim) for s in records)
         _by_id("structure", structures)
         return CatalogEntry(
             name=name,
             algebra=algebra,
             forms=forms,
             structures=structures,
-            notes=obj["notes"],
+            notes=json_str("notes", obj["notes"]),
         )
     except KeyError as exc:
         raise ValueError(f"catalog entry {name} lacks the key {exc.args[0]!r}") from exc

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from fractions import Fraction
 
 from . import catalog, geometry, solver, tensors
 from .liealg import LieAlgebra
@@ -27,9 +25,6 @@ class UsageError(Exception):
 
 class VerificationFailure(Exception):
     """A stored structure fails a check the command needs; maps to exit code 1."""
-
-
-_RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 # -- LaTeX ----------------------------------------------------------------
@@ -59,6 +54,8 @@ def _entry(name: str, form_id: str | None = None) -> catalog.CatalogEntry:
 
 
 def _parse_binding(pairs: list[str], allowed: frozenset[str]) -> ParamBinding:
+    """The binding of ``pairs``, each ``name=value`` with a name in ``allowed``;
+    ``ParamBinding`` reads the values."""
     values = {}
     for item in pairs:
         name, eq, txt = item.partition("=")
@@ -70,14 +67,11 @@ def _parse_binding(pairs: list[str], allowed: frozenset[str]) -> ParamBinding:
                 f"{', '.join(sorted(allowed)) or 'none'}")
         if name in values:
             raise UsageError(f"parameter {name!r} is bound twice")
-        if not _RATIONAL.fullmatch(txt):
-            raise UsageError(
-                f"not an exact rational: {item!r} (use n or n/m, no floats)")
-        try:
-            values[name] = Fraction(txt)
-        except ZeroDivisionError as exc:
-            raise UsageError(f"zero denominator in {item!r}") from exc
-    return ParamBinding(values)
+        values[name] = txt
+    try:
+        return ParamBinding(values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _full_curvature(
@@ -94,14 +88,20 @@ def _full_curvature(
         raise VerificationFailure(f"{e.name} {s.id} on {s.form_id}: {exc}") from exc
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, what: str, build):
+    """``build`` of the JSON value in ``path``; a file that cannot be read,
+    parsed or built is a usage error, the last one naming ``what``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return build(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {what} file: {exc}") from exc
 
 
 def _nonzero(conditions) -> str:
@@ -231,12 +231,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_solve_linear(args) -> int:
-    obj = _load_json(args.form_file)
-    try:
-        w = TwoForm.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad form file: {exc}") from exc
-    solution = solver.compat_nullspace(w)
+    solution = solver.compat_nullspace(_read(args.form_file, "form", TwoForm.from_json_dict))
     print(json.dumps({
         "dimension": solution.dimension,
         "side_conditions": [str(c) for c in solution.side_conditions],
@@ -245,13 +240,8 @@ def cmd_solve_linear(args) -> int:
 
 
 def cmd_search(args) -> int:
-    alg_obj = _load_json(args.algebra_file)
-    form_obj = _load_json(args.form_file)
-    try:
-        alg = LieAlgebra.from_json_dict(alg_obj)
-        w = TwoForm.from_json_dict(form_obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad input file: {exc}") from exc
+    alg = _read(args.algebra_file, "input", LieAlgebra.from_json_dict)
+    w = _read(args.form_file, "input", TwoForm.from_json_dict)
     if not tensors.nondegenerate(w):
         raise UsageError(f"the form {w!r} is degenerate")
     try:
@@ -273,10 +263,10 @@ def cmd_export(args) -> int:
     if args.format == "csv":
         print("entry,form,structure,kind,idx,value")
         for s in e.structures:
-            for idx, txt in sorted(s.expected.up_components.items()):
-                print(f"{e.name},{s.form_id},{s.id},up,{' '.join(map(str, idx))},\"{txt}\"")
-            for idx, txt in sorted(s.expected.down_components.items()):
-                print(f"{e.name},{s.form_id},{s.id},down,{' '.join(map(str, idx))},\"{txt}\"")
+            for kind, table in (("up", s.expected.up_components),
+                                ("down", s.expected.down_components)):
+                for idx, txt in sorted(table.items()):
+                    print(f"{e.name},{s.form_id},{s.id},{kind},{' '.join(map(str, idx))},\"{txt}\"")
         return 0
     # latex; every metric is built before anything is printed
     curvatures = [_full_curvature(e, s) for s in e.structures]
@@ -303,17 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "nilpotent Lie algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="catalog names with algebra types")
+    sub.add_parser("list", help="catalog names with algebra types").set_defaults(run=cmd_list)
 
     p = sub.add_parser("show", help="one entry: brackets, forms, structures")
+    p.set_defaults(run=cmd_show)
     p.add_argument("name")
 
     p = sub.add_parser("verify", help="recompute all invariants for an entry")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("name", nargs="?")
     p.add_argument("--form", help="restrict to one form id")
     p.add_argument("--all", action="store_true", help="verify every entry")
 
     p = sub.add_parser("curvature", help="curvature report for a family")
+    p.set_defaults(run=cmd_curvature)
     p.add_argument("name")
     p.add_argument("--form", required=True)
     p.add_argument("--structure", help="structure id (default: all on the form)")
@@ -322,9 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-linear",
                        help="exact nullspace of the compatibility system")
+    p.set_defaults(run=cmd_solve_linear)
     p.add_argument("form_file")
 
     p = sub.add_parser("search", help="seeded Newton probe for a compatible J")
+    p.set_defaults(run=cmd_search)
     p.add_argument("algebra_file")
     p.add_argument("form_file")
     p.add_argument("--starts", type=int, default=50)
@@ -332,20 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("export", help="entry data as json, csv, or latex")
+    p.set_defaults(run=cmd_export)
     p.add_argument("name")
     p.add_argument("--format", required=True, choices=("json", "csv", "latex"))
     return parser
-
-
-COMMANDS = {
-    "list": cmd_list,
-    "show": cmd_show,
-    "verify": cmd_verify,
-    "curvature": cmd_curvature,
-    "solve-linear": cmd_solve_linear,
-    "search": cmd_search,
-    "export": cmd_export,
-}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -356,7 +341,7 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except (UsageError, VerificationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

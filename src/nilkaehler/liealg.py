@@ -65,6 +65,20 @@ def json_list(key: str, value) -> list:
     return value
 
 
+def json_object(key: str, value) -> dict:
+    """``value``, read from the JSON key ``key``, when it is an object."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{key}: must be an object, not {type(value).__name__}")
+    return value
+
+
+def json_str(key: str, value) -> str:
+    """``value``, read from the JSON key ``key``, when it is a string."""
+    if type(value) is not str:
+        raise TypeError(f"{key}={value!r}: must be a string, not {type(value).__name__}")
+    return value
+
+
 def json_expr(key: str, value) -> str | int:
     """``value``, read from the JSON key ``key``, when it is an expression: a
     string or an integer, never a bool or float."""
@@ -129,8 +143,9 @@ class LieAlgebra:
     def from_json_dict(cls, obj: Mapping) -> "LieAlgebra":
         if not isinstance(obj, Mapping):
             raise ValueError(f"a Lie algebra must be a JSON object, not {type(obj).__name__}")
-        terms = [(json_int("i", b["i"]), json_int("j", b["j"]), json_int("k", b["k"]),
-                  json_expr("c", b["c"])) for b in json_list("brackets", obj.get("brackets", []))]
+        terms = [(json_int("i", json_object("brackets", b)["i"]), json_int("j", b["j"]),
+                  json_int("k", b["k"]), json_expr("c", b["c"]))
+                 for b in json_list("brackets", obj.get("brackets", []))]
         return cls.from_terms(json_int("dim", obj["dim"]), terms)
 
     def to_json_dict(self) -> dict:

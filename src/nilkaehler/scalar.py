@@ -570,7 +570,8 @@ def _substitute_poly(parts, bind: dict[str, Fraction]) -> list[dict]:
 
 
 class ParamBinding(Mapping):
-    """Parameter values, held as exact rationals; floats and bools are rejected."""
+    """Parameter values, held as exact rationals; floats and bools are rejected,
+    and a string is read by ``parse_expr`` and kept when it is a rational constant."""
 
     __slots__ = ("_values",)
 
@@ -587,12 +588,17 @@ class ParamBinding(Mapping):
                 raise TypeError(
                     f"{name}={value!r}: parameter values must be exact rational,"
                     f" not {type(value).__name__}")
-            try:
-                norm[name] = Fraction(value)
-            except ZeroDivisionError:
-                raise ValueError(f"{name}={value}: zero denominator") from None
-            except ValueError:
-                raise ValueError(f"{name}={value!r}: not an exact rational") from None
+            if isinstance(value, str):
+                try:
+                    parsed = parse_expr(value)
+                except ZeroDivisionError:
+                    raise ValueError(f"{name}={value}: zero denominator") from None
+                except ScalarSyntaxError:
+                    parsed = None
+                if parsed is None or not parsed.is_constant():
+                    raise ValueError(f"{name}={value!r}: not an exact rational")
+                value = Fraction(parsed._n, parsed._d)
+            norm[name] = Fraction(value)
         self._values = norm
 
     @classmethod

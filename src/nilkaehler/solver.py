@@ -77,8 +77,8 @@ def compat_nullspace(w: TwoForm) -> LinearSolution:
         for j in range(i + 1, n):
             coeffs = [ZERO] * (n * n)
             for b in range(n):
-                coeffs[i * n + b] = coeffs[i * n + b] + w.entry(b, j)
-                coeffs[j * n + b] = coeffs[j * n + b] + w.entry(i, b)
+                coeffs[i * n + b] = coeffs[i * n + b] + w.omega[b][j]
+                coeffs[j * n + b] = coeffs[j * n + b] + w.omega[i][b]
             rows.append(tuple(coeffs))
     span, conditions = linalg.nullspace(linalg.as_matrix(rows))
     return LinearSolution(span=span, side_conditions=conditions)
@@ -136,7 +136,7 @@ def _float_form(w: TwoForm) -> np.ndarray:
     if free:
         raise ValueError(f"unbound parameters in the form: {sorted(free)}")
     return np.array(
-        [[w.entry(i, j).evaluate({}) for j in range(w.dim)] for i in range(w.dim)]
+        [[c.evaluate({}) for c in row] for row in w.omega]
     )
 
 

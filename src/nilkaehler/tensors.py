@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from . import liealg, linalg
-from .liealg import LieAlgebra, Vector, json_expr, json_int, json_list
+from .liealg import LieAlgebra, Vector, json_expr, json_int, json_list, json_object
 from .linalg import Components, _accumulate, _dot, mat_vec, transform
 from .scalar import ZERO, ParamBinding, Scalar, ScalarLike, as_scalar
 
@@ -66,7 +66,8 @@ class TwoForm:
     def from_json_dict(cls, obj: Mapping) -> "TwoForm":
         if not isinstance(obj, Mapping):
             raise ValueError(f"a 2-form must be a JSON object, not {type(obj).__name__}")
-        terms = [(json_int("i", t["i"]), json_int("j", t["j"]), json_expr("c", t["c"]))
+        terms = [(json_int("i", json_object("terms", t)["i"]), json_int("j", t["j"]),
+                  json_expr("c", t["c"]))
                  for t in json_list("terms", obj.get("terms", []))]
         return cls.from_terms(json_int("dim", obj["dim"]), terms)
 
@@ -82,9 +83,6 @@ class TwoForm:
     @property
     def dim(self) -> int:
         return len(self.omega)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.omega[i][j]
 
     def apply(self, x: Vector, y: Vector) -> Scalar:
         return _dot(x.components, mat_vec(self.omega, y.components))
@@ -149,9 +147,6 @@ class Endomorphism:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, k: int) -> Scalar:
-        return self.rows[i][k]
 
     def apply(self, v: Vector) -> Vector:
         # (Jv)_k = sum_i v_i J_i^k

@@ -447,9 +447,9 @@ class TestMutationControl:
                                                           ["psi12/(psi11-psi11)"]),
              "division by the zero polynomial (at position 5) in 'psi12/(psi11-psi11)'"),
             (lambda obj: obj["structures"][0].__setitem__("side_conditions", [7]),
-             "side condition 7 is not a string"),
+             "side_conditions=7: must be a string, not int"),
             (lambda obj: obj["structures"][0].__setitem__("side_conditions", "psi12"),
-             "side conditions must be a list, not str"),
+             "side_conditions='psi12': must be a list, not str"),
             (lambda obj: obj["forms"][0].__setitem__("side_conditions", ["psi12 +"]),
              "unexpected end of input (at position 7) in 'psi12 +'"),
             (lambda obj: obj.__setitem__("name", "g24"),
@@ -524,6 +524,25 @@ class TestMutationControl:
              "forms='w1 w2': must be a list, not str"),
             (lambda obj: obj.__setitem__("structures", 1),
              "structures=1: must be a list, not int"),
+            (lambda obj: obj["forms"].__setitem__(0, ["w1"]),
+             "forms: must be an object, not list"),
+            (lambda obj: obj["structures"].__setitem__(0, ["J1"]),
+             "structures: must be an object, not list"),
+            (lambda obj: obj["forms"][0].__setitem__("id", ["w1"]),
+             "id=['w1']: must be a string, not list"),
+            (lambda obj: obj["structures"][0].__setitem__("id", ["J1"]),
+             "id=['J1']: must be a string, not list"),
+            (lambda obj: obj["structures"][0].__setitem__("form", ["w2"]),
+             "form=['w2']: must be a string, not list"),
+            (lambda obj: obj.__setitem__("notes", 5), "notes=5: must be a string, not int"),
+            (lambda obj: obj.__setitem__("notes", ["a"]),
+             "notes=['a']: must be a string, not list"),
+            (lambda obj: obj["structures"][0]["canonical_binding"].__setitem__("psi12", "0.5"),
+             "psi12='0.5': not an exact rational"),
+            (lambda obj: obj["algebra"]["brackets"].__setitem__(0, 5),
+             "brackets: must be an object, not int"),
+            (lambda obj: obj["forms"][0]["form"]["terms"].__setitem__(0, [1, 2, "1"]),
+             "terms: must be an object, not list"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
@@ -544,7 +563,10 @@ class TestMutationControl:
              "brackets-not-a-list", "bracket-coefficient-float", "terms-not-a-list",
              "form-term-coefficient-bool", "J-rows-not-a-list", "J-row-not-a-list",
              "J-entry-float", "binding-value-list", "binding-value-not-rational",
-             "binding-not-an-object", "forms-not-a-list", "structures-not-a-list"],
+             "binding-not-an-object", "forms-not-a-list", "structures-not-a-list",
+             "form-record-not-an-object", "structure-record-not-an-object", "form-id-list",
+             "structure-id-list", "structure-form-list", "notes-int", "notes-list",
+             "binding-value-decimal", "bracket-not-an-object", "form-term-not-an-object"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)
@@ -606,7 +628,17 @@ class TestMutationControl:
          (lambda obj: obj["structures"][0]["expected"].__setitem__("up_components", "R"),
           "is malformed: up_components='R': must be a list, not str"),
          (lambda obj: obj["structures"][0]["expected"].__setitem__("down_components", {}),
-          "is malformed: down_components={}: must be a list, not dict")],
+          "is malformed: down_components={}: must be a list, not dict"),
+         (lambda obj: obj["structures"][0].__setitem__("expected", []),
+          "is malformed: expected: must be an object, not list"),
+         (lambda obj: obj["structures"][0]["expected"].__setitem__("metric", []),
+          "is malformed: metric: must be an object, not list"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"].__setitem__(0, 5),
+          "is malformed: down_components: must be an object, not int"),
+         (lambda obj: obj["structures"][0]["expected"]["metric"]["entries"].__setitem__(0, 5),
+          "is malformed: entries: must be an object, not int"),
+         (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
+             "value", 5), "is malformed: value=5: must be a string, not int")],
         ids=["missing-key", "metric-binding-division-by-zero", "metric-binding-bool",
              "structure-without-expected", "form-side-conditions-misspelt",
              "repeated-component", "metric-below-diagonal", "component-index-bool",
@@ -615,7 +647,9 @@ class TestMutationControl:
              "component-i-equals-j", "metric-index-above-dim", "metric-index-long",
              "metric-binding-of-an-unknown-param", "metric-binding-value-list",
              "component-index-not-a-list", "metric-entries-not-a-list",
-             "up-components-not-a-list", "down-components-not-a-list"],
+             "up-components-not-a-list", "down-components-not-a-list",
+             "expected-not-an-object", "metric-not-an-object", "component-not-an-object",
+             "metric-entry-not-an-object", "component-value-int"],
     )
     def test_bad_expectation_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         # the failure is the edited entry's alone
@@ -623,6 +657,14 @@ class TestMutationControl:
         report = catalog.self_validate(["g21", "g24"])
         assert report.failures() == [f"g21: load: catalog entry g21 {message}"]
         assert report.entries[1].ok and len(report.entries[1].checks) > 1
+
+    def test_an_entry_that_is_not_an_object_is_a_load_failure(self, tmp_path, monkeypatch):
+        work = tmp_path / "data"
+        shutil.copytree(DATA, work)
+        (work / "g21.json").write_text("[]")
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+        assert catalog.self_validate(["g21"]).failures() == [
+            "g21: load: catalog entry g21 is malformed: g21: must be an object, not list"]
 
     def test_metric_binding_at_a_pole_is_a_failed_check(self, tmp_path, monkeypatch):
         def pole(obj):

@@ -230,7 +230,7 @@ class TestVerify:
                 id="side-condition-division-by-zero"),
             pytest.param(
                 _g10_text(lambda obj: obj["structures"][0].__setitem__("side_conditions", [7])),
-                "catalog entry g10 is malformed: side condition 7 is not a string",
+                "catalog entry g10 is malformed: side_conditions=7: must be a string, not int",
                 id="side-condition-not-a-string"),
             pytest.param(
                 _g10_text(lambda obj: obj["structures"][0]["canonical_binding"].__setitem__(
@@ -501,6 +501,22 @@ class TestCurvature:
         assert rc == 0
         assert json.loads(out)["binding"] == {"psi11": "1/2", "psi12": "-2/3"}
 
+    def test_a_binding_is_reported_in_lowest_terms(self, capsys):
+        rc, out, _ = invoke(capsys, "curvature", "g21", "--form", "w2", "--structure", "J1",
+                            "--bind", "psi12=2/4")
+        assert rc == 0
+        assert json.loads(out)["binding"] == {"psi12": "1/2"}
+
+    @pytest.mark.parametrize(
+        "bind,message",
+        [("psi11=0.5", "psi11='0.5': not an exact rational"),
+         ("psi11=1/0", "psi11=1/0: zero denominator")],
+    )
+    def test_a_bad_value_is_refused_as_the_binding_refuses_it(self, capsys, bind, message):
+        rc, out, err = invoke(capsys, "curvature", "g24", "--form", "w1", "--structure", "J1",
+                              "--bind", bind)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_each_structure_takes_its_own_names(self, capsys):
         # psi12 is a parameter of g12 J1 only, so J2 and J3 report free
         rc, out, _ = invoke(capsys, "curvature", "g12", "--form", "w1", "--bind", "psi12=2")
@@ -614,6 +630,21 @@ class TestSolveAndSearch:
         assert (rc, out) == (2, "")
         assert err == f"error: {path} is not valid JSON: Expecting value: line 1 column 9 (char 8)\n"
 
+    def test_solve_linear_on_a_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "form.json"
+        path.write_bytes(b"\xff\xfe")
+        rc, out, err = invoke(capsys, "solve-linear", str(path))
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+                       " in position 0: invalid start byte\n")
+
+    def test_search_checks_the_algebra_before_it_opens_the_form(self, capsys, tmp_path):
+        alg = tmp_path / "algebra.json"
+        alg.write_text(json.dumps([1, 2]))
+        rc, out, err = invoke(capsys, "search", str(alg), str(tmp_path / "missing.json"))
+        assert (rc, out) == (2, "")
+        assert err == "error: bad input file: a Lie algebra must be a JSON object, not list\n"
+
     def test_search_converges_on_abelian(self, capsys, tmp_path):
         alg = tmp_path / "abelian.json"
         form = tmp_path / "wstd.json"
@@ -669,13 +700,18 @@ class TestSolveAndSearch:
              "bad form file: dimension must be positive"),
             (("search", ABELIAN, {"dim": -1, "terms": []}),
              "bad input file: dimension must be positive"),
+            (("solve-linear", dict(W_STD, terms=[[1, 2, "1"]])),
+             "bad form file: terms: must be an object, not list"),
+            (("search", dict(ABELIAN, brackets=[5]), W_STD),
+             "bad input file: brackets: must be an object, not int"),
         ],
         ids=["solve-zero-denominator", "solve-form-list", "search-form-list",
              "search-algebra-list", "search-zero-division", "search-dimension-mismatch",
              "search-degenerate-form", "solve-dim-float", "solve-term-index-bool",
              "search-algebra-dim-str", "search-bracket-index-float",
              "search-form-term-index-float", "solve-dim-zero", "solve-dim-negative",
-             "search-form-dim-negative"],
+             "search-form-dim-negative", "solve-term-not-an-object",
+             "search-bracket-not-an-object"],
     )
     def test_malformed_input_file_is_usage_error(self, capsys, tmp_path, argv, fragment):
         command, *objects = argv
@@ -800,3 +836,10 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "command", ["list", "show", "verify", "curvature", "solve-linear", "search", "export"])
+    def test_each_command_has_help(self, capsys, command):
+        rc, out, _ = invoke(capsys, command, "--help")
+        assert rc == 0
+        assert out.startswith(f"usage: nilkaehler {command}")

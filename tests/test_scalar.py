@@ -183,6 +183,29 @@ def test_binding_reserves_sqrt2_name():
         ParamBinding({"s": 1})
 
 
+@pytest.mark.parametrize(
+    "text,value",
+    [("2/4", Fraction(1, 2)), ("-0", 0), (" 1/2 ", Fraction(1, 2)), ("(1+1)/3", Fraction(2, 3))],
+)
+def test_binding_reads_a_rational_constant(text, value):
+    bound = ParamBinding({"x": text})["x"]
+    assert type(bound) is Fraction and bound == value
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_0", "+3", "s", "x", ""])
+def test_binding_refuses_text_that_is_no_rational_constant(text):
+    # the expression parser reads it, and none of these is a rational constant
+    with pytest.raises(ValueError) as info:
+        ParamBinding({"x": text})
+    assert str(info.value) == f"x={text!r}: not an exact rational"
+
+
+def test_binding_refuses_a_zero_denominator():
+    with pytest.raises(ValueError) as info:
+        ParamBinding({"x": "1/0"})
+    assert str(info.value) == "x=1/0: zero denominator"
+
+
 # ---------------------------------------------------------------- sqrt(2)
 
 

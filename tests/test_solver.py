@@ -98,7 +98,7 @@ class TestCompatNullspace:
     def test_dimension_survives_basis_permutation(self, perm):
         w = W2_G21
         permuted = TwoForm(
-            [[w.entry(perm[i], perm[j]) for j in range(6)] for i in range(6)]
+            [[w.omega[perm[i]][perm[j]] for j in range(6)] for i in range(6)]
         )
         assert compat_nullspace(permuted).dimension == 21
 

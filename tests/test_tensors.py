@@ -72,8 +72,8 @@ class TestTwoForm:
 
     def test_from_terms_reversed_pair(self):
         w = TwoForm.from_terms(3, [(2, 1, 5)])
-        assert w.entry(0, 1) == Scalar.from_int(-5)
-        assert w.entry(1, 0) == Scalar.from_int(5)
+        assert w.omega[0][1] == Scalar.from_int(-5)
+        assert w.omega[1][0] == Scalar.from_int(5)
 
     def test_from_terms_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -113,7 +113,7 @@ class TestEndomorphism:
 
     def test_substitute(self):
         j = J21_CANON.substitute(ParamBinding({"a": 2}))
-        assert j.entry(0, 1) == as_scalar("1/2")
+        assert j.rows[0][1] == as_scalar("1/2")
         assert j.free_params() == frozenset()
 
     def test_json_round_trip(self):
