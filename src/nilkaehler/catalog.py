@@ -247,10 +247,10 @@ def _by_id(kind: str, items) -> dict:
 
 @lru_cache(maxsize=None)
 def _load(dirpath: str, name: str) -> CatalogEntry:
-    with open(os.path.join(dirpath, f"{name}.json")) as fh:
+    with open(os.path.join(dirpath, f"{name}.json"), encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
     try:
         _not_stored(json_object(name, obj), "name")

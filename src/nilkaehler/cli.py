@@ -92,7 +92,7 @@ def _read(path: str, what: str, build):
     """``build`` of the JSON value in ``path``; a file that cannot be read,
     parsed or built is a usage error, the last one naming ``what``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc

@@ -684,7 +684,9 @@ class ScalarSyntaxError(ValueError):
         self.position = position
 
 
-_MAX_EXPONENT = 2**31
+# The stored data and every printed value need exponents of at most 6; a
+# larger bound would let one short text ask for a power that takes hours.
+_MAX_EXPONENT = 64
 
 
 class _Tokenizer:

@@ -666,6 +666,15 @@ class TestMutationControl:
         assert catalog.self_validate(["g21"]).failures() == [
             "g21: load: catalog entry g21 is malformed: g21: must be an object, not list"]
 
+    @pytest.mark.parametrize("text", [b"\xff", b'{"name": '], ids=["not-utf-8", "not-json"])
+    def test_an_entry_that_is_not_json_is_a_load_failure(self, tmp_path, monkeypatch, text):
+        work = tmp_path / "data"
+        shutil.copytree(DATA, work)
+        (work / "g21.json").write_bytes(text)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+        [failure] = catalog.self_validate(["g21"]).failures()
+        assert failure.startswith("g21: load: catalog entry g21 is not valid JSON: ")
+
     def test_metric_binding_at_a_pole_is_a_failed_check(self, tmp_path, monkeypatch):
         def pole(obj):
             # g_15 of g21 J1 is (psi11^2 + 1)/psi12

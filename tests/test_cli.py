@@ -181,6 +181,8 @@ class TestVerify:
         [
             (None, "cannot load catalog entry g10"),
             ('{"name": ', "not valid JSON"),
+            pytest.param("\xff", "catalog entry g10 is not valid JSON: 'utf-8' codec",
+                         id="not-utf-8"),
             pytest.param(
                 _g10_text(lambda obj: obj.pop("forms")),
                 "catalog entry g10 lacks the key 'forms'",
@@ -356,7 +358,8 @@ class TestVerify:
         if g10_text is None:
             tmp_path = tmp_path / "missing"
         else:
-            (tmp_path / "g10.json").write_text(g10_text)
+            # one byte a character, so "\xff" is a byte that is not UTF-8
+            (tmp_path / "g10.json").write_bytes(g10_text.encode("latin-1"))
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(tmp_path))
         rc, out, err = invoke(capsys, *argv)
         assert rc == 2
@@ -510,7 +513,9 @@ class TestCurvature:
     @pytest.mark.parametrize(
         "bind,message",
         [("psi11=0.5", "psi11='0.5': not an exact rational"),
-         ("psi11=1/0", "psi11=1/0: zero denominator")],
+         ("psi11=1/0", "psi11=1/0: zero denominator"),
+         # refused by the parser's bound on exponents before any power is taken
+         ("psi11=3^99999999", "psi11='3^99999999': not an exact rational")],
     )
     def test_a_bad_value_is_refused_as_the_binding_refuses_it(self, capsys, bind, message):
         rc, out, err = invoke(capsys, "curvature", "g24", "--form", "w1", "--structure", "J1",

@@ -1,9 +1,11 @@
 """Every imported name is used, every private module-level name of the
 package is read somewhere in it, and the public functions and methods that
 only tests read are a pinned set: three small checks on the ast.  And the
-command line loads the catalog without importing sympy."""
+command line loads the catalog and runs every exact command without
+importing numpy or sympy."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from nilkaehler import catalog, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/nilkaehler", "tests", "bench") for p in (ROOT / d).glob("*.py"))
@@ -201,15 +205,53 @@ def test_the_check_finds_an_unread_public_function():
     assert unread_public_names(package, readers) == ["a.unused", "a.zeros", "a.Kind.method"]
 
 
-def test_the_command_line_runs_without_sympy():
-    # a fresh interpreter: import the command line and load every entry
-    code = ("import sys\n"
-            "import nilkaehler.cli\n"
-            "from nilkaehler import catalog\n"
-            "for name in catalog.NAMES:\n"
-            "    catalog.get(name)\n"
-            "print(len(catalog.NAMES), sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n")
+# each command but ``search`` is exact: it runs with numpy and sympy blocked
+EXACT_COMMANDS = [["list"], ["verify", "--all"], ["show", "g21"],
+                  ["curvature", "g21", "--form", "w2"], ["export", "g21", "--format", "latex"],
+                  ["solve-linear", "form.json"]]
+FRESH_RUN = """\
+import contextlib, io, sys
+{block}
+import nilkaehler.cli
+from nilkaehler import catalog, cli
+for name in catalog.NAMES:
+    catalog.get(name)
+codes = []
+for argv in {commands!r}:
+    before = "nilkaehler.probe" in sys.modules
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append((cli.run(argv), before, "nilkaehler.probe" in sys.modules))
+loaded = {{m.split(".")[0] for m, module in sys.modules.items() if module is not None}}
+print(len(catalog.NAMES), codes, sorted(loaded & {{"numpy", "sympy"}}))
+"""
+
+
+def _fresh_run(tmp_path, commands, block=""):
+    """The printout of FRESH_RUN in a fresh interpreter, in a directory
+    holding g21's algebra and its form w2 as algebra.json and form.json."""
+    e = catalog.get("g21")
+    (tmp_path / "algebra.json").write_text(json.dumps(e.algebra.to_json_dict()))
+    (tmp_path / "form.json").write_text(json.dumps(e.form("w2").form.to_json_dict()))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = FRESH_RUN.format(block=block, commands=commands)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert done.stdout == "13 []\n"
+                          text=True, check=True, timeout=120, cwd=tmp_path)
+    return done.stdout
+
+
+def test_the_command_line_runs_without_sympy(tmp_path, monkeypatch, capsys):
+    # a fresh interpreter where importing numpy or sympy fails: import the
+    # command line, load every entry and run each exact command
+    blocked = 'sys.modules["numpy"] = None\nsys.modules["sympy"] = None'
+    monkeypatch.chdir(tmp_path)
+    out = _fresh_run(tmp_path, EXACT_COMMANDS, blocked)
+    codes = [(cli.run(argv), False, False) for argv in EXACT_COMMANDS]
+    capsys.readouterr()
+    assert out == f"13 {codes} []\n"
+    assert [code for code, *_ in codes] == [0, 1, 0, 0, 0, 0]
+
+
+def test_only_a_search_loads_the_numerical_probe(tmp_path):
+    out = _fresh_run(tmp_path, [["show", "g21"], ["search", "algebra.json", "form.json"]])
+    # the probe is loaded by the search and not before it
+    assert out == "13 [(0, False, False), (0, False, True)] ['numpy']\n"

@@ -99,6 +99,13 @@ def test_syntax_errors_report_position(text, position):
     assert str(info.value).endswith(f" (at position {position}) in {text!r}")
 
 
+@pytest.mark.parametrize("text", ["3^65", "x^99999999", "3^2147483647"])
+def test_an_exponent_above_64_is_refused_before_any_power(text):
+    with pytest.raises(ScalarSyntaxError, match=r"^exponent too large \(at position 2\)"):
+        parse_expr(text)
+    assert parse_expr(text[:2] + "64") == parse_expr(text[0]) ** 64
+
+
 def test_parse_division_by_zero_polynomial():
     with pytest.raises(ZeroDivisionError):
         parse_expr("x/(y-y)")

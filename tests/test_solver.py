@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilkaehler import catalog, solver, tensors
+from nilkaehler import catalog, probe, tensors
 from nilkaehler.geometry import associated_metric
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.linalg import is_zero_matrix
@@ -258,23 +258,23 @@ def _stored_forms():
 
 def _probe_args(alg, w):
     iu, ju = np.triu_indices(alg.dim, k=1)
-    return solver._float_form(w), solver._float_brackets(alg), iu, ju
+    return probe._float_form(w), probe._float_brackets(alg), iu, ju
 
 
 def _polarized(X, args):
-    """Df(X) from ``solver._residual`` alone: (f(X + E) - f(X - E))/2 over the
+    """Df(X) from ``probe._residual`` alone: (f(X + E) - f(X - E))/2 over the
     unit matrices E, exact for a quadratic f; rows are residuals."""
     E = np.eye(X.size).reshape(X.size, *X.shape)
-    return (solver._residual(X + E, *args) - solver._residual(X - E, *args)).T / 2
+    return (probe._residual(X + E, *args) - probe._residual(X - E, *args)).T / 2
 
 
 def _second_differences(args):
     """H[k, (r, j)] = f_r(E_k + E_j) - f_r(E_k) - f_r(E_j) + f_r(0), from
-    ``solver._residual`` alone, flattened like the Jacobian."""
+    ``probe._residual`` alone, flattened like the Jacobian."""
     n = len(args[0])
     E = np.eye(n * n).reshape(n * n, n, n)
-    f_0, f_E = solver._residual(np.zeros((n, n)), *args), solver._residual(E, *args)
-    return np.stack([(solver._residual(E[k] + E, *args) - f_E[k] - f_E + f_0).T.ravel()
+    f_0, f_E = probe._residual(np.zeros((n, n)), *args), probe._residual(E, *args)
+    return np.stack([(probe._residual(E[k] + E, *args) - f_E[k] - f_E + f_0).T.ravel()
                      for k in range(n * n)])
 
 
@@ -289,7 +289,7 @@ class TestNumericResidual:
         rng = np.random.default_rng(2)
         # dyadic entries k/8: every float product and sum below is exact
         X = rng.integers(-12, 13, size=(3, n, n)) / 8
-        rows = solver._residual(X, *args)
+        rows = probe._residual(X, *args)
         for x, row in zip(X, rows):
             J = Endomorphism([[Fraction(v) for v in r] for r in x])
             compat = tensors.compat_residual(w, J)
@@ -302,7 +302,7 @@ class TestNumericResidual:
             )
             assert exact == [Fraction(v) for v in row]
             # a stack gives the rows of single calls
-            assert np.array_equal(solver._residual(x, *args), row)
+            assert np.array_equal(probe._residual(x, *args), row)
 
     @pytest.mark.parametrize("alg,w", _stored_forms())
     def test_polarization_is_exact(self, alg, w):
@@ -310,7 +310,7 @@ class TestNumericResidual:
         args = _probe_args(alg, w)
         rng = np.random.default_rng(3)
         X, D = rng.standard_normal((2, alg.dim, alg.dim))
-        lhs = solver._residual(X + D, *args) - solver._residual(X - D, *args)
+        lhs = probe._residual(X + D, *args) - probe._residual(X - D, *args)
         rhs = 2 * _polarized(X, args) @ D.ravel()
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
@@ -333,7 +333,7 @@ def _offers(X0, args, jacobian, k=None):
         offers.append((X.copy(), norm))
         return len(offers) == k
 
-    return solver._levenberg_marquardt(X0, args, jacobian, 1e-9, accept), offers
+    return probe._levenberg_marquardt(X0, args, jacobian, 1e-9, accept), offers
 
 
 def _converged(X0, args, jacobian):
@@ -357,7 +357,7 @@ class TestBatchedProbe:
         # the probe Jacobian is affine in X: D(0) + sum_k x_k H_k
         args = _probe_args(alg, w)
         X = np.random.default_rng(4).standard_normal((3, alg.dim, alg.dim))
-        got = solver._LinearJacobian(*args)(X)
+        got = probe._LinearJacobian(*args)(X)
         want = np.stack([_polarized(x, args) for x in X])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -365,7 +365,7 @@ class TestBatchedProbe:
     def test_assembly_is_the_residuals_own_differences(self, alg, w):
         # D(0) and H from omega, C and the index pattern, bit for bit
         args = _probe_args(alg, w)
-        jacobian = solver._LinearJacobian(*args)
+        jacobian = probe._LinearJacobian(*args)
         zero = _polarized(np.zeros((alg.dim, alg.dim)), args)
         H = _second_differences(args)
         live = np.flatnonzero(np.any(H != 0, axis=0))
@@ -380,7 +380,7 @@ class TestBatchedProbe:
         rng = np.random.default_rng(6)
         C = rng.standard_normal((6, 6, 6))
         args = (rng.standard_normal((6, 6)), C - np.swapaxes(C, 0, 1), *np.triu_indices(6, k=1))
-        jacobian = solver._LinearJacobian(*args)
+        jacobian = probe._LinearJacobian(*args)
         zero = _polarized(np.zeros((6, 6)), args).ravel()
         assert np.max(np.abs(jacobian.zero - zero)) <= 1e-12 * np.max(np.abs(zero))
         want = _second_differences(args)
@@ -396,8 +396,8 @@ class TestBatchedProbe:
             raise AssertionError("_residual called")
 
         args = _probe_args(G21, W2_G21)
-        monkeypatch.setattr(solver, "_residual", refuse)
-        solver._LinearJacobian(*args)
+        monkeypatch.setattr(probe, "_residual", refuse)
+        probe._LinearJacobian(*args)
 
     @pytest.mark.parametrize(
         "alg,w,X0",
@@ -408,7 +408,7 @@ class TestBatchedProbe:
     )
     def test_starts_do_not_interact(self, alg, w, X0):
         args = _probe_args(alg, w)
-        jacobian = solver._LinearJacobian(*args)
+        jacobian = probe._LinearJacobian(*args)
         together = _converged(X0, args, jacobian)
         alone = [_converged(x[None], args, jacobian)[0] for x in X0]
         assert together == alone
@@ -420,7 +420,7 @@ class TestBatchedProbe:
     @pytest.mark.parametrize("bad", [math.nan, 1e200, 1e5])
     def test_nonfinite_start_leaves_the_stack_alone(self, bad):
         args = _probe_args(ABELIAN, W_STD)
-        jacobian = solver._LinearJacobian(*args)
+        jacobian = probe._LinearJacobian(*args)
         X0 = _starts(3, 6, first=np.full((6, 6), bad))
         with_bad = _converged(X0, args, jacobian)
         assert not with_bad[0]
@@ -430,11 +430,11 @@ class TestBatchedProbe:
         # accepting the k-th offer returns row k - 1 after k offers, so the
         # starts are offered in row order and none after the accepted one
         args = _probe_args(G21, W2_G21)
-        jacobian = solver._LinearJacobian(*args)
+        jacobian = probe._LinearJacobian(*args)
         X0 = _nudged_g21_starts()
         steps = []
-        lm_step = solver._lm_step
-        monkeypatch.setattr(solver, "_lm_step", lambda *a: steps.append(a) or lm_step(*a))
+        lm_step = probe._lm_step
+        monkeypatch.setattr(probe, "_lm_step", lambda *a: steps.append(a) or lm_step(*a))
         _, every = _offers(X0, args, jacobian)
         taken = [len(steps)]
         for k in range(1, len(X0) + 1):
@@ -454,8 +454,8 @@ class TestBatchedProbe:
         # a guard on the probe's work: one converging search, one failing
         # search and one over several blocks
         taken = []
-        lm_step = solver._lm_step
-        monkeypatch.setattr(solver, "_lm_step", lambda *a: taken.append(a) or lm_step(*a))
+        lm_step = probe._lm_step
+        monkeypatch.setattr(probe, "_lm_step", lambda *a: taken.append(a) or lm_step(*a))
         newton_search(alg, w, max_starts=max_starts, seed=seed)
         assert len(taken) == steps
 
