@@ -42,11 +42,18 @@ pass over the monomials.
 Equality, hashing and ``is_zero`` are therefore decidable by direct
 comparison of the stored ints or polynomials.  A rational constant hashes
 as the equal ``int`` or ``Fraction`` does.
+
+``parse_expr`` is the one reader of expression text: catalog files,
+bindings and input files.  It is a recursive-descent parser that scans each
+token as it takes the one before, and it refuses, with a positioned
+``ScalarSyntaxError``, text that is malformed or that would build a value
+past its bounds on terms, degree and coefficient size (see ``_Parser``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterator, Union
@@ -673,145 +680,221 @@ def _atomic_denominator(p) -> bool:
     return c == 1 and sum(1 for e in monom if e) == 1
 
 
-# -- parser ---------------------------------------------------------------
+# -- reader ---------------------------------------------------------------
 
 
 class ScalarSyntaxError(ValueError):
-    """Malformed expression text; ``position`` is a 0-based character index."""
+    """Text the reader refuses, malformed or over its bounds; ``position`` is
+    a 0-based character index into ``text``."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int, text: str):
+        super().__init__(f"{message} (at position {position}) in {text!r}")
         self.position = position
-
-
-# The stored data and every printed value need exponents of at most 6; a
-# larger bound would let one short text ask for a power that takes hours.
-_MAX_EXPONENT = 64
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
         self.text = text
-        self.pos = 0
 
-    def next_token(self) -> tuple[str, str, int]:
-        text, n = self.text, len(self.text)
-        while self.pos < n and text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= n:
-            return ("end", "", self.pos)
-        start = self.pos
-        ch = text[start]
-        if ch.isdecimal():
-            while self.pos < n and text[self.pos].isdecimal():
-                self.pos += 1
-            return ("int", text[start : self.pos], start)
-        if ch.isidentifier():  # a name is a Python identifier: a superscript digit ends it
-            while self.pos < n and ("_" + text[self.pos]).isidentifier():
-                self.pos += 1
-            return ("ident", text[start : self.pos], start)
-        if ch in "+-*/^()":
-            self.pos += 1
-            return (ch, ch, start)
-        raise ScalarSyntaxError(f"unexpected character {ch!r}", start)
+
+# What one text may make the reader build.  Every stored text and every value
+# the pipeline prints (g, g^-1, Gamma and R of the 19 families) needs at most
+# exponent 6, 15 terms, total degree 7 and 6-bit coefficients.  The bounds sit
+# far above that, and one operation within them builds its value in well under
+# a second, where (a+b+c+d)^64, 47905 terms, took 45 s and 3^2147483647 would
+# not finish.  The gcd that reduces a quotient is not bounded by them.
+_MAX_EXPONENT = 64
+_MAX_TERMS = 2000  # terms of a numerator, and of a denominator
+_MAX_DEGREE = 256  # total degree of a numerator, and of a denominator
+_MAX_DIGITS = 300  # digits of a literal; every norm (see _size) is below 10^300
+_MAX_NORM = 10**_MAX_DIGITS
+_MAX_DEPTH = 100  # parentheses open at once: each takes four frames of the reader
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
+
+
+def _size(x: Scalar) -> tuple:
+    """The terms, the total degrees and the norms of x's numerator a + b*s
+    and of its denominator d, as three pairs.
+
+    A norm is the sum of the absolute coefficients, b's counted twice.  Since
+    s*s = 2 it is submultiplicative: it bounds every coefficient, and the
+    norm of a product is at most the product of the norms.
+    """
+    if x._p is None:
+        return (1, 1), (0, 0), (abs(x._n), x._d)
+    a, b, d = x._p
+    if x._q is None:
+        return (bool(a) + 1, 1), (0, 0), (abs(a) + 2 * abs(b), d)
+    b = b or {}
+    return ((len(a) + len(b), len(d)), (max(map(sum, (*a, *b))), max(map(sum, d))),
+            (sum(map(abs, a.values())) + 2 * sum(map(abs, b.values())),
+             sum(map(abs, d.values()))))
+
+
+def _terms(x: Scalar) -> tuple:
+    # the first pair of _size(x), in O(1)
+    if x._p is None:
+        return 1, 1
+    a, b, d = x._p
+    if x._q is None:
+        return bool(a) + 1, 1
+    return len(a) + len(b or {}), len(d)
 
 
 class _Parser:
-    """Recursive descent for:
+    """The reader: recursive descent that scans each token as it takes the
+    one before, for
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := ('-')? atom ('^' uint)?
     atom   := uint | ident | '(' expr ')'
+
+    A uint is a run of decimal digits, an ident a Python identifier (``s``
+    is sqrt(2)), and space may stand between tokens.  ``kind``, ``token``
+    and ``start`` describe the current token; the next scan begins at
+    ``end``.  Every value the reader builds stays within the bounds on
+    ``_size``: an operation is refused at its operator when its schoolbook
+    size passes a bound, before it runs, and when its reduced result does.
     """
 
     def __init__(self, text: str):
-        self._tokens: list[tuple[str, str, int]] = []
-        tok = _Tokenizer(text)
-        while True:
-            t = tok.next_token()
-            self._tokens.append(t)
-            if t[0] == "end":
-                break
-        self._i = 0
+        self.text = text
+        self.end = self.depth = 0
+        self._scan()
 
-    def _peek(self) -> tuple[str, str, int]:
-        return self._tokens[self._i]
+    def _error(self, message: str, position: int) -> ScalarSyntaxError:
+        return ScalarSyntaxError(message, position, self.text)
 
-    def _advance(self) -> tuple[str, str, int]:
-        t = self._tokens[self._i]
-        if t[0] != "end":
-            self._i += 1
-        return t
+    def _scan(self) -> None:
+        # make the token at or after ``end`` current; "end" past the text
+        text, n, i = self.text, len(self.text), self.end
+        while i < n and text[i].isspace():
+            i += 1
+        start = i
+        if i == n:
+            kind = "end"
+        elif text[i].isdecimal():
+            while i < n and text[i].isdecimal():
+                i += 1
+            kind = "int"
+        elif text[i].isidentifier():  # a superscript digit ends a name
+            while i < n and ("_" + text[i]).isidentifier():
+                i += 1
+            kind = "ident"
+        elif text[i] in "+-*/^()":
+            kind = text[i]
+            i += 1
+        else:
+            raise self._error(f"unexpected character {text[i]!r}", i)
+        self.kind, self.token, self.start, self.end = kind, text[start:i], start, i
+
+    def _uint(self) -> int:
+        # the value of the current token, a uint, scanning the next
+        if len(self.token) > _MAX_DIGITS:
+            raise self._error("integer too long", self.start)
+        value = int(self.token)
+        self._scan()
+        return value
+
+    def _bound(self, pos: int, terms: tuple, degrees=(0,), norms=(0,)) -> None:
+        # refuse at pos a value whose numerator or denominator has more terms,
+        # a higher degree or a larger norm than the bounds allow
+        if max(terms) > _MAX_TERMS:
+            reason = f"more than {_MAX_TERMS} terms"
+        elif max(degrees) > _MAX_DEGREE:
+            reason = f"degree above {_MAX_DEGREE}"
+        elif max(norms) >= _MAX_NORM:
+            reason = f"coefficients summing past 10^{_MAX_DIGITS}"
+        else:
+            return
+        raise self._error("result too large: " + reason, pos)
+
+    def _apply(self, op: str, pos: int, u: Scalar, v) -> Scalar:
+        # u op v, or u^v for an int v.  Before it is computed, its schoolbook
+        # size must be within the bounds: for a power, whose product of e of
+        # t terms is one of C(e+t-1, e) monomials, the terms, degrees and
+        # norms; for two values already within them, the terms.  After, the
+        # size of the reduced result must be.
+        if op == "^":
+            (t, s), (g, h), (n, m) = _size(u)
+            self._bound(pos, (math.comb(v + t - 1, v), math.comb(v + s - 1, v)),
+                        (v * g, v * h), (n**v, m**v))
+        else:
+            (t1, s1), (t2, s2) = _terms(u), _terms(v)
+            if op == "*":
+                self._bound(pos, (t1 * t2, s1 * s2))
+            elif op != "/":
+                self._bound(pos, (t1 * s2 + t2 * s1, s1 * s2))
+            elif v.is_zero():
+                raise ZeroDivisionError(
+                    f"division by the zero polynomial (at position {pos}) in {self.text!r}")
+            elif v._p is not None and v._p[1]:
+                # times the conjugate a - b*s over the norm a^2 - 2 b^2
+                self._bound(pos, (t1 * s2 * t2, s1 * t2 * t2))
+            else:
+                self._bound(pos, (t1 * s2, s1 * t2))
+        value = _OPERATORS[op](u, v)
+        self._bound(pos, *_size(value))
+        return value
 
     def parse(self) -> Scalar:
         value = self._expr()
-        kind, text, pos = self._peek()
-        if kind != "end":
-            raise ScalarSyntaxError(f"unexpected {text!r}", pos)
+        if self.kind != "end":
+            raise self._error(f"unexpected {self.token!r}", self.start)
         return value
 
     def _expr(self) -> Scalar:
-        value = self._term()
-        while self._peek()[0] in ("+", "-"):
-            op = self._advance()[0]
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        x = self._term()
+        while self.kind in ("+", "-"):
+            op, pos = self.kind, self.start
+            self._scan()
+            x = self._apply(op, pos, x, self._term())
+        return x
 
     def _term(self) -> Scalar:
-        value = self._factor()
-        while self._peek()[0] in ("*", "/"):
-            op, _, pos = self._advance()
-            rhs = self._factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
-                    raise ZeroDivisionError(
-                        f"division by the zero polynomial (at position {pos})"
-                    )
-                value = value / rhs
-        return value
+        x = self._factor()
+        while self.kind in ("*", "/"):
+            op, pos = self.kind, self.start
+            self._scan()
+            x = self._apply(op, pos, x, self._factor())
+        return x
 
     def _factor(self) -> Scalar:
-        negate = False
-        if self._peek()[0] == "-":
-            self._advance()
-            negate = True
-        value = self._atom()
-        if self._peek()[0] == "^":
-            self._advance()
-            kind, text, pos = self._advance()
-            if kind != "int":
-                raise ScalarSyntaxError("exponent must be a nonnegative integer", pos)
-            exponent = int(text)
-            if exponent > _MAX_EXPONENT:
-                raise ScalarSyntaxError("exponent too large", pos)
-            value = value**exponent
-        return -value if negate else value
+        negate = self.kind == "-"
+        if negate:
+            self._scan()
+        x = self._atom()
+        if self.kind == "^":
+            pos = self.start
+            self._scan()
+            if self.kind != "int":
+                raise self._error("exponent must be a nonnegative integer", self.start)
+            if len(self.token) > _MAX_DIGITS or int(self.token) > _MAX_EXPONENT:
+                raise self._error("exponent too large", self.start)
+            x = self._apply("^", pos, x, self._uint())
+        return -x if negate else x
 
     def _atom(self) -> Scalar:
-        kind, text, pos = self._advance()
-        if kind == "int":
-            return Scalar.from_int(int(text))
-        if kind == "ident":
-            return Scalar.param(text)
+        kind, token, start = self.kind, self.token, self.start
         if kind == "(":
-            value = self._expr()
-            kind2, _, pos2 = self._advance()
-            if kind2 != ")":
-                raise ScalarSyntaxError("expected ')'", pos2)
-            return value
-        if kind == "end":
-            raise ScalarSyntaxError("unexpected end of input", pos)
-        raise ScalarSyntaxError(f"unexpected {text!r}", pos)
+            if self.depth == _MAX_DEPTH:
+                raise self._error("parentheses nested too deep", start)
+            self.depth += 1
+            self._scan()
+            x = self._expr()
+            if self.kind != ")":
+                raise self._error("expected ')'", self.start)
+            self.depth -= 1
+            self._scan()
+            return x
+        if kind == "int":
+            return Scalar.from_int(self._uint())
+        if kind == "ident":
+            self._scan()
+            return Scalar.param(token)
+        raise self._error(
+            "unexpected end of input" if kind == "end" else f"unexpected {token!r}", start)
 
 
 def parse_expr(text: str) -> Scalar:
-    """Parse an expression string into a canonical Scalar."""
-    try:
-        return _Parser(text).parse()
-    except (ScalarSyntaxError, ZeroDivisionError) as exc:
-        exc.args = (f"{exc.args[0]} in {text!r}",)
-        raise
+    """Parse an expression string into a canonical Scalar; see ``_Parser``."""
+    return _Parser(text).parse()

@@ -543,6 +543,10 @@ class TestMutationControl:
              "brackets: must be an object, not int"),
             (lambda obj: obj["forms"][0]["form"]["terms"].__setitem__(0, [1, 2, "1"]),
              "terms: must be an object, not list"),
+            (lambda obj: obj["structures"][0]["J"]["rows"][0].__setitem__(1, "1" * 5000),
+             f"integer too long (at position 0) in {'1' * 5000!r}"),
+            (lambda obj: obj["structures"][0]["J"]["rows"][0].__setitem__(1, "(a+b+c+d)^64"),
+             "result too large: more than 2000 terms (at position 9) in '(a+b+c+d)^64'"),
         ],
         ids=["unknown-form", "form-dimension", "J-dimension", "J-dim-field", "J-ragged",
              "division-by-zero", "form-not-an-object", "J-not-an-object",
@@ -566,7 +570,8 @@ class TestMutationControl:
              "binding-not-an-object", "forms-not-a-list", "structures-not-a-list",
              "form-record-not-an-object", "structure-record-not-an-object", "form-id-list",
              "structure-id-list", "structure-form-list", "notes-int", "notes-list",
-             "binding-value-decimal", "bracket-not-an-object", "form-term-not-an-object"],
+             "binding-value-decimal", "bracket-not-an-object", "form-term-not-an-object",
+             "J-entry-integer-too-long", "J-entry-too-large-to-build"],
     )
     def test_malformed_reference_is_a_load_failure(self, tmp_path, monkeypatch, edit, message):
         _edited_catalog(tmp_path, monkeypatch, "g21", edit)

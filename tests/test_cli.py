@@ -515,7 +515,12 @@ class TestCurvature:
         [("psi11=0.5", "psi11='0.5': not an exact rational"),
          ("psi11=1/0", "psi11=1/0: zero denominator"),
          # refused by the parser's bound on exponents before any power is taken
-         ("psi11=3^99999999", "psi11='3^99999999': not an exact rational")],
+         ("psi11=3^99999999", "psi11='3^99999999': not an exact rational"),
+         # refused by the bound on terms before the power is taken
+         pytest.param("psi11=(a+b+c+d)^64", "psi11='(a+b+c+d)^64': not an exact rational",
+                      id="too-large-to-build"),
+         pytest.param("psi11=" + "1" * 5000, f"psi11={'1' * 5000!r}: not an exact rational",
+                      id="integer-too-long")],
     )
     def test_a_bad_value_is_refused_as_the_binding_refuses_it(self, capsys, bind, message):
         rc, out, err = invoke(capsys, "curvature", "g24", "--form", "w1", "--structure", "J1",

@@ -3,11 +3,12 @@
 import math
 import operator
 import sys
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilkaehler import catalog
@@ -111,6 +112,92 @@ def test_parse_division_by_zero_polynomial():
         parse_expr("x/(y-y)")
     with pytest.raises(ZeroDivisionError):
         parse_expr("1/0")
+
+
+OVERSIZE = [
+    # 12 characters: 47905 terms, refused at the '^'
+    ("(a+b+c+d)^64", "more than 2000 terms", 9),
+    # 48 factors: refused at the 13th '*', whose product could pass 2000 terms
+    ("*".join(["(a+b+c+d)"] * 48), "more than 2000 terms", 129),
+    # nesting gets past the exponent bound, not past the coefficient bound
+    ("(((3^64)^64)^64)^64", "coefficients summing past 10^300", 8),
+]
+
+
+@pytest.mark.parametrize("text,reason,position", OVERSIZE,
+                         ids=["power-of-4-terms", "48-factors", "nested-powers"])
+def test_a_text_too_large_to_build_is_refused_at_its_operator(text, reason, position):
+    start = time.perf_counter()
+    with pytest.raises(ScalarSyntaxError) as info:
+        parse_expr(text)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"result too large: {reason} (at position {position}) in {text!r}"
+    assert (info.value.position, info.value.text) == (position, text)
+
+
+def test_the_bounds_keep_the_largest_single_powers():
+    a, b, x = (Scalar.param(name) for name in "abx")
+    assert parse_expr("x^64") == x**64
+    assert parse_expr("(a+b)^64") == (a + b) ** 64
+    assert parse_expr("(3^64)^4") == 3**256
+
+
+def test_the_bounds_measure_the_reduced_value():
+    # 300 sums over x, whose schoolbook denominators would reach x^300
+    assert parse_expr("+".join(["1/x"] * 300)) == 300 / Scalar.param("x")
+    # 8 terms over 8 that cancel to 13^3 = 2197 terms
+    text = "(x^13-1)*(y^13-1)*(z^13-1)/((x-1)*(y-1)*(z-1))"
+    with pytest.raises(ScalarSyntaxError) as info:
+        parse_expr(text)
+    assert str(info.value) == f"result too large: more than 2000 terms (at position 26) in {text!r}"
+
+
+def test_a_long_integer_is_refused_before_it_is_read():
+    with pytest.raises(ScalarSyntaxError, match=r"^integer too long \(at position 2\)"):
+        parse_expr("x+" + "1" * 5000)
+    with pytest.raises(ScalarSyntaxError, match=r"^exponent too large \(at position 2\)"):
+        parse_expr("x^" + "1" * 5000)
+    assert parse_expr("9" * 300) == 10**300 - 1
+    with pytest.raises(ScalarSyntaxError, match=r"^integer too long \(at position 0\)"):
+        parse_expr("1" * 301)
+
+
+def test_deep_parentheses_are_refused_before_the_stack_runs_out():
+    assert parse_expr("(" * 100 + "x" + ")" * 100) == Scalar.param("x")
+    with pytest.raises(ScalarSyntaxError,
+                       match=r"^parentheses nested too deep \(at position 100\)"):
+        parse_expr("(" * 1000 + "x" + ")" * 1000)
+
+
+def test_every_printed_pipeline_value_reads_back(curvatures):
+    # g, g^-1, Gamma, R up and down, Ricci and the norm of the 19 structures
+    for metric, gamma, curv in curvatures.values():
+        values = [*gamma.values(), *curv.up.values(), *curv.down.values(), curv.norm]
+        for matrix in (metric.g, metric.g_inv, curv.ricci):
+            values += [x for row in matrix for x in row]
+        for v in values:
+            assert parse_expr(str(v)) == v
+
+
+# digits, names, operators, space, and non-ASCII characters: 'é' starts a
+# name, '·' continues one and '²' is no token
+READER_PIECES = st.sampled_from(
+    [*"0123456789", "a", "x1", "s", "psi11", *"+-*/^() ", "²", "é", "·"])
+
+
+@given(st.lists(READER_PIECES, max_size=30).map("".join))
+@example("1" * 5000)
+@example("(" * 1000 + "1" + ")" * 1000)
+@example(OVERSIZE[0][0])
+@example(OVERSIZE[1][0])
+@example(OVERSIZE[2][0])
+@settings(max_examples=250, deadline=None)
+def test_the_reader_fails_only_in_its_own_ways(text):
+    try:
+        v = parse_expr(text)
+    except (ScalarSyntaxError, ZeroDivisionError):
+        return
+    assert parse_expr(str(v)) == v
 
 
 # ---------------------------------------------------------------- arithmetic

@@ -340,6 +340,36 @@ def test_derived_subalgebra_pairs_trivially_with_center():
             assert W2_G21.apply(Vector(x), Vector(y)).is_zero()
 
 
+@pytest.mark.parametrize(
+    "psi34,dimension,conditions,nondegenerate_member",
+    [(None, 4, ["psi34 - 1"], False), (1, 6, [], True), (-1, 4, [], False)],
+)
+def test_g16_j2_has_a_symplectic_partner_only_at_psi34_1(
+        psi34, dimension, conditions, nondegenerate_member):
+    # "closed and compatible with J2" is linear in the 15 coefficients of a
+    # 2-form: a generic psi34 (the rref assumes psi34 != 1) and the canonical
+    # psi34 = -1 leave only degenerate forms, psi34 = 1 nondegenerate ones
+    entry = catalog.get("g16")
+    J = entry.structure("J2").J
+    if psi34 is not None:
+        J = J.substitute(ParamBinding({"psi34": psi34}))
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    columns = []
+    for i, j in pairs:
+        w = TwoForm.from_terms(6, [(i, j, 1)])
+        columns.append((exterior_d(entry.algebra, w), compat_residual(w, J)))
+    triples = sorted(set().union(*(d for d, _ in columns)))
+    rows = [[d.get(t, Scalar.from_int(0)) for d, _ in columns] for t in triples]
+    rows += [[r[a][b] for _, r in columns] for a in range(6) for b in range(6)]
+    span, side = linalg.nullspace(rows)
+    assert (len(span), [str(c) for c in side]) == (dimension, conditions)
+    t = [Scalar.param(f"t{k}") for k in range(len(span))]
+    member = [sum((tk * row[c] for tk, row in zip(t, span)), Scalar.from_int(0))
+              for c in range(len(pairs))]
+    form = TwoForm.from_terms(6, [(i, j, c) for (i, j), c in zip(pairs, member)])
+    assert nondegenerate(form) == nondegenerate_member
+
+
 # -- the sparse tensors against their definitions -----------------------------
 
 
