@@ -11,6 +11,12 @@ parameters and its form's side conditions are derived, and a file that
 stores them does not load.  Loading only parses; ``self_validate``
 recomputes the mathematics and returns a report instead of raising, so a
 broken data file is a reported failure, not an import error.
+
+This module is the only one that opens a data file or reads a JSON key.
+Indices in the files are 1-based, as the basis e1..e6 prints, and every
+stored key is required except ``metric``.  The command line's algebra and
+2-form input files are read by ``read_input`` with the readers of the
+entries' own algebra and forms.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import geometry, liealg, linalg, solver, tensors
-from .liealg import LieAlgebra, jacobi_check, json_int, json_list, json_object, json_str
+from .liealg import LieAlgebra, jacobi_check
 from .scalar import ParamBinding, parse_expr
 from .tensors import Endomorphism, TwoForm
 
@@ -120,14 +126,63 @@ def _data_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "data")
 
 
+# what a message calls each JSON type a stored value may have; an expression
+# is a string or an integer
+_EXPR = (str, int)
+_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string",
+          _EXPR: "a string or an integer"}
+
+
+def _field(key: str, value, kind):
+    """``value``, read from the JSON key ``key``, when it is of the JSON type
+    ``kind``; a bool is no integer, and a float or a string where an integer
+    belongs is refused rather than truncated or coerced."""
+    if type(value) is kind or isinstance(value, kind) and type(value) is not bool:
+        return value
+    shown = key if kind is dict else f"{key}={value!r}"
+    raise TypeError(f"{shown}: must be {_KINDS[kind]}, not {type(value).__name__}")
+
+
+def _algebra(obj) -> LieAlgebra:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a Lie algebra must be a JSON object, not {type(obj).__name__}")
+    terms = [(_field("i", _field("brackets", b, dict)["i"], int), _field("j", b["j"], int),
+              _field("k", b["k"], int), _field("c", b["c"], _EXPR))
+             for b in _field("brackets", obj["brackets"], list)]
+    return LieAlgebra.from_terms(_field("dim", obj["dim"], int), terms)
+
+
+def _two_form(obj) -> TwoForm:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a 2-form must be a JSON object, not {type(obj).__name__}")
+    terms = [(_field("i", _field("terms", t, dict)["i"], int), _field("j", t["j"], int),
+              _field("c", t["c"], _EXPR))
+             for t in _field("terms", obj["terms"], list)]
+    return TwoForm.from_terms(_field("dim", obj["dim"], int), terms)
+
+
+def _endomorphism(obj) -> Endomorphism:
+    if not isinstance(obj, dict):
+        raise ValueError(f"an endomorphism must be a JSON object, not {type(obj).__name__}")
+    rows = [[_field("rows", x, _EXPR) for x in _field("rows", row, list)]
+            for row in _field("rows", obj["rows"], list)]
+    dim = _field("dim", obj["dim"], int)
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    if len(rows) != dim:
+        raise ValueError("row count must match dim")
+    return Endomorphism(rows)
+
+
 def _components(obj, key: str, dim: int) -> dict[tuple[int, ...], str]:
     """The values stored under ``key`` by 1-based index, each in 1..dim: the
     metric ``entries`` at (i, j) with i <= j, curvature components at
     (i, j, k, s) with i < j."""
     what, size = ("metric entry", 2) if key == "entries" else ("component", 4)
     table: dict[tuple[int, ...], str] = {}
-    for c in json_list(key, obj[key]):
-        idx = tuple(json_int("idx", i) for i in json_list("idx", json_object(key, c)["idx"]))
+    for c in _field(key, obj[key], list):
+        idx = tuple(_field("idx", i, int)
+                    for i in _field("idx", _field(key, c, dict)["idx"], list))
         name = f"the {what} {list(idx)}"
         if len(idx) != size:
             raise ValueError(f"{name} does not have {size} indices")
@@ -140,7 +195,7 @@ def _components(obj, key: str, dim: int) -> dict[tuple[int, ...], str]:
             raise ValueError(f"{name} does not have i < j")
         if idx in table:
             raise ValueError(f"{name} is given twice")
-        table[idx] = json_str("value", c["value"])
+        table[idx] = _field("value", c["value"], str)
     return table
 
 
@@ -151,11 +206,11 @@ def _not_stored(record, key: str) -> None:
 
 
 def _expectation(obj, dim: int, params: Sequence[str]) -> Expectation:
-    _not_stored(json_object("expected", obj), "flat")
+    _not_stored(_field("expected", obj, dict), "flat")
     metric = None
     if "metric" in obj:
         # the binding may leave parameters free, but binds no other name
-        binding = ParamBinding(json_object("metric", obj["metric"])["binding"])
+        binding = ParamBinding(_field("metric", obj["metric"], dict)["binding"])
         for name in binding:
             if name not in params:
                 raise ValueError(f"the metric binding names {name!r},"
@@ -174,8 +229,8 @@ def _conditions(texts, inherited: Sequence[str] = ()) -> tuple[str, ...]:
     occurs and which is no earlier condition times a constant."""
     seen = {parse_expr(text).primitive_numerator(): f"the form's {text!r}"
             for text in inherited}
-    for text in json_list("side_conditions", texts):
-        value = parse_expr(json_str("side_conditions", text))
+    for text in _field("side_conditions", texts, list):
+        value = parse_expr(_field("side_conditions", text, str))
         if not value.free_params():
             raise ValueError(f"side condition {text!r} is free of parameters")
         key = value.primitive_numerator()
@@ -187,8 +242,8 @@ def _conditions(texts, inherited: Sequence[str] = ()) -> tuple[str, ...]:
 
 def _form(obj, carried: set[str], dim: int) -> FormEntry:
     # a form admits J exactly when a stored structure rides on it
-    _not_stored(json_object("forms", obj), "admits_J")
-    fid, form = json_str("id", obj["id"]), TwoForm.from_json_dict(obj["form"])
+    _not_stored(_field("forms", obj, dict), "admits_J")
+    fid, form = _field("id", obj["id"], str), _two_form(obj["form"])
     if form.dim != dim:
         raise ValueError(f"form {fid} has dimension {form.dim}, not {dim}")
     return FormEntry(
@@ -204,7 +259,7 @@ def _structure(obj, forms: Mapping[str, FormEntry], dim: int) -> StructureEntry:
     # binding; the form's side conditions come first, and none is in another
     # parameter or vanishes at that binding
     _not_stored(obj, "params")
-    sid, J = json_str("id", obj["id"]), Endomorphism.from_json_dict(obj["J"])
+    sid, J = _field("id", obj["id"], str), _endomorphism(obj["J"])
     if J.dim != dim:
         raise ValueError(f"structure {sid} has dimension {J.dim}, not {dim}")
     f = forms.get(obj["form"])
@@ -245,20 +300,47 @@ def _by_id(kind: str, items) -> dict:
     return table
 
 
+def _read_json(path: str, label: str):
+    """The JSON value in the file ``path``.  A file that cannot be opened
+    raises OSError, and one that is not UTF-8 JSON ValueError naming ``label``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{label} is not valid JSON: {exc}") from exc
+
+
+def read_input(path: str, kind: str, what: str) -> LieAlgebra | TwoForm:
+    """The Lie algebra (``kind`` "algebra") or 2-form (``kind`` "form") in the
+    JSON file ``path``, stored as an entry stores its own.  A file that does
+    not hold one raises ValueError naming a ``bad {what} file``."""
+    build = {"algebra": _algebra, "form": _two_form}[kind]
+    obj = _read_json(path, path)
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"bad {what} file: lacks the key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad {what} file: {exc}") from exc
+
+
+def entry_bytes(name: str) -> bytes:
+    """The data file of the entry ``name``, byte for byte."""
+    with open(os.path.join(_data_dir(), f"{name}.json"), "rb") as fh:
+        return fh.read()
+
+
 @lru_cache(maxsize=None)
 def _load(dirpath: str, name: str) -> CatalogEntry:
-    with open(os.path.join(dirpath, f"{name}.json"), encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"catalog entry {name} is not valid JSON: {exc}") from exc
+    obj = _read_json(os.path.join(dirpath, f"{name}.json"), f"catalog entry {name}")
     try:
-        _not_stored(json_object(name, obj), "name")
-        algebra = LieAlgebra.from_json_dict(obj["algebra"])
+        _not_stored(_field(name, obj, dict), "name")
+        algebra = _algebra(obj["algebra"])
         linalg.require_bound([algebra.constants.values()])  # the series need numbers
-        records = [json_object("structures", s) for s in json_list("structures", obj["structures"])]
-        carried = {json_str("form", s["form"]) for s in records}
-        forms = tuple(_form(f, carried, algebra.dim) for f in json_list("forms", obj["forms"]))
+        records = [_field("structures", s, dict)
+                   for s in _field("structures", obj["structures"], list)]
+        carried = {_field("form", s["form"], str) for s in records}
+        forms = tuple(_form(f, carried, algebra.dim) for f in _field("forms", obj["forms"], list))
         form_by_id = _by_id("form", forms)
         structures = tuple(_structure(s, form_by_id, algebra.dim) for s in records)
         _by_id("structure", structures)
@@ -267,7 +349,7 @@ def _load(dirpath: str, name: str) -> CatalogEntry:
             algebra=algebra,
             forms=forms,
             structures=structures,
-            notes=json_str("notes", obj["notes"]),
+            notes=_field("notes", obj["notes"], str),
         )
     except KeyError as exc:
         raise ValueError(f"catalog entry {name} lacks the key {exc.args[0]!r}") from exc

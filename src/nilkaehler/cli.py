@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog, geometry, solver, tensors
-from .liealg import LieAlgebra
 from .scalar import ZERO, ParamBinding
-from .tensors import TwoForm
 
 
 class UsageError(Exception):
@@ -88,20 +85,15 @@ def _full_curvature(
         raise VerificationFailure(f"{e.name} {s.id} on {s.form_id}: {exc}") from exc
 
 
-def _read(path: str, what: str, build):
-    """``build`` of the JSON value in ``path``; a file that cannot be read,
-    parsed or built is a usage error, the last one naming ``what``."""
+def _read(path: str, kind: str, what: str):
+    """``catalog.read_input``; a file that cannot be read, parsed or built is
+    a usage error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        return catalog.read_input(path, kind, what)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return build(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad {what} file: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _nonzero(conditions) -> str:
@@ -126,14 +118,14 @@ def cmd_show(args) -> int:
     e = _entry(args.name)
     print(f"{e.name}  type {e.algebra_type}")
     print("brackets:")
-    for b in e.algebra.to_json_dict()["brackets"]:
-        coeff = {"1": "", "-1": "-"}.get(b["c"], f"{b['c']}*")
-        print(f"  [e{b['i']}, e{b['j']}] = {coeff}e{b['k']}")
+    for (i, j, k), c in sorted(e.algebra.constants.items()):
+        if i < j:
+            coeff = {"1": "", "-1": "-"}.get(str(c), f"{c}*")
+            print(f"  [e{i + 1}, e{j + 1}] = {coeff}e{k + 1}")
     print("forms:")
     for f in e.forms:
-        terms = ", ".join(
-            f"({t['i']},{t['j']}): {t['c']}" for t in f.form.to_json_dict()["terms"]
-        )
+        terms = ", ".join(f"({i + 1},{j + 1}): {c}" for i, row in enumerate(f.form.omega)
+                          for j, c in enumerate(row) if j > i and not c.is_zero())
         extra = f"  side: {_nonzero(f.side_conditions)}" if f.side_conditions else ""
         print(f"  {f.id} admits_J={f.admits_J}  [{terms}]{extra}")
     print("structures:")
@@ -231,7 +223,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_solve_linear(args) -> int:
-    solution = solver.compat_nullspace(_read(args.form_file, "form", TwoForm.from_json_dict))
+    solution = solver.compat_nullspace(_read(args.form_file, "form", "form"))
     print(json.dumps({
         "dimension": solution.dimension,
         "side_conditions": [str(c) for c in solution.side_conditions],
@@ -240,8 +232,8 @@ def cmd_solve_linear(args) -> int:
 
 
 def cmd_search(args) -> int:
-    alg = _read(args.algebra_file, "input", LieAlgebra.from_json_dict)
-    w = _read(args.form_file, "input", TwoForm.from_json_dict)
+    alg = _read(args.algebra_file, "algebra", "input")
+    w = _read(args.form_file, "form", "input")
     if not tensors.nondegenerate(w):
         raise UsageError(f"the form {w!r} is degenerate")
     try:
@@ -256,9 +248,9 @@ def cmd_search(args) -> int:
 def cmd_export(args) -> int:
     e = _entry(args.name)
     if args.format == "json":
-        path = os.path.join(catalog._data_dir(), f"{e.name}.json")
-        with open(path) as fh:
-            sys.stdout.write(fh.read())
+        # the file as it is, whatever the locale's encoding
+        sys.stdout.flush()
+        sys.stdout.buffer.write(catalog.entry_bytes(e.name))
         return 0
     if args.format == "csv":
         print("entry,form,structure,kind,idx,value")

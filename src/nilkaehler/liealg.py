@@ -2,9 +2,8 @@
 
 The structure constants are ``linalg.Components``: ``constants[i, j, k]``
 is the nonzero C_ij^k, stored for both orders of the pair (C_ji^k is
--C_ij^k).  All Python-level indices are 0-based.
-The JSON interchange format (see ``from_json_dict``) is 1-based, matching
-the printed basis e1..e6, and its dimension and indices are JSON integers.
+-C_ij^k).  All Python-level indices are 0-based; ``LieAlgebra.from_terms``
+takes the 1-based indices of the printed basis e1..e6.
 The terms of the ascending series are ``linalg.Span`` values straight from
 ``linalg.nullspace``.  Each step reduces the brackets [e_i, e_j] against
 the previous term with ``Span.reduce``; the remainders are the constraints
@@ -50,44 +49,6 @@ class Vector:
         return iter(self.components)
 
 
-def json_int(key: str, value) -> int:
-    """``value``, read from the JSON key ``key``, when it is an integer; a
-    bool, float or string is refused rather than truncated or coerced."""
-    if type(value) is not int:
-        raise TypeError(f"{key}={value!r}: must be an integer, not {type(value).__name__}")
-    return value
-
-
-def json_list(key: str, value) -> list:
-    """``value``, read from the JSON key ``key``, when it is a list."""
-    if type(value) is not list:
-        raise TypeError(f"{key}={value!r}: must be a list, not {type(value).__name__}")
-    return value
-
-
-def json_object(key: str, value) -> dict:
-    """``value``, read from the JSON key ``key``, when it is an object."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{key}: must be an object, not {type(value).__name__}")
-    return value
-
-
-def json_str(key: str, value) -> str:
-    """``value``, read from the JSON key ``key``, when it is a string."""
-    if type(value) is not str:
-        raise TypeError(f"{key}={value!r}: must be a string, not {type(value).__name__}")
-    return value
-
-
-def json_expr(key: str, value) -> str | int:
-    """``value``, read from the JSON key ``key``, when it is an expression: a
-    string or an integer, never a bool or float."""
-    if type(value) not in (str, int):
-        raise TypeError(f"{key}={value!r}: must be a string or an integer,"
-                        f" not {type(value).__name__}")
-    return value
-
-
 class LieAlgebra:
     """dim and the structure constants C_ij^k; the basis prints as e1..e{dim}."""
 
@@ -116,7 +77,8 @@ class LieAlgebra:
         cls, dim: int, terms: Iterable[tuple[int, int, int, ScalarLike]]
     ) -> "LieAlgebra":
         """Build from 1-based (i, j, k, c) items, as written in data files;
-        a failure of the Jacobi identity raises ValueError."""
+        a failure of the Jacobi identity raises ValueError naming the
+        failing triples, 1-based too."""
         table: dict[tuple[int, int], dict[int, Scalar]] = {}
         for i, j, k, c in terms:
             c = as_scalar(c)
@@ -134,27 +96,10 @@ class LieAlgebra:
                 raise ValueError(f"duplicate bracket component ({i}, {j}, {k})")
             row[k - 1] = c
         alg = cls(dim, table)
-        bad = jacobi_check(alg)
+        bad = [(i + 1, j + 1, k + 1) for i, j, k in jacobi_check(alg)]
         if bad:
             raise ValueError(f"Jacobi identity fails on triples {bad}")
         return alg
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "LieAlgebra":
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"a Lie algebra must be a JSON object, not {type(obj).__name__}")
-        terms = [(json_int("i", json_object("brackets", b)["i"]), json_int("j", b["j"]),
-                  json_int("k", b["k"]), json_expr("c", b["c"]))
-                 for b in json_list("brackets", obj.get("brackets", []))]
-        return cls.from_terms(json_int("dim", obj["dim"]), terms)
-
-    def to_json_dict(self) -> dict:
-        brackets = [
-            {"i": i + 1, "j": j + 1, "k": k + 1, "c": str(c)}
-            for (i, j, k), c in sorted(self.constants.items())
-            if i < j
-        ]
-        return {"dim": self.dim, "brackets": brackets}
 
     # -- basic structure -----------------------------------------------------
 

@@ -142,13 +142,15 @@ def newton_search(
     known, that is once it has converged and every earlier start has retired.
 
     Raises ``ValueError`` when ``max_starts < 1``, when ``tolerance`` is not
-    a positive finite number, when the form's dimension is not the
-    algebra's, or when ``initial_guess`` is not n x n.
+    a positive finite number, when ``seed`` is negative, when the form's
+    dimension is not the algebra's, or when ``initial_guess`` is not n x n.
     """
     if max_starts < 1:
         raise ValueError(f"max_starts must be at least 1, got {max_starts}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = alg.dim
     if w.dim != n:
         raise ValueError(f"the form has dimension {w.dim}, the algebra {n}")

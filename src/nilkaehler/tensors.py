@@ -10,14 +10,16 @@ Conventions, fixed once and used everywhere downstream:
 * dw and the Nijenhuis tensor are ``linalg.Components``, as the structure
   constants are: the nonzero components under every order of their
   antisymmetric indices, an absent index being a zero component.
+
+The data files that store forms and structures are read by ``catalog``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import liealg, linalg
-from .liealg import LieAlgebra, Vector, json_expr, json_int, json_list, json_object
+from .liealg import LieAlgebra, Vector
 from .linalg import Components, _accumulate, _dot, mat_vec, transform
 from .scalar import ZERO, ParamBinding, Scalar, ScalarLike, as_scalar
 
@@ -61,24 +63,6 @@ class TwoForm:
             entries[i - 1][j - 1] = c
             entries[j - 1][i - 1] = -c
         return cls(entries)
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "TwoForm":
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"a 2-form must be a JSON object, not {type(obj).__name__}")
-        terms = [(json_int("i", json_object("terms", t)["i"]), json_int("j", t["j"]),
-                  json_expr("c", t["c"]))
-                 for t in json_list("terms", obj.get("terms", []))]
-        return cls.from_terms(json_int("dim", obj["dim"]), terms)
-
-    def to_json_dict(self) -> dict:
-        terms = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not self.omega[i][j].is_zero():
-                    terms.append({"i": i + 1, "j": j + 1, "c": str(self.omega[i][j])})
-        return {"dim": n, "terms": terms}
 
     @property
     def dim(self) -> int:
@@ -124,25 +108,6 @@ class Endomorphism:
         if n != cols:
             raise ValueError("endomorphism matrix must be square")
         self.rows = m
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "Endomorphism":
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"an endomorphism must be a JSON object, not {type(obj).__name__}")
-        rows = [[json_expr("rows", x) for x in json_list("rows", row)]
-                for row in json_list("rows", obj["rows"])]
-        dim = json_int("dim", obj["dim"])
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        if len(rows) != dim:
-            raise ValueError("row count must match dim")
-        return cls(rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "rows": [[str(c) for c in row] for row in self.rows],
-        }
 
     @property
     def dim(self) -> int:

@@ -588,6 +588,8 @@ class TestMutationControl:
              "psi12", True),
           "is malformed: psi12=True: parameter values must be exact rational, not bool"),
          (lambda obj: obj["structures"][0].pop("expected"), "lacks the key 'expected'"),
+         (lambda obj: obj["algebra"].pop("brackets"), "lacks the key 'brackets'"),
+         (lambda obj: obj["forms"][1]["form"].pop("terms"), "lacks the key 'terms'"),
          (lambda obj: obj["forms"][1].__setitem__(
              "side_condition", obj["forms"][1].pop("side_conditions")),
           "lacks the key 'side_conditions'"),
@@ -645,7 +647,8 @@ class TestMutationControl:
          (lambda obj: obj["structures"][0]["expected"]["down_components"][0].__setitem__(
              "value", 5), "is malformed: value=5: must be a string, not int")],
         ids=["missing-key", "metric-binding-division-by-zero", "metric-binding-bool",
-             "structure-without-expected", "form-side-conditions-misspelt",
+             "structure-without-expected", "algebra-without-brackets", "form-without-terms",
+             "form-side-conditions-misspelt",
              "repeated-component", "metric-below-diagonal", "component-index-bool",
              "component-index-float", "metric-index-float", "component-index-short",
              "component-index-above-dim", "component-index-zero", "component-i-above-j",
@@ -693,6 +696,26 @@ class TestMutationControl:
         shutil.copytree(DATA, work)
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
         assert catalog.self_validate(["g24"]).ok
+
+
+class TestReaders:
+    """The readers of the algebra, 2-form and J objects of a data file."""
+
+    def test_the_stored_objects_read_as_their_terms(self):
+        obj = json.loads((DATA / "g21.json").read_text())
+        assert obj["algebra"]["brackets"][0] == {"i": 1, "j": 2, "k": 4, "c": "1"}
+        algebra = LieAlgebra.from_terms(6, [(1, 2, 4, 1), (1, 4, 6, 1), (2, 3, 6, 1)])
+        assert catalog._algebra(obj["algebra"]).constants == algebra.constants
+        assert obj["forms"][1]["form"]["terms"] == [
+            {"i": 1, "j": 6, "c": "1"},
+            {"i": 2, "j": 5, "c": "1"},
+            {"i": 3, "j": 4, "c": "-1"},
+        ]
+        w2 = TwoForm.from_terms(6, [(1, 6, 1), (2, 5, 1), (3, 4, -1)])
+        assert catalog._two_form(obj["forms"][1]["form"]) == w2
+        J = obj["structures"][0]["J"]
+        assert J["rows"][1][0] == "psi12"
+        assert catalog._endomorphism(J) == Endomorphism(J["rows"])
 
 
 class _TrackedObject(dict):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -25,6 +28,13 @@ def _write_g21(directory, edit):
     obj = json.loads((DATA / "g21.json").read_text())
     edit(obj["structures"][0]["expected"])
     (directory / "g21.json").write_text(json.dumps(obj))
+
+
+def _stored(name, form_id):
+    """The algebra of the entry ``name`` and its form ``form_id``, as the
+    entry's data file stores them."""
+    obj = json.loads((DATA / f"{name}.json").read_text())
+    return obj["algebra"], next(f["form"] for f in obj["forms"] if f["id"] == form_id)
 
 
 def invoke(capsys, *argv):
@@ -615,7 +625,7 @@ class TestSolveAndSearch:
         self, capsys, tmp_path, name, form_id, conditions
     ):
         path = tmp_path / "form.json"
-        path.write_text(json.dumps(catalog.get(name).form(form_id).form.to_json_dict()))
+        path.write_text(json.dumps(_stored(name, form_id)[1]))
         rc, out, _ = invoke(capsys, "solve-linear", str(path))
         assert rc == 0
         assert json.loads(out) == {"dimension": 21, "side_conditions": conditions}
@@ -668,11 +678,11 @@ class TestSolveAndSearch:
         assert len(report["J"]) == 6
 
     def test_search_reports_failure(self, capsys, tmp_path):
-        e = catalog.get("g21")
+        algebra, w1 = _stored("g21", "w1")
         alg = tmp_path / "g21.json"
         form = tmp_path / "w1.json"
-        alg.write_text(json.dumps(e.algebra.to_json_dict()))
-        form.write_text(json.dumps(e.form("w1").form.to_json_dict()))
+        alg.write_text(json.dumps(algebra))
+        form.write_text(json.dumps(w1))
         rc, out, _ = invoke(capsys, "search", str(alg), str(form), "--starts", "10")
         assert rc == 1
         assert json.loads(out)["status"] == "failed"
@@ -714,6 +724,10 @@ class TestSolveAndSearch:
              "bad form file: terms: must be an object, not list"),
             (("search", dict(ABELIAN, brackets=[5]), W_STD),
              "bad input file: brackets: must be an object, not int"),
+            (("search", {"dim": 6}, W_STD), "bad input file: lacks the key 'brackets'"),
+            (("search", ABELIAN, {"dim": 6}), "bad input file: lacks the key 'terms'"),
+            (("solve-linear", {"dim": 6}), "bad form file: lacks the key 'terms'"),
+            (("solve-linear", {"terms": []}), "bad form file: lacks the key 'dim'"),
         ],
         ids=["solve-zero-denominator", "solve-form-list", "search-form-list",
              "search-algebra-list", "search-zero-division", "search-dimension-mismatch",
@@ -721,7 +735,9 @@ class TestSolveAndSearch:
              "search-algebra-dim-str", "search-bracket-index-float",
              "search-form-term-index-float", "solve-dim-zero", "solve-dim-negative",
              "search-form-dim-negative", "solve-term-not-an-object",
-             "search-bracket-not-an-object"],
+             "search-bracket-not-an-object", "search-algebra-without-brackets",
+             "search-form-without-terms", "solve-form-without-terms",
+             "solve-form-without-dim"],
     )
     def test_malformed_input_file_is_usage_error(self, capsys, tmp_path, argv, fragment):
         command, *objects = argv
@@ -742,6 +758,7 @@ class TestSolveAndSearch:
             ("--tol=-1e-9", "tolerance"),
             ("--tol=nan", "tolerance"),
             ("--tol=inf", "tolerance"),
+            ("--seed=-1", "seed must be non-negative, got -1"),
         ],
     )
     def test_bad_search_input_is_usage_error(self, capsys, tmp_path, flag, fragment):
@@ -780,6 +797,21 @@ class TestExport:
         # the curvature each structure must reproduce is in the same file
         assert payload["structures"][0]["expected"]["down_components"] == [
             {"idx": [1, 2, 1, 2], "value": "-psi12"}]
+
+    def test_json_is_the_file_byte_for_byte_whatever_the_locale(self, tmp_path):
+        # notes that are not ASCII, printed where the locale's encoding is ASCII
+        obj = json.loads((DATA / "g21.json").read_text())
+        obj["notes"] += " (pseudo-K\u00e4hler)"
+        path = tmp_path / "g21.json"
+        path.write_text(json.dumps(obj, indent=1, ensure_ascii=False), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG"))}
+        env.pop("PYTHONIOENCODING", None)
+        env |= {"LC_ALL": "C", "PYTHONUTF8": "0", "NILKAEHLER_CATALOG": str(tmp_path),
+                "PYTHONPATH": str(DATA.parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "nilkaehler.cli", "export", "g21", "--format", "json"],
+            env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, path.read_bytes())
 
     def test_csv_lists_curvature_rows(self, capsys):
         rc, out, _ = invoke(capsys, "export", "g21", "--format", "csv")

@@ -1,8 +1,8 @@
 """Every imported name is used, every private module-level name of the
-package is read somewhere in it, and the public functions and methods that
-only tests read are a pinned set: three small checks on the ast.  And the
-command line loads the catalog and runs every exact command without
-importing numpy or sympy."""
+package is read somewhere in it, the public functions and methods that
+only tests read are a pinned set, and only ``catalog`` reads files or JSON:
+four small checks on the ast.  And the command line loads the catalog and
+runs every exact command without importing numpy or sympy."""
 
 import ast
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from nilkaehler import catalog, cli
+from nilkaehler import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/nilkaehler", "tests", "bench") for p in (ROOT / d).glob("*.py"))
@@ -205,6 +205,64 @@ def test_the_check_finds_an_unread_public_function():
     assert unread_public_names(package, readers) == ["a.unused", "a.zeros", "a.Kind.method"]
 
 
+READS = ("open", "json.load", "json.loads")
+
+
+def file_reads(source: str) -> list[str]:
+    """Calls of ``open``, ``json.load`` or ``json.loads``, and imports from
+    ``json``, in ``source``."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and ast.unparse(n.func) in READS:
+            found.append(f"line {n.lineno}: {ast.unparse(n.func)}")
+        elif isinstance(n, ast.ImportFrom) and n.module == "json":
+            found.append(f"line {n.lineno}: from json import")
+    return found
+
+
+def json_names(source: str) -> list[str]:
+    """The sorted names containing ``json`` that ``source`` defines or imports,
+    the latter under their own name and under the one they are bound to."""
+    names = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(n.name)
+        elif isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Store):
+            names.add(n.id if isinstance(n, ast.Name) else n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.add(getattr(n, "module", None) or "")
+            names.update(x for alias in n.names for x in (alias.name, alias.asname or ""))
+    return sorted(name for name in names if "json" in name.lower())
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/nilkaehler").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_catalog_reads_files_and_json(path):
+    source = path.read_text()
+    if path.name != "catalog.py":
+        assert file_reads(source) == []
+    if path.name in ("liealg.py", "tensors.py"):
+        assert json_names(source) == []
+
+
+def test_the_checks_find_a_file_read_and_a_json_name():
+    source = (
+        "import json\n"
+        "from json import loads\n"
+        "from .liealg import json_int as to_int\n"
+        "class Form:\n"
+        "    def to_json_dict(self):\n"
+        "        self.json = open('f').read()\n"
+        "        return json.load(self.json), json.dumps({})\n"
+    )
+    assert file_reads(source) == [
+        "line 2: from json import", "line 7: json.load", "line 6: open"]
+    assert json_names(source) == ["json", "json_int", "to_json_dict"]
+    assert json_names("def f(json_obj):\n    blob_JSON = 1\n") == ["blob_JSON", "json_obj"]
+
+
 # each command but ``search`` is exact: it runs with numpy and sympy blocked
 EXACT_COMMANDS = [["list"], ["verify", "--all"], ["show", "g21"],
                   ["curvature", "g21", "--form", "w2"], ["export", "g21", "--format", "latex"],
@@ -229,9 +287,9 @@ print(len(catalog.NAMES), codes, sorted(loaded & {{"numpy", "sympy"}}))
 def _fresh_run(tmp_path, commands, block=""):
     """The printout of FRESH_RUN in a fresh interpreter, in a directory
     holding g21's algebra and its form w2 as algebra.json and form.json."""
-    e = catalog.get("g21")
-    (tmp_path / "algebra.json").write_text(json.dumps(e.algebra.to_json_dict()))
-    (tmp_path / "form.json").write_text(json.dumps(e.form("w2").form.to_json_dict()))
+    stored = json.loads((ROOT / "src/nilkaehler/data/g21.json").read_text())
+    (tmp_path / "algebra.json").write_text(json.dumps(stored["algebra"]))
+    (tmp_path / "form.json").write_text(json.dumps(stored["forms"][1]["form"]))  # w2
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = FRESH_RUN.format(block=block, commands=commands)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -129,7 +129,8 @@ def test_jacobi_check_matches_the_bracket_loop(table):
     if failing:
         with pytest.raises(ValueError) as info:
             LieAlgebra.from_terms(dim, terms)
-        assert str(info.value) == f"Jacobi identity fails on triples {failing}"
+        one_based = [(i + 1, j + 1, k + 1) for i, j, k in failing]
+        assert str(info.value) == f"Jacobi identity fails on triples {one_based}"
     else:
         assert LieAlgebra.from_terms(dim, terms).constants == alg.constants
 
@@ -137,7 +138,7 @@ def test_jacobi_check_matches_the_bracket_loop(table):
 def test_jacobi_check_pins_a_non_lie_table():
     with pytest.raises(ValueError) as info:
         make(4, (1, 2, 3, 1), (2, 3, 4, 1), (1, 3, 2, 1), (3, 4, 1, 2))
-    assert str(info.value) == "Jacobi identity fails on triples [(0, 1, 3), (1, 2, 3)]"
+    assert str(info.value) == "Jacobi identity fails on triples [(1, 2, 4), (2, 3, 4)]"
 
 
 class TestSeries:
@@ -236,12 +237,6 @@ class TestConstruction:
     def test_from_terms_rejects_self_bracket(self):
         with pytest.raises(ValueError):
             LieAlgebra.from_terms(3, [(1, 1, 2, 1)])
-
-    def test_json_round_trip(self):
-        blob = G21.to_json_dict()
-        again = LieAlgebra.from_json_dict(blob)
-        assert again.to_json_dict() == blob
-        assert blob["brackets"][0] == {"i": 1, "j": 2, "k": 4, "c": "1"}
 
     def test_repr_names_the_basis_e1_to_en(self):
         assert repr(LieAlgebra.from_terms(3, [(2, 1, 3, 2)])) == (

@@ -222,11 +222,12 @@ class TestNewtonSearch:
             ({"initial_guess": [[0.0] * 6]}, "initial_guess"),
             ({"initial_guess": 0.0}, "initial_guess"),
             ({"initial_guess": np.zeros((7, 7))}, "initial_guess"),
+            ({"seed": -1}, "^seed must be non-negative, got -1$"),
         ],
     )
     def test_bad_search_input_is_rejected(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
-            newton_search(ABELIAN, W_STD, seed=0, **kwargs)
+            newton_search(ABELIAN, W_STD, **{"seed": 0, **kwargs})
 
     # 1e5 everywhere makes the damped normal matrix exactly singular in floats
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is retired, not reported
