@@ -698,26 +698,6 @@ class TestMutationControl:
         assert catalog.self_validate(["g24"]).ok
 
 
-class TestReaders:
-    """The readers of the algebra, 2-form and J objects of a data file."""
-
-    def test_the_stored_objects_read_as_their_terms(self):
-        obj = json.loads((DATA / "g21.json").read_text())
-        assert obj["algebra"]["brackets"][0] == {"i": 1, "j": 2, "k": 4, "c": "1"}
-        algebra = LieAlgebra.from_terms(6, [(1, 2, 4, 1), (1, 4, 6, 1), (2, 3, 6, 1)])
-        assert catalog._algebra(obj["algebra"]).constants == algebra.constants
-        assert obj["forms"][1]["form"]["terms"] == [
-            {"i": 1, "j": 6, "c": "1"},
-            {"i": 2, "j": 5, "c": "1"},
-            {"i": 3, "j": 4, "c": "-1"},
-        ]
-        w2 = TwoForm.from_terms(6, [(1, 6, 1), (2, 5, 1), (3, 4, -1)])
-        assert catalog._two_form(obj["forms"][1]["form"]) == w2
-        J = obj["structures"][0]["J"]
-        assert J["rows"][1][0] == "psi12"
-        assert catalog._endomorphism(J) == Endomorphism(J["rows"])
-
-
 class _TrackedObject(dict):
     """A JSON object that records the keys its reader asks for."""
 

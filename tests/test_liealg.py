@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import combinations
 
@@ -237,6 +238,12 @@ class TestConstruction:
     def test_from_terms_rejects_self_bracket(self):
         with pytest.raises(ValueError):
             LieAlgebra.from_terms(3, [(1, 1, 2, 1)])
+
+    def test_json_round_trip(self):
+        # the algebra stored in the g21 data file reads back as its table
+        blob = json.loads(catalog.entry_bytes("g21"))["algebra"]
+        assert blob["brackets"][0] == {"i": 1, "j": 2, "k": 4, "c": "1"}
+        assert catalog._algebra(blob).constants == G21.constants
 
     def test_repr_names_the_basis_e1_to_en(self):
         assert repr(LieAlgebra.from_terms(3, [(2, 1, 3, 2)])) == (

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -86,6 +87,16 @@ class TestTwoForm:
         with pytest.raises(ValueError, match="^dimension must be positive$"):
             catalog._two_form({"dim": dim, "terms": []})
 
+    def test_json_round_trip(self):
+        # the form w2 stored in the g21 data file reads back as its terms
+        blob = json.loads(catalog.entry_bytes("g21"))["forms"][1]["form"]
+        assert blob["terms"] == [
+            {"i": 1, "j": 6, "c": "1"},
+            {"i": 2, "j": 5, "c": "1"},
+            {"i": 3, "j": 4, "c": "-1"},
+        ]
+        assert catalog._two_form(blob) == W2_G21
+
     def test_apply_matches_entries(self):
         e2 = Vector.of([0, 1, 0, 0, 0, 0])
         e5 = Vector.of([0, 0, 0, 0, 1, 0])
@@ -106,6 +117,11 @@ class TestEndomorphism:
         j = J21_CANON.substitute(ParamBinding({"a": 2}))
         assert j.rows[0][1] == as_scalar("1/2")
         assert j.free_params() == frozenset()
+
+    def test_json_round_trip(self):
+        blob = {"dim": 6, "rows": [[str(x) for x in row] for row in J21_CANON.rows]}
+        assert blob["rows"][1][0] == "-a"
+        assert catalog._endomorphism(blob) == J21_CANON
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
