@@ -302,11 +302,12 @@ def _by_id(kind: str, items) -> dict:
 
 def _read_json(path: str, label: str):
     """The JSON value in the file ``path``.  A file that cannot be opened
-    raises OSError, and one that is not UTF-8 JSON ValueError naming ``label``."""
+    raises OSError, and one that is not UTF-8 JSON, or nests too deeply for
+    the decoder, ValueError naming ``label``."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"{label} is not valid JSON: {exc}") from exc
 
 

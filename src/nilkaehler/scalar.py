@@ -280,6 +280,13 @@ class Scalar:
         """True when no parameter occurs (the reserved ``s`` counts as one)."""
         return self._p is None
 
+    def quadratic_parts(self) -> tuple[int, int, int]:
+        """The ints (a, b, d) of a constant (a + b*sqrt(2))/d, with d > 0;
+        parameters raise ValueError."""
+        if self._q is not None:
+            raise ValueError(f"unbound parameters: {sorted(self.free_params())}")
+        return (self._n, 0, self._d) if self._p is None else self._p
+
     def free_params(self) -> frozenset[str]:
         """Bindable parameter names occurring in this value (``s`` excluded)."""
         return frozenset() if self._q is None else frozenset(self._q._scalar_names)

@@ -3,10 +3,11 @@ verification, and a seeded numerical probe for the full nonlinear system.
 
 The linear stage solves the compatibility equations exactly over the
 fraction field.  The nonlinear probe (compatibility + J^2 = -I +
-integrability) runs Levenberg-Marquardt from random starts and stops once
-the first verified start is known; a failure to converge is evidence of
-nonexistence, never a proof.  Its float kernel lives in ``probe``, the
-package's only numpy code, which ``newton_search`` imports when it runs:
+integrability) runs Levenberg-Marquardt on the compatible J from random
+starts and stops once the first verified start is known; a failure to
+converge is evidence of nonexistence, never a proof.  The probe and its
+integer re-check live in ``probe``, the package's only numpy code, which
+``newton_search`` and ``residual_sup_norms`` import when they run:
 everything else here is exact and loads without numpy.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import geometry, linalg, tensors
@@ -134,16 +134,20 @@ def newton_search(
 
     Start 0 uses ``initial_guess`` (an n x n matrix) when given; every other
     start draws fresh standard-normal entries from a per-start generator, so
-    a start's outcome does not depend on the others.  Starts run in
-    consecutive blocks of ``probe.BLOCK``, all starts of a block iterated
-    together (see ``probe.first_root``).  The result is the first converged
-    start, in start order, whose root passes the exact re-check of
+    a start's outcome does not depend on the others.  Each start is
+    projected by least squares onto the compatible J = S omega^-1 (S
+    symmetric), and the iteration moves the n(n + 1)/2 coordinates of S
+    (21 for n = 6), damped by mu V^T V (see ``probe``).  Starts run in consecutive blocks of
+    ``probe.BLOCK``, all starts of a block iterated together (see
+    ``probe.first_root``).  The result is the first converged start, in
+    start order, whose root passes the exact integer re-check of
     ``residual_sup_norms``; the iteration stops as soon as that start is
     known, that is once it has converged and every earlier start has retired.
 
     Raises ``ValueError`` when ``max_starts < 1``, when ``tolerance`` is not
     a positive finite number, when ``seed`` is negative, when the form's
-    dimension is not the algebra's, or when ``initial_guess`` is not n x n.
+    dimension is not the algebra's, when the form is degenerate or has
+    unbound parameters, or when ``initial_guess`` is not n x n.
     """
     if max_starts < 1:
         raise ValueError(f"max_starts must be at least 1, got {max_starts}")
@@ -184,21 +188,13 @@ def residual_sup_norms(
 ) -> tuple[float, float, float]:
     """Sup-norms of (compatibility, J^2+I, Nijenhuis) at a numeric J.
 
-    Floats are lifted to exact dyadic rationals and pushed through the
-    symbolic tensor machinery, so this check shares no code with the
-    iteration loop.
+    Floats are taken as the exact dyadic rationals they are, and the three
+    residuals are evaluated in integer arithmetic (``probe.exact_sup_norms``),
+    so this check shares no rounding with the iteration loop.
     """
-    J = Endomorphism(
-        [[Scalar.from_fraction(Fraction(float(x))) for x in row] for row in J_numeric]
-    )
-    residuals = (
-        [x for row in tensors.compat_residual(w, J) for x in row],
-        [x for row in tensors.almost_complex_residual(J) for x in row],
-        tensors.nijenhuis(alg, J).values(),
-    )
-    return tuple(  # type: ignore[return-value]
-        max((abs(x.evaluate({})) for x in values), default=0.0) for values in residuals
-    )
+    from . import probe
+
+    return probe.exact_sup_norms(alg, w, J_numeric)
 
 
 def search_report(result: SearchResult) -> dict:

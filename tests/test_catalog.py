@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shutil
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -682,6 +683,17 @@ class TestMutationControl:
         monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
         [failure] = catalog.self_validate(["g21"]).failures()
         assert failure.startswith("g21: load: catalog entry g21 is not valid JSON: ")
+
+    def test_a_deeply_nested_entry_is_a_load_failure(self, tmp_path, monkeypatch):
+        work = tmp_path / "data"
+        shutil.copytree(DATA, work)
+        (work / "g21.json").write_text("[" * 100000 + "]" * 100000)
+        monkeypatch.setenv("NILKAEHLER_CATALOG", str(work))
+        t0 = time.monotonic()
+        failures = catalog.self_validate(["g21"]).failures()
+        assert time.monotonic() - t0 < 1.0
+        assert failures == ["g21: load: catalog entry g21 is not valid JSON: maximum recursion"
+                            " depth exceeded while decoding a JSON array from a unicode string"]
 
     def test_metric_binding_at_a_pole_is_a_failed_check(self, tmp_path, monkeypatch):
         def pole(obj):

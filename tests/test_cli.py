@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -649,6 +650,17 @@ class TestSolveAndSearch:
         rc, out, err = invoke(capsys, "solve-linear", str(path))
         assert (rc, out) == (2, "")
         assert err == f"error: {path} is not valid JSON: Expecting value: line 1 column 9 (char 8)\n"
+
+    def test_solve_linear_on_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        # the decoder's RecursionError is a file that is not valid JSON
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        t0 = time.monotonic()
+        rc, out, err = invoke(capsys, "solve-linear", str(path))
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {path} is not valid JSON: maximum recursion depth exceeded"
+                       " while decoding a JSON array from a unicode string\n")
 
     def test_solve_linear_on_a_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "form.json"

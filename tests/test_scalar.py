@@ -333,6 +333,20 @@ def test_sign_is_exact_over_q_sqrt2():
 
 
 @pytest.mark.parametrize(
+    "text,parts", [("0", (0, 0, 1)), ("-3/4", (-3, 0, 4)), ("(2 - 4*s)/6", (1, -2, 3)),
+                   ("s", (0, 1, 1))])
+def test_quadratic_parts_are_the_stored_ints(text, parts):
+    assert parse_expr(text).quadratic_parts() == parts
+    a, b, d = parts
+    assert parse_expr(text) == (Fraction(a) + Fraction(b) * parse_expr("s")) / d
+
+
+def test_quadratic_parts_of_a_parametric_value_are_refused():
+    with pytest.raises(ValueError, match=r"^unbound parameters: \['x'\]$"):
+        parse_expr("x + s").quadratic_parts()
+
+
+@pytest.mark.parametrize(
     "text,primitive",
     [("2*s*x", "x"), ("-3*s*x^2 - 6*s", "x^2 + 2"), ("s*(lambda+1)^2/(x+1)", "(lambda+1)^2"),
      ("-2*s", "1"), ("2*x + 2*s*x", "x + s*x"), ("-4*x/3", "x")],

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from nilkaehler import catalog, probe, tensors
 from nilkaehler.geometry import associated_metric
 from nilkaehler.liealg import LieAlgebra
 from nilkaehler.linalg import is_zero_matrix
-from nilkaehler.scalar import ZERO, ParamBinding
+from nilkaehler.scalar import ZERO, ParamBinding, Scalar
 from nilkaehler.solver import (
     FamilyReport,
     LinearSolution,
@@ -189,8 +190,8 @@ class TestNewtonSearch:
         assert math.isinf(result.residual_norm)
 
     def test_converges_on_a_form_with_inexact_float_entries(self):
-        # lambda = 1/3 has no exact float: second differences of the linear
-        # compatibility rows would read rounding noise as a dependence on X
+        # lambda = 1/3 has no exact float: J = S omega^-1 is compatible with
+        # the rounded omega only to rounding, and the re-check reads 1/3
         entry = catalog.get("g12")
         w = entry.form("w1").form.substitute(ParamBinding({"lambda": Fraction(1, 3)}))
         assert newton_search(entry.algebra, w, max_starts=25, seed=1).converged
@@ -228,6 +229,12 @@ class TestNewtonSearch:
     def test_bad_search_input_is_rejected(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             newton_search(ABELIAN, W_STD, **{"seed": 0, **kwargs})
+
+    def test_degenerate_form_is_rejected(self):
+        w = TwoForm.from_terms(6, [(1, 2, 1), (3, 4, 1)])
+        message = r"^the form TwoForm\(e1\^e2 \+ e3\^e4\) is degenerate$"
+        with pytest.raises(ValueError, match=message):
+            newton_search(ABELIAN, w, max_starts=1, seed=0)
 
     # 1e5 everywhere makes the damped normal matrix exactly singular in floats
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is retired, not reported
@@ -269,16 +276,6 @@ def _polarized(X, args):
     return (probe._residual(X + E, *args) - probe._residual(X - E, *args)).T / 2
 
 
-def _second_differences(args):
-    """H[k, (r, j)] = f_r(E_k + E_j) - f_r(E_k) - f_r(E_j) + f_r(0), from
-    ``probe._residual`` alone, flattened like the Jacobian."""
-    n = len(args[0])
-    E = np.eye(n * n).reshape(n * n, n, n)
-    f_0, f_E = probe._residual(np.zeros((n, n)), *args), probe._residual(E, *args)
-    return np.stack([(probe._residual(E[k] + E, *args) - f_E[k] - f_E + f_0).T.ravel()
-                     for k in range(n * n)])
-
-
 class TestNumericResidual:
     """The probe's float residual against the exact tensors it stands for."""
 
@@ -316,6 +313,58 @@ class TestNumericResidual:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
+def _scalar_sup_norms(alg, w, J_numeric):
+    """The re-check through the Scalar tensors: each float lifted to the
+    dyadic Scalar it stands for, each residual entry evaluated."""
+    J = Endomorphism(
+        [[Scalar.from_fraction(Fraction(float(x))) for x in row] for row in J_numeric])
+    residuals = (
+        [x for row in tensors.compat_residual(w, J) for x in row],
+        [x for row in tensors.almost_complex_residual(J) for x in row],
+        tensors.nijenhuis(alg, J).values(),
+    )
+    return tuple(
+        max((abs(x.evaluate({})) for x in values), default=0.0) for values in residuals)
+
+
+def _recheck_cases():
+    """The stored forms, a form over Q(sqrt 2) with denominators and an
+    algebra whose structure constants are."""
+    w = TwoForm.from_terms(6, [(1, 6, "s"), (2, 5, "1/3 + s"), (3, 4, "-1/2")])
+    alg = LieAlgebra.from_terms(6, [(1, 2, 4, "s"), (1, 4, 6, "1 - 2*s/3"), (2, 3, 6, "1/5")])
+    return _stored_forms() + [pytest.param(G21, w, id="sqrt2-form"),
+                              pytest.param(alg, W2_G21, id="sqrt2-brackets")]
+
+
+class TestExactRecheck:
+    """``residual_sup_norms`` in integers against the Scalar tensors."""
+
+    @pytest.mark.parametrize("alg,w", _recheck_cases())
+    def test_integers_give_the_scalar_floats(self, alg, w):
+        rng = np.random.default_rng(8)
+        n = alg.dim
+        # dyadic entries with spread exponents, and a near-root of g21 w2
+        # whose residuals are small differences of large terms
+        stack = list(rng.standard_normal((4, n, n)) * 2.0 ** rng.integers(-20, 21, (4, n, n)))
+        stack.append(np.array(J21_CANON) + 2.0 ** -40 * rng.standard_normal((n, n)))
+        for J in stack:
+            assert residual_sup_norms(alg, w, J.tolist()) == _scalar_sup_norms(alg, w, J.tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_nonfinite_entry_raises_as_the_scalar_route_does(self, bad):
+        J = np.eye(6).tolist()
+        J[2][3] = bad
+        with pytest.raises((ValueError, OverflowError)) as scalar:
+            _scalar_sup_norms(G21, W2_G21, J)
+        with pytest.raises(type(scalar.value), match=f"^{re.escape(str(scalar.value))}$"):
+            residual_sup_norms(G21, W2_G21, J)
+
+    def test_unbound_parameters_are_refused(self):
+        w = TwoForm.from_terms(6, [(1, 6, 1), (2, 5, "lambda"), (3, 4, -1)])
+        with pytest.raises(ValueError, match="unbound parameters"):
+            residual_sup_norms(G21, w, J21_CANON)
+
+
 def _starts(seed, count, first=None):
     """The stack a search draws: start 0 is ``first`` when given."""
     X = np.stack([np.random.default_rng((seed, k)).standard_normal((6, 6))
@@ -350,47 +399,81 @@ def _nudged_g21_starts():
     return _starts(11, 12, first=np.array(J21_CANON) + nudge)
 
 
+def _polarized_along(X, V, args):
+    """Df(X) V from ``probe._residual`` alone: (f(X + v) - f(X - v))/2 over
+    the columns v of V, exact for a quadratic f; rows are residuals."""
+    D = V.T.reshape(-1, *X.shape)
+    return (probe._residual(X + D, *args) - probe._residual(X - D, *args)).T / 2
+
+
+def _assert_g_is_the_second_differences(jacobian, args):
+    """G[t, (r, u)] = f_r(v_t + v_u) - f_r(v_t) - f_r(v_u) + f_r(0) to 1e-12,
+    over the columns v of V and the rows r after the compatibility rows,
+    with f from ``probe._residual`` alone."""
+    n, pairs = len(args[0]), len(args[2])
+    E = jacobian.V.T.reshape(-1, n, n)
+
+    def f(X):
+        return probe._residual(X, *args)[..., pairs:]
+
+    f_0, f_E = f(np.zeros((n, n))), f(E)
+    want = np.stack([(f(e + E) - f_e - f_E + f_0).T.ravel() for e, f_e in zip(E, f_E)])
+    assert jacobian.G.shape == want.shape
+    assert np.max(np.abs(jacobian.G - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _assert_jacobian_is_the_polarization(jacobian, y, args):
+    pairs = len(args[2])
+    want = np.stack([_polarized_along(X, jacobian.V, args) for X in jacobian.matrices(y)])
+    assert np.max(np.abs(jacobian(y) - want[:, pairs:])) <= 1e-12 * np.max(np.abs(want))
+
+
+def _assert_compatible_subspace(jacobian, args):
+    """Every column of V has compatibility rows within 1e-12 of the terms
+    that cancel in them, and ``project`` recovers the coordinates: V has
+    full rank n(n + 1)/2."""
+    omega, pairs = args[0], len(args[2])
+    n, V = len(omega), jacobian.V
+    assert V.shape == (n * n, n * (n + 1) // 2)
+    for X in V.T.reshape(-1, n, n):
+        compat = probe._residual(X, *args)[:pairs]
+        assert np.max(np.abs(compat)) <= 1e-12 * np.max(np.abs(X @ omega))
+    assert np.max(np.abs(jacobian.project @ V - np.eye(V.shape[1]))) <= 1e-12
+
+
 class TestBatchedProbe:
     """The Levenberg-Marquardt iteration over a stack of starts."""
 
     @pytest.mark.parametrize("alg,w", _stored_forms())
     def test_linear_jacobian_matches_polarization(self, alg, w):
-        # the probe Jacobian is affine in X: D(0) + sum_k x_k H_k
+        # along V the probe Jacobian is linear in y: sum_t y_t G_t
         args = _probe_args(alg, w)
-        X = np.random.default_rng(4).standard_normal((3, alg.dim, alg.dim))
-        got = probe._LinearJacobian(*args)(X)
-        want = np.stack([_polarized(x, args) for x in X])
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        jacobian = probe._LinearJacobian(*args)
+        y = np.random.default_rng(4).standard_normal((3, jacobian.V.shape[1]))
+        _assert_jacobian_is_the_polarization(jacobian, y, args)
 
     @pytest.mark.parametrize("alg,w", _stored_forms())
     def test_assembly_is_the_residuals_own_differences(self, alg, w):
-        # D(0) and H from omega, C and the index pattern, bit for bit
+        # G from omega, C and the index pattern, against second differences
         args = _probe_args(alg, w)
-        jacobian = probe._LinearJacobian(*args)
-        zero = _polarized(np.zeros((alg.dim, alg.dim)), args)
-        H = _second_differences(args)
-        live = np.flatnonzero(np.any(H != 0, axis=0))
-        assert jacobian.shape == zero.shape
-        assert np.array_equal(jacobian.zero, zero.ravel())
-        assert np.array_equal(jacobian.live, live)
-        assert np.array_equal(jacobian.H, H[:, live])
+        _assert_g_is_the_second_differences(probe._LinearJacobian(*args), args)
+
+    @pytest.mark.parametrize("alg,w", _stored_forms())
+    def test_the_subspace_is_compatible(self, alg, w):
+        args = _probe_args(alg, w)
+        _assert_compatible_subspace(probe._LinearJacobian(*args), args)
 
     def test_assembly_matches_a_random_bracket(self):
         # a float C antisymmetric in its first two indices has every index
-        # pattern, and omega has no symmetry
+        # pattern, and a random antisymmetric omega every entry
         rng = np.random.default_rng(6)
-        C = rng.standard_normal((6, 6, 6))
-        args = (rng.standard_normal((6, 6)), C - np.swapaxes(C, 0, 1), *np.triu_indices(6, k=1))
+        C, omega = rng.standard_normal((6, 6, 6)), rng.standard_normal((6, 6))
+        args = (omega - omega.T, C - np.swapaxes(C, 0, 1), *np.triu_indices(6, k=1))
         jacobian = probe._LinearJacobian(*args)
-        zero = _polarized(np.zeros((6, 6)), args).ravel()
-        assert np.max(np.abs(jacobian.zero - zero)) <= 1e-12 * np.max(np.abs(zero))
-        want = _second_differences(args)
-        got = np.zeros_like(want)
-        got[:, jacobian.live] = jacobian.H
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        X = np.random.default_rng(7).standard_normal((2, 6, 6))
-        want = np.stack([_polarized(x, args) for x in X])
-        assert np.max(np.abs(jacobian(X) - want)) <= 1e-12 * np.max(np.abs(want))
+        _assert_compatible_subspace(jacobian, args)
+        _assert_g_is_the_second_differences(jacobian, args)
+        y = np.random.default_rng(7).standard_normal((2, jacobian.V.shape[1]))
+        _assert_jacobian_is_the_polarization(jacobian, y, args)
 
     def test_assembly_evaluates_no_residual(self, monkeypatch):
         def refuse(*args):
